@@ -44,11 +44,6 @@ let count t = Vec.length t.insts
 let compatible inst ~op_kind ~width =
   Resource_kind.can_execute inst.rk op_kind && inst.width >= width
 
-let candidates t ~op_kind ~width =
-  instances t
-  |> List.filter (fun i -> compatible i ~op_kind ~width)
-  |> List.sort (fun a b -> Float.compare b.point.Curve.delay a.point.Curve.delay)
-
 let set_grade t id ~delay =
   let i = instance t id in
   Obs.incr c_regrades;

@@ -92,6 +92,12 @@ val dep_count : t -> int
 val ops : t -> Op_id.t list
 val iter_ops : t -> (op -> unit) -> unit
 
+(** {1 Adjacency}
+
+    Built on first query after a mutation and kept until the next
+    {!add_op} or {!add_dep}; the queries return the stored lists without
+    copying them.  Lists are in dependency insertion order. *)
+
 val preds : t -> Op_id.t -> Op_id.t list
 (** Forward (non-loop-carried) predecessors. *)
 
@@ -108,8 +114,9 @@ exception Cyclic of Op_id.t list
     report. *)
 
 val topo_order : t -> Op_id.t list
-(** Topological order over forward dependencies.  Raises {!Cyclic} (with
-    the offending op path) when the forward DFG is cyclic. *)
+(** Topological order over forward dependencies, cached with the
+    adjacency.  Raises {!Cyclic} (with the offending op path) when the
+    forward DFG is cyclic. *)
 
 val forward_cycle : t -> Op_id.t list option
 (** [None] iff the forward dependencies are acyclic; otherwise one concrete

@@ -15,7 +15,7 @@ type params = {
   target : Dfg.Op_id.t -> float;
   upgrade_on_miss : bool;
   respan : bool;
-  rebudget : (Schedule.t -> (Dfg.Op_id.t -> Cfg.Edge_id.t option) -> unit) option;
+  rebudget : (Schedule.t -> Dfg.span array -> unit) option;
 }
 
 exception Fail of failure
@@ -55,12 +55,36 @@ let run dfg ~alloc params =
     Option.map (fun p -> p.Schedule.edge) (Schedule.placement sched o)
   in
   let spans = ref (Dfg.compute_spans dfg) in
-  let fanin : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let fanin_of id =
-    Option.value ~default:0 (Hashtbl.find_opt fanin (Alloc.Inst_id.to_int id))
+  (* Per-pass indexes over state that [sched] and [alloc] own.  No instance
+     is added during a pass, so they are sized once; [Schedule.placements]
+     stays the source of truth, and these die with the pass.  [bookings]
+     holds each instance's placements, so the booking test walks one list
+     instead of the whole design; [fanin] is each list's length. *)
+  let n_inst = Alloc.count alloc in
+  let bookings = Array.make n_inst [] in
+  let fanin = Array.make n_inst 0 in
+  let fanin_of id = fanin.(Alloc.Inst_id.to_int id) in
+  let is_active =
+    Array.init (Dfg.op_count dfg) (fun i ->
+        match (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.kind with Dfg.Const _ -> false | _ -> true)
   in
-  let active o =
-    match (Dfg.op dfg o).Dfg.kind with Dfg.Const _ -> false | _ -> true
+  let active o = is_active.(Dfg.Op_id.to_int o) in
+  let active_ops = Array.of_list (List.filter active (Dfg.ops dfg)) in
+  (* Compatible instances of each (kind, width), in instance order.  Grades
+     change during a pass, so ranking them stays per placement try. *)
+  let compatible = Hashtbl.create 8 in
+  let compatible_with (op : Dfg.op) =
+    let key = (op.Dfg.kind, op.Dfg.width) in
+    match Hashtbl.find_opt compatible key with
+    | Some insts -> insts
+    | None ->
+      let insts =
+        List.filter
+          (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
+          (Alloc.instances alloc)
+      in
+      Hashtbl.add compatible key insts;
+      insts
   in
   let span_of o = (!spans).(Dfg.Op_id.to_int o) in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
@@ -148,10 +172,18 @@ let run dfg ~alloc params =
         | Some rk -> rk
         | None -> assert false (* constants never reach try_place *)
       in
-      let candidates = Alloc.candidates alloc ~op_kind:op.Dfg.kind ~width:op.Dfg.width in
-      let free = List.filter (fun c -> not (Schedule.conflicts sched c.Alloc.id ~edge:e)) candidates in
+      let here = { Schedule.edge = e; step; start = rt; eff_delay = 0.0; inst = None } in
+      let free =
+        List.filter
+          (fun c ->
+            not
+              (List.exists (Schedule.conflict sched here)
+                 bookings.(Alloc.Inst_id.to_int c.Alloc.id)))
+          (compatible_with op)
+      in
       (* Cheapest (slowest) grade first; among equal grades prefer the
-         emptiest instance so sharing — and its mux penalty — spreads. *)
+         emptiest instance so sharing — and its mux penalty — spreads, then
+         the lowest instance id. *)
       let free =
         List.stable_sort
           (fun a b ->
@@ -165,9 +197,9 @@ let run dfg ~alloc params =
       let do_place c =
         let eff = eff_of c in
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
-        Hashtbl.replace fanin
-          (Alloc.Inst_id.to_int c.Alloc.id)
-          (fanin_of c.Alloc.id + 1);
+        let k = Alloc.Inst_id.to_int c.Alloc.id in
+        bookings.(k) <- Option.get (Schedule.placement sched o) :: bookings.(k);
+        fanin.(k) <- fanin.(k) + 1;
         Placed
       in
       match fitting with
@@ -274,9 +306,11 @@ let run dfg ~alloc params =
           progress := false;
           Obs.incr c_sweeps;
           let ready =
-            Dfg.ops dfg
-            |> List.filter (fun o ->
-                   active o && (not (Schedule.is_placed sched o)) && ready_on o e step)
+            Array.fold_right
+              (fun o acc ->
+                if (not (Schedule.is_placed sched o)) && ready_on o e step then o :: acc
+                else acc)
+              active_ops []
             |> List.sort (fun a b ->
                    (* Ops whose span ends here go first, then by priority. *)
                    let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
@@ -319,26 +353,7 @@ let run dfg ~alloc params =
                 incr placed_here;
                 (* Span-end forced placement: the op was the only candidate. *)
                 if ev_on () then emit_pick o e step ~ready_set_size:1
-              | Defer reason ->
-                if Sys.getenv_opt "HLS_DEBUG" <> None then begin
-                  let sp = span_of o in
-                  Printf.eprintf "DEBUG fail %s at e%d step %d: span e%d..e%d rt=%.1f ready=%b\n"
-                    (Dfg.op dfg o).Dfg.name (Cfg.Edge_id.to_int e) step
-                    (Cfg.Edge_id.to_int sp.Dfg.early) (Cfg.Edge_id.to_int sp.Dfg.late)
-                    (ready_time o step) (ready_on o e step);
-                  List.iter
-                    (fun pr ->
-                      match Schedule.placement sched pr with
-                      | Some pp ->
-                        Printf.eprintf "  pred %s: e%d step %d %.1f..%.1f\n"
-                          (Dfg.op dfg pr).Dfg.name (Cfg.Edge_id.to_int pp.Schedule.edge)
-                          pp.Schedule.step pp.Schedule.start
-                          (pp.Schedule.start +. pp.Schedule.eff_delay)
-                      | None ->
-                        Printf.eprintf "  pred %s: UNPLACED\n" (Dfg.op dfg pr).Dfg.name)
-                    (Dfg.preds dfg o)
-                end;
-                fail (Dfg.op dfg o).Dfg.name reason
+              | Defer reason -> fail (Dfg.op dfg o).Dfg.name reason
             end)
           (Dfg.topo_order dfg);
         if ev_on () then
@@ -354,14 +369,14 @@ let run dfg ~alloc params =
           Obs.incr c_respans;
           spans := Dfg.compute_spans ~pin dfg
         end;
-        match params.rebudget with Some f -> f sched pin | None -> ())
+        match params.rebudget with Some f -> f sched !spans | None -> ())
       (Cfg.forward_edges_topo cfg);
     (* Everything must be placed by now. *)
-    List.iter
+    Array.iter
       (fun o ->
-        if active o && not (Schedule.is_placed sched o) then
+        if not (Schedule.is_placed sched o) then
           fail (Dfg.op dfg o).Dfg.name (No_time { op = o; blame = None }))
-      (Dfg.ops dfg);
+      active_ops;
     (* Final retiming with exact mux fan-ins.  Binding charged each op a
        fan-in-at-bind-time penalty; later arrivals on the same instance can
        push earlier chains past the budget.  Repair by speeding up the

@@ -49,8 +49,9 @@ type params = {
           and slack-based flows) *)
   respan : bool;
       (** recompute spans with pinned placements after every edge *)
-  rebudget : (Schedule.t -> (Dfg.Op_id.t -> Cfg.Edge_id.t option) -> unit) option;
-      (** after-edge hook: re-run budgeting with the given pin function *)
+  rebudget : (Schedule.t -> Dfg.span array -> unit) option;
+      (** after-edge hook: re-run budgeting over the spans the pass now
+          uses — pinned to the placements so far when [respan] is set *)
 }
 
 val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result

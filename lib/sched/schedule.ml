@@ -39,7 +39,7 @@ let create ?ii dfg ~clock ~alloc =
   { dfg; clock; alloc; ii; placements }
 
 let placement t o = t.placements.(Dfg.Op_id.to_int o)
-let is_placed t o = placement t o <> None
+let is_placed t o = Option.is_some (placement t o)
 
 let place t o ~edge ~start ~eff_delay ~inst =
   let i = Dfg.Op_id.to_int o in
@@ -60,26 +60,16 @@ let ops_of_inst t inst_id =
     t.placements;
   List.rev !acc
 
-(* Two ops double-book an instance iff they are in the same control step and
-   their edges are not mutually exclusive (one reaches the other, or they
-   are the same edge).  Ops on exclusive branches may share freely. *)
-let edges_conflict cfg e1 e2 =
-  Cfg.Edge_id.equal e1 e2 || Cfg.reaches cfg e1 e2 || Cfg.reaches cfg e2 e1
-
-let steps_overlap t a b =
-  a = b || (match t.ii with Some k -> a mod k = b mod k | None -> false)
-
-let conflicts t inst_id ~edge =
-  let cfg = Dfg.cfg t.dfg in
-  let step = Cfg.state_of_edge cfg edge in
-  List.exists
-    (fun o ->
-      match placement t o with
-      | Some p ->
-        if p.step = step then edges_conflict cfg p.edge edge
-        else steps_overlap t p.step step
-      | None -> false)
-    (ops_of_inst t inst_id)
+(* Within one step, two ops double-book an instance iff their edges are not
+   mutually exclusive (one reaches the other, or they are the same edge):
+   ops on exclusive branches may share freely.  Across steps they clash
+   only under pipelining, when the steps are congruent modulo the II. *)
+let conflict t a b =
+  if a.step = b.step then
+    Cfg.Edge_id.equal a.edge b.edge
+    || Cfg.reaches (Dfg.cfg t.dfg) a.edge b.edge
+    || Cfg.reaches (Dfg.cfg t.dfg) b.edge a.edge
+  else match t.ii with Some k -> a.step mod k = b.step mod k | None -> false
 
 let lc_step_ok t ~producer_step ~consumer_step =
   match t.ii with Some k -> producer_step < consumer_step + k | None -> true
@@ -242,10 +232,7 @@ let validate t =
               (fun b ->
                 match (placement t a, placement t b) with
                 | Some pa, Some pb ->
-                  if
-                    (pa.step = pb.step && edges_conflict cfg pa.edge pb.edge)
-                    || (pa.step <> pb.step && steps_overlap t pa.step pb.step)
-                  then
+                  if conflict t pa pb then
                     err "instance %d double-booked by %s and %s"
                       (Alloc.Inst_id.to_int inst.Alloc.id)
                       (Dfg.op t.dfg a).Dfg.name (Dfg.op t.dfg b).Dfg.name

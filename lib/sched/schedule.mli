@@ -44,13 +44,14 @@ val step_budget : t -> float
 val ops_of_inst : t -> Alloc.Inst_id.t -> Dfg.Op_id.t list
 (** Operations currently bound to an instance (its mux fan-in). *)
 
-val conflicts : t -> Alloc.Inst_id.t -> edge:Cfg.Edge_id.t -> bool
-(** Whether binding one more op executing on [edge] to the instance would
-    double-book it: some already-bound op shares the control step and is
-    not on a mutually exclusive branch.  Under pipelining, steps congruent
-    modulo the initiation interval overlap across iterations, so any two
-    such steps conflict (branch exclusivity only helps within one step:
-    different iterations may take different branches). *)
+val conflict : t -> placement -> placement -> bool
+(** Whether two placements bound to one instance double-book it: they
+    share a control step on edges that are not mutually exclusive (the
+    same edge, or one reaches the other), or, under pipelining, their
+    distinct steps are congruent modulo the initiation interval (branch
+    exclusivity only helps within one step: different iterations may take
+    different branches).  The scheduler's booking test and {!validate}
+    both use this rule. *)
 
 val lc_step_ok : t -> producer_step:int -> consumer_step:int -> bool
 (** Pipelining recurrence constraint for a loop-carried dependency: the

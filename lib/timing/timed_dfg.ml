@@ -13,9 +13,10 @@ type t = {
   dfg : Dfg.t;
   spans : Dfg.span array;
   is_active : bool array; (* by op index *)
+  active_list : Dfg.Op_id.t list;
   topo_nodes : node list;
   pred_arr : (node * int) list array; (* 2n slots: op i at i, sink i at n+i *)
-  succ_arr : (node * int) list array;
+  succ_arr : (node * int) list array; (* both in edge insertion order *)
   edges : int;
 }
 
@@ -87,18 +88,19 @@ let build dfg ~spans =
   Obs.incr c_builds;
   Obs.add c_nodes (List.length topo_nodes);
   Obs.add c_edges !edges;
-  { dfg; spans; is_active; topo_nodes; pred_arr; succ_arr; edges = !edges }
+  (* Edges were consed on; restore insertion order once, here. *)
+  Array.map_inplace List.rev pred_arr;
+  Array.map_inplace List.rev succ_arr;
+  let active_list = List.filter (fun o -> is_active.(Dfg.Op_id.to_int o)) (Dfg.ops dfg) in
+  { dfg; spans; is_active; active_list; topo_nodes; pred_arr; succ_arr; edges = !edges }
 
 let dfg t = t.dfg
 let spans t = t.spans
 let active t o = t.is_active.(Dfg.Op_id.to_int o)
-
-let active_ops t =
-  List.filter (fun o -> active t o) (Dfg.ops t.dfg)
-
+let active_ops t = t.active_list
 let topo t = t.topo_nodes
-let preds t node = List.rev t.pred_arr.(slot (Dfg.op_count t.dfg) node)
-let succs t node = List.rev t.succ_arr.(slot (Dfg.op_count t.dfg) node)
+let preds t node = t.pred_arr.(slot (Dfg.op_count t.dfg) node)
+let succs t node = t.succ_arr.(slot (Dfg.op_count t.dfg) node)
 let edge_count t = t.edges
 
 let latency_between t o1 o2 =

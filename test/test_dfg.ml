@@ -53,6 +53,28 @@ let test_topo_order () =
   Alcotest.(check bool) "rd_a before add" true (p r.Resizer.rd_a < p r.Resizer.add);
   Alcotest.(check bool) "mux before wr" true (p r.Resizer.mux < p r.Resizer.wr)
 
+(* The adjacency and topological order are cached until the next
+   mutation: every mutation after a query must show in the next one. *)
+let test_caches_follow_mutation () =
+  let r = Resizer.table3 () in
+  let dfg = r.Resizer.dfg in
+  ignore (Dfg.topo_order dfg);
+  let extra =
+    Dfg.add_op dfg ~kind:Dfg.Add ~width:8 ~birth:(Dfg.op dfg r.Resizer.add).Dfg.birth ()
+  in
+  Alcotest.(check bool) "added op in the next order" true
+    (List.exists (Dfg.Op_id.equal extra) (Dfg.topo_order dfg));
+  Dfg.add_dep dfg ~src:r.Resizer.add ~dst:extra ();
+  Alcotest.(check (list int)) "preds lists the new producer"
+    [ Dfg.Op_id.to_int r.Resizer.add ]
+    (List.map Dfg.Op_id.to_int (Dfg.preds dfg extra));
+  ignore (Dfg.topo_order dfg);
+  Dfg.add_dep dfg ~src:r.Resizer.wr ~dst:r.Resizer.rd_a ();
+  match Dfg.topo_order dfg with
+  | _ -> Alcotest.fail "a cycle closed after a query must raise Cyclic"
+  | exception Dfg.Cyclic path ->
+    Alcotest.(check bool) "witness names the cycle" true (path <> [])
+
 let test_loop_carried_excluded () =
   let r = Resizer.full () in
   (* The loop-carried i -> i dependency must not appear among forward
@@ -169,6 +191,7 @@ let suite =
     Alcotest.test_case "figure 5(a) spans" `Quick test_figure5_spans;
     Alcotest.test_case "spans with pinning" `Quick test_spans_with_pin;
     Alcotest.test_case "topological order" `Quick test_topo_order;
+    Alcotest.test_case "caches follow mutation" `Quick test_caches_follow_mutation;
     Alcotest.test_case "loop-carried deps excluded" `Quick test_loop_carried_excluded;
     Alcotest.test_case "cyclic forward DFG rejected" `Quick test_cyclic_forward_rejected;
     Alcotest.test_case "unrealizable dep rejected" `Quick test_unrealizable_dep_rejected;

@@ -31,13 +31,19 @@ let test_modulo_folding_conflicts () =
   in
   (match muls with
   | m1 :: m2 :: _ ->
-    Schedule.place sched m1 ~edge:d.Idct.step_edges.(0) ~start:0.0 ~eff_delay:500.0
-      ~inst:(Some inst.Alloc.id);
+    let placed_at m k =
+      Schedule.place sched m ~edge:d.Idct.step_edges.(k) ~start:0.0 ~eff_delay:500.0
+        ~inst:(Some inst.Alloc.id);
+      Option.get (Schedule.placement sched m)
+    in
+    let p0 = placed_at m1 0 in
+    let on k = { p0 with Schedule.edge = d.Idct.step_edges.(k);
+                         step = Cfg.state_of_edge (Dfg.cfg d.Idct.dfg) d.Idct.step_edges.(k) } in
     Alcotest.(check bool) "step 4 conflicts with step 0 at ii=4" true
-      (Schedule.conflicts sched inst.Alloc.id ~edge:d.Idct.step_edges.(4));
-    Alcotest.(check bool) "step 5 is free" false
-      (Schedule.conflicts sched inst.Alloc.id ~edge:d.Idct.step_edges.(5));
-    ignore m2
+      (Schedule.conflict sched p0 (on 4));
+    Alcotest.(check bool) "step 5 is free" false (Schedule.conflict sched p0 (on 5));
+    Alcotest.(check bool) "the rule is symmetric" true
+      (Schedule.conflict sched (placed_at m2 4) p0)
   | _ -> Alcotest.fail "no muls")
 
 let test_lc_step_ok () =
