@@ -92,11 +92,9 @@ val dep_count : t -> int
 val ops : t -> Op_id.t list
 val iter_ops : t -> (op -> unit) -> unit
 
-(** {1 Adjacency}
-
-    Built on first query after a mutation and kept until the next
-    {!add_op} or {!add_dep}; the queries return the stored lists without
-    copying them.  Lists are in dependency insertion order. *)
+(** The adjacency below is built on the first query after a mutation and
+    kept until the next {!add_op} or {!add_dep}; the queries return the
+    stored lists without copying them, in dependency insertion order. *)
 
 val preds : t -> Op_id.t -> Op_id.t list
 (** Forward (non-loop-carried) predecessors. *)

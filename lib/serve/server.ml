@@ -698,11 +698,30 @@ let handle_conn t fd =
 (* ------------------------------------------------------------------ *)
 (* Metrics exposition *)
 
-(* Minimal HTTP/1.0 scrape endpoint on loopback: read whatever request
-   head the scraper sends (ignored — every path answers the same
-   payload), write one Prometheus text rendering, close.  Runs until the
-   drain token fires; no keep-alive, no parsing, nothing a scraper can
-   wedge. *)
+(* Consume the request head up to its blank line, or EOF, a full buffer or
+   a second of silence.  A scraper may send the head in several writes,
+   and closing with request bytes still unread makes the kernel answer
+   with a reset that can destroy the response before the scraper reads
+   it. *)
+let read_request_head cfd =
+  let buf = Bytes.create 2048 in
+  let rec go len =
+    let head = Bytes.sub_string buf 0 len in
+    let ended suffix = String.ends_with ~suffix head in
+    if len < Bytes.length buf && not (ended "\r\n\r\n" || ended "\n\n") then
+      match Unix.select [ cfd ] [] [] 1.0 with
+      | [], _, _ -> ()
+      | _ -> (
+        match Unix.read cfd buf len (Bytes.length buf - len) with
+        | 0 -> ()
+        | n -> go (len + n))
+  in
+  try go 0 with Unix.Unix_error _ -> ()
+
+(* Minimal HTTP/1.0 scrape endpoint on loopback: read the request head the
+   scraper sends (ignored — every path answers the same payload), write
+   one Prometheus text rendering, close.  Runs until the drain token
+   fires; no keep-alive, no parsing, nothing a scraper can wedge. *)
 let metrics_loop t fd =
   let rec go () =
     if not (draining t) then begin
@@ -714,10 +733,7 @@ let metrics_loop t fd =
         | exception Unix.Unix_error _ -> ()
         | cfd, _ ->
           Obs.incr c_metrics_scrapes;
-          (try
-             let buf = Bytes.create 2048 in
-             ignore (Unix.read cfd buf 0 (Bytes.length buf))
-           with Unix.Unix_error _ -> ());
+          read_request_head cfd;
           let body = Obs.Expo.render () in
           let resp =
             Printf.sprintf
