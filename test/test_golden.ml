@@ -10,7 +10,11 @@
      decision-event JSONL;
    - [corpus]: the journal record of every point of the first four
      manifest designs (all four CFG shapes, one pipelined, one large) over
-     the CLI's auto grid.
+     the CLI's auto grid;
+   - [events]: the same four designs at their manifest clock and II under
+     both flows, in the [kernel] format.  Their per-edge re-budgeting is
+     where the slack flow's timing engine does most of its work, so the
+     decisions it takes there are pinned, not only the records.
 
    [test_golden.exe] compares against [results.golden] and names the first
    design whose line differs.  [test_golden.exe --write FILE] regenerates
@@ -39,7 +43,7 @@ let flows = [ Flows.Conventional; Flows.Slack_based ]
 (* Large enough that no kernel run drops an event. *)
 let event_capacity = 1 lsl 20
 
-let kernel_line (d : Hls.design) flow =
+let run_line section (d : Hls.design) flow =
   Obs.Events.enable ~capacity:event_capacity ();
   let r = Hls.run flow d in
   let events = Obs.Events.events () in
@@ -51,7 +55,7 @@ let kernel_line (d : Hls.design) flow =
     Digest.to_hex
       (Digest.string (String.concat "\n" (List.map Obs.Events.to_jsonl_line events)))
   in
-  let what = Printf.sprintf "kernel %s/%s" d.Hls.design_name (Flows.flow_name flow) in
+  let what = Printf.sprintf "%s %s/%s" section d.Hls.design_name (Flows.flow_name flow) in
   match r with
   | Ok h ->
     let rep = h.Hls.report in
@@ -87,10 +91,19 @@ let corpus_lines (e : Corpus.entry) =
            r.Explore.summary))
     o.Explore.results
 
+let event_lines (e : Corpus.entry) =
+  let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
+  let d =
+    Hls.design ?ii ~name:e.Corpus.name ~clock:e.Corpus.clock_ps
+      (Corpus.design e).Random_design.dfg
+  in
+  List.map (run_line "events" d) flows
+
 let golden_lines () =
-  List.concat_map (fun d -> List.map (kernel_line d) flows) (kernel_designs ())
-  @ List.concat_map corpus_lines
-      (List.filteri (fun i _ -> i < 4) (Corpus.plan ~seed:42 ()))
+  let first4 = List.filteri (fun i _ -> i < 4) (Corpus.plan ~seed:42 ()) in
+  List.concat_map (fun d -> List.map (run_line "kernel" d) flows) (kernel_designs ())
+  @ List.concat_map corpus_lines first4
+  @ List.concat_map event_lines first4
 
 let render lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
 let golden_file = "results.golden"
