@@ -266,9 +266,9 @@ let with_obs ~stats ~trace ~events ?(force = false) ?(no_crash = false) k =
     let tt = Attrib.totals () in
     if tt.Attrib.touched > 0 then
       Printf.eprintf
-        "attribution: %d analyses, %d edge relaxations, cone %d, bin changes %d \
+        "attribution: %d edge relaxations, %d of them changed a value \
          -> wasted-work ratio %.1f%%\n"
-        tt.Attrib.analyses tt.Attrib.touched tt.Attrib.cone tt.Attrib.changed_bin
+        tt.Attrib.touched tt.Attrib.cone
         (100.0 *. Attrib.wasted_ratio tt)
   end;
   let code =

@@ -56,68 +56,73 @@ let delays_at ~lambda tdfg ~ranges =
       let r = ranges o in
       Interval.lo r +. (lambda *. Interval.width r))
 
-let analyze ?attrib config tdfg ~clock delays =
-  let del o = delays.(Dfg.Op_id.to_int o) in
-  (match config.engine with
-  | Two_pass -> ()
-  | Bellman_ford_baseline ->
-    (* Charge the prior-work fixpoint cost; its (unaligned) result is
-       discarded in favour of the aligned linear pass below. *)
-    ignore (Bf_timing.analyze tdfg ~clock ~del));
-  let r = Slack.analyze ~aligned:config.aligned tdfg ~clock ~del in
-  (match attrib with
-  | Some a -> Attrib.observe a ~margin:(config.margin_frac *. clock) r
-  | None -> ());
-  r
-
-let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
-    ~ranges ~sensitivity =
+let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
+    ~sensitivity =
   let eps = 1e-6 in
   let margin = config.margin_frac *. clock in
-  let attrib =
-    match attrib with Some a -> a | None -> Attrib.create tdfg
-  in
-  let analyze config tdfg ~clock delays =
-    analyze ~attrib config tdfg ~clock delays
-  in
   let dfg = Timed_dfg.dfg tdfg in
   let op_name o = (Dfg.op dfg o).Dfg.name in
   let ev_on () = Obs.Events.enabled () in
   Obs.incr c_runs;
-  let feasible_with delays =
+  (* [ranges] is pure within a run: evaluate it once per op. *)
+  let range = Array.init (Dfg.op_count dfg) (fun i -> ranges (Dfg.Op_id.of_int i)) in
+  let range_of o = range.(Dfg.Op_id.to_int o) in
+  let knob lambda o =
+    let r = range_of o in
+    Interval.lo r +. (lambda *. Interval.width r)
+  in
+  (* Every check — probe, bump or half-bump — prices the prior-work
+     fixpoint under the Bellman–Ford baseline; its (unaligned) result is
+     discarded in favour of the engine's aligned values. *)
+  let price del =
+    match config.engine with
+    | Two_pass -> ()
+    | Bellman_ford_baseline -> ignore (Bf_timing.analyze tdfg ~clock ~del)
+  in
+  (* One engine for the whole run, holding the delays at knob [held]
+     through phase 1; a probe resets every delay. *)
+  let e = Slack.create ~aligned:config.aligned tdfg ~clock ~del:(knob 0.0) in
+  let held = ref 0.0 in
+  let hold lambda =
+    if not (Float.equal !held lambda) then begin
+      Slack.reset e (knob lambda);
+      held := lambda
+    end
+  in
+  let feasible () = Slack.min_slack e >= -.eps in
+  let probe lambda =
     Obs.incr c_probes;
-    Slack.feasible ~eps (analyze config tdfg ~clock delays)
+    price (knob lambda);
+    hold lambda;
+    feasible ()
   in
   (* Phase 1 (negative slack repair): find the largest uniform knob that is
      feasible.  Monotonicity: raising any delay can only lower slacks. *)
-  let at lambda = delays_at ~lambda tdfg ~ranges in
-  if not (feasible_with (at 0.0)) then begin
+  if not (probe 0.0) then begin
     Obs.incr c_infeasible;
-    let r = analyze config tdfg ~clock (at 0.0) in
+    let r = Slack.result e in
     Infeasible { slack_at_min = r; critical = Slack.critical_ops tdfg r }
   end
   else begin
     let lambda =
-      if feasible_with (at 1.0) then 1.0
+      if probe 1.0 then 1.0
       else begin
         let lo = ref 0.0 and hi = ref 1.0 in
         for _ = 1 to config.bisection_steps do
           Obs.incr c_bisect;
           let mid = 0.5 *. (!lo +. !hi) in
-          if feasible_with (at mid) then lo := mid else hi := mid
+          if probe mid then lo := mid else hi := mid
         done;
         !lo
       end
     in
-    let delays = at lambda in
+    hold lambda;
+    let delays = Array.map (fun r -> Interval.lo r +. (lambda *. Interval.width r)) range in
+    let ops = Timed_dfg.active_ops tdfg in
     (* The uniform raise is itself a per-op budget update for every op with
        a non-degenerate delay range. *)
     (if lambda > 0.0 then begin
-       let raised =
-         List.filter
-           (fun o -> Interval.width (ranges o) > eps)
-           (Timed_dfg.active_ops tdfg)
-       in
+       let raised = List.filter (fun o -> Interval.width (range_of o) > eps) ops in
        Obs.add c_updates (List.length raised);
        (* The uniform phase-1 raise reported as round 0. *)
        if ev_on () then
@@ -130,7 +135,7 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
                     op = op_name o;
                     phase = event_phase;
                     round = 0;
-                    from_ps = Interval.lo (ranges o);
+                    from_ps = Interval.lo (range_of o);
                     to_ps = delays.(i);
                   }))
            raised
@@ -138,51 +143,65 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
     (* Phase 2 (positive budgeting): raise individual delays up to their
        binned slack, most area-sensitive ops first, verifying after each
        tentative increase.  An op whose increase fails verification is
-       frozen for the remaining rounds. *)
+       frozen for the remaining rounds.  The engine holds the committed
+       delays throughout; a failed increase is rolled back. *)
     let n = Array.length delays in
     let frozen = Array.make n false in
-    let ops = Timed_dfg.active_ops tdfg in
+    let del o = delays.(Dfg.Op_id.to_int o) in
+    let try_delay o d =
+      delays.(Dfg.Op_id.to_int o) <- d;
+      price del;
+      Slack.set_delay e o d;
+      feasible ()
+    in
     let round_no = ref 0 in
     let round () =
       Obs.incr c_rounds;
       incr round_no;
       let rn = !round_no in
       let updates_this_round = ref 0 in
-      let result = ref (analyze config tdfg ~clock delays) in
       if ev_on () then
         List.iter
           (fun o ->
             Obs.Events.emit
               (Obs.Events.Slack_computed
-                 {
-                   op = op_name o;
-                   phase = event_phase;
-                   round = rn;
-                   slack_ps = Slack.op_slack !result o;
-                 }))
+                 { op = op_name o; phase = event_phase; round = rn; slack_ps = Slack.slack e o }))
           ops;
       let by_gain =
         let gain o =
           let i = Dfg.Op_id.to_int o in
-          let r = ranges o in
-          let headroom = Interval.hi r -. delays.(i) in
-          let s = Slack.op_slack !result o in
+          let headroom = Interval.hi (range_of o) -. delays.(i) in
+          let s = Slack.slack e o in
           if frozen.(i) || headroom <= eps || s <= margin then 0.0
           else sensitivity o delays.(i) *. Float.min s headroom
         in
-        List.filter (fun o -> gain o > 0.0) ops
-        |> List.map (fun o -> (gain o, o))
-        |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
+        List.filter_map (fun o -> let g = gain o in if g > 0.0 then Some (g, o) else None) ops
+        |> List.stable_sort (fun (a, _) (b, _) -> Float.compare b a)
         |> List.map snd
       in
       let changed = ref false in
+      let accept o old =
+        Slack.commit e;
+        Obs.incr c_updates;
+        incr updates_this_round;
+        if ev_on () then
+          Obs.Events.emit
+            (Obs.Events.Delay_update
+               {
+                 op = op_name o;
+                 phase = event_phase;
+                 round = rn;
+                 from_ps = old;
+                 to_ps = del o;
+               });
+        changed := true
+      in
       List.iter
         (fun o ->
           let i = Dfg.Op_id.to_int o in
           if not frozen.(i) then begin
-            let r = ranges o in
-            let s = Slack.op_slack !result o in
-            let headroom = Interval.hi r -. delays.(i) in
+            let s = Slack.slack e o in
+            let headroom = Interval.hi (range_of o) -. delays.(i) in
             (* Fair-share stepping: never grab the whole slack at once, so
                ops sharing a path converge to similar delays instead of the
                first visitor consuming everything (which snaps poorly to
@@ -191,47 +210,16 @@ let run ?(config = default_config) ?(event_phase = "budget") ?attrib tdfg ~clock
             if bump > margin +. eps || (bump > eps && Float.abs (bump -. headroom) < eps)
             then begin
               let old = delays.(i) in
-              delays.(i) <- old +. bump;
-              let r' = analyze config tdfg ~clock delays in
-              if Slack.feasible ~eps r' then begin
-                Obs.incr c_updates;
-                incr updates_this_round;
-                if ev_on () then
-                  Obs.Events.emit
-                    (Obs.Events.Delay_update
-                       {
-                         op = op_name o;
-                         phase = event_phase;
-                         round = rn;
-                         from_ps = old;
-                         to_ps = delays.(i);
-                       });
-                result := r';
-                changed := true
-              end
+              if try_delay o (old +. bump) then accept o old
               else begin
                 (* Retry with half the bump before freezing: alignment makes
                    slack a conservative, not exact, headroom estimate. *)
+                Slack.rollback e;
                 Obs.incr c_half;
-                delays.(i) <- old +. (0.5 *. bump);
-                let r'' = analyze config tdfg ~clock delays in
-                if Slack.feasible ~eps r'' && 0.5 *. bump > margin then begin
-                  Obs.incr c_updates;
-                  incr updates_this_round;
-                  if ev_on () then
-                    Obs.Events.emit
-                      (Obs.Events.Delay_update
-                         {
-                           op = op_name o;
-                           phase = event_phase;
-                           round = rn;
-                           from_ps = old;
-                           to_ps = delays.(i);
-                         });
-                  result := r'';
-                  changed := true
-                end
+                if try_delay o (old +. (0.5 *. bump)) && 0.5 *. bump > margin then
+                  accept o old
                 else begin
+                  Slack.rollback e;
                   delays.(i) <- old;
                   frozen.(i) <- true;
                   Obs.incr c_freezes

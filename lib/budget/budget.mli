@@ -17,10 +17,15 @@
       this both repairs negative slack and provides a fair initial spread.
     - {e positive phase}: zero-slack-style refinement.  Operations are
       visited in decreasing order of area sensitivity; each op's delay is
-      raised by its (binned) slack, the increase being kept only if a full
-      timing verification stays feasible.  Slack {e binning} (paper: 5% of
+      raised by its (binned) slack, the increase being kept only if timing
+      verification stays feasible.  Slack {e binning} (paper: 5% of
       the clock) treats slacks below the margin as zero and bounds the
       number of updates per operation.
+
+    One incremental slack engine ({!Slack.engine}) serves the whole run:
+    phase-1 probes reset every delay, and each phase-2 increase is a
+    single-delay update, committed when it verifies and rolled back when
+    it does not.
 
     Both phases use {e aligned} slack by default, so chained operations
     that would straddle a clock boundary are accounted for — the effect
@@ -32,11 +37,11 @@ type engine =
       (** the paper's contribution: one forward and one backward sweep in
           topological order, O(E) per analysis *)
   | Bellman_ford_baseline
-      (** prior work (paper ref. [10], Table 5 right column): every
-          analysis first runs the Bellman-Ford fixpoint over the
-          constraint graph (its cost), then derives the aligned values
-          from the linear sweep so results stay identical — Bellman-Ford
-          cannot express clock alignment *)
+      (** prior work (paper ref. [10], Table 5 right column): every check
+          (probe, increase or half-increase) first runs the Bellman-Ford
+          fixpoint over the constraint graph (its cost), then takes the
+          aligned values from the slack engine so results stay identical —
+          Bellman-Ford cannot express clock alignment *)
 
 type config = {
   margin_frac : float;  (** slack bin as a fraction of the clock; paper: 0.05 *)
@@ -69,7 +74,6 @@ type outcome =
 val run :
   ?config:config ->
   ?event_phase:string ->
-  ?attrib:Attrib.t ->
   Timed_dfg.t ->
   clock:float ->
   ranges:(Dfg.Op_id.t -> Interval.t) ->
@@ -77,13 +81,9 @@ val run :
   outcome
 (** [ranges] gives each active op's delay interval (callers typically clamp
     the upper end to the clock period); [sensitivity o d] is the area saved
-    per unit of delay added at delay [d] (see {!Curve.sensitivity}).
-
-    [attrib] is the work-attribution tracker every timing analysis of this
-    run is observed into (see {!Attrib.observe}); a run-private tracker is
-    created when omitted, so the global wasted-work counters are always
-    charged.  Pass one explicitly to also read {!Attrib.instance_totals}
-    for this run alone.
+    per unit of delay added at delay [d] (see {!Curve.sensitivity}).  Both
+    must be pure for the duration of the call; [ranges] is evaluated once
+    per op.
 
     [event_phase] (default ["budget"]) tags the provenance events this run
     emits ({!Obs.Events.Slack_computed}, {!Obs.Events.Delay_update},

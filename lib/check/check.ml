@@ -98,42 +98,38 @@ let dfg d =
 
 let timed_dfg tdfg =
   let d = Timed_dfg.dfg tdfg in
-  let name o = (Dfg.op d o).Dfg.name in
-  let node_label = function
-    | Timed_dfg.Op o -> name o
-    | Timed_dfg.Sink o -> "sink(" ^ name o ^ ")"
-  in
+  let n = Dfg.op_count d in
+  let name i = (Dfg.op d (Dfg.Op_id.of_int i)).Dfg.name in
+  let label s = if s < n then name s else "sink(" ^ name (s - n) ^ ")" in
   let vs = ref [] in
   let add v = vs := v :: !vs in
-  let nodes = Timed_dfg.topo tdfg in
-  List.iter
-    (fun node ->
-      List.iter
-        (fun (p, w) ->
-          if w < 0 then
-            let wit =
-              match (p, node) with
-              | Timed_dfg.Op a, Timed_dfg.Op b -> Dep (a, b)
-              | (Timed_dfg.Op a | Timed_dfg.Sink a), _ -> Op a
-            in
-            add
-              (violation ~check:"timed_dfg.negative_latency" ~witness:wit
-                 (Printf.sprintf "edge %s -> %s carries negative latency %d"
-                    (node_label p) (node_label node) w)))
-        (Timed_dfg.preds tdfg node))
-    nodes;
-  List.iter
-    (fun o ->
-      let has_sink =
-        List.exists
-          (fun (s, _) -> Timed_dfg.node_equal s (Timed_dfg.Sink o))
-          (Timed_dfg.succs tdfg (Timed_dfg.Op o))
-      in
-      if not has_sink then
+  let pred = Timed_dfg.pred_csr tdfg and succ = Timed_dfg.succ_csr tdfg in
+  Array.iter
+    (fun v ->
+      for k = pred.Timed_dfg.off.(v) to pred.Timed_dfg.off.(v + 1) - 1 do
+        let p = pred.Timed_dfg.nbr.(k) and w = pred.Timed_dfg.lat.(k) in
+        if w < 0 then
+          let wit =
+            if p < n && v < n then Dep (Dfg.Op_id.of_int p, Dfg.Op_id.of_int v)
+            else Op (Dfg.Op_id.of_int (p mod n))
+          in
+          add
+            (violation ~check:"timed_dfg.negative_latency" ~witness:wit
+               (Printf.sprintf "edge %s -> %s carries negative latency %d" (label p)
+                  (label v) w))
+      done)
+    (Timed_dfg.topo_slots tdfg);
+  Array.iter
+    (fun i ->
+      let has_sink = ref false in
+      for k = succ.Timed_dfg.off.(i) to succ.Timed_dfg.off.(i + 1) - 1 do
+        if succ.Timed_dfg.nbr.(k) = n + i then has_sink := true
+      done;
+      if not !has_sink then
         add
-          (violation ~check:"timed_dfg.sink_coverage" ~witness:(Op o)
-             (Printf.sprintf "active op %s has no sink node (span not encoded)" (name o))))
-    (Timed_dfg.active_ops tdfg);
+          (violation ~check:"timed_dfg.sink_coverage" ~witness:(Op (Dfg.Op_id.of_int i))
+             (Printf.sprintf "active op %s has no sink node (span not encoded)" (name i))))
+    (Timed_dfg.active_slots tdfg);
   List.rev !vs
 
 let slack_eps = 1e-6

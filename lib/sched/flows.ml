@@ -88,10 +88,6 @@ let c_rebudget_infeasible = Obs.counter "sched.rebudget.infeasible"
    edge. *)
 let c_rebudget_unrealizable = Obs.counter "sched.rebudget.unrealizable"
 
-(* Per-edge attribution (instance totals, not global counter deltas, so the
-   numbers stay race-free when explore evaluates flows concurrently). *)
-let d_edge_cone = Obs.dist "sched.rebudget.cone_relaxations"
-let d_edge_waste = Obs.dist "sched.rebudget.wasted_pct"
 let c_recoveries = Obs.counter "flow.recovery.attempts"
 
 type sharing = {
@@ -127,21 +123,13 @@ let default_config =
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
-let op_curve lib (op : Dfg.op) = Library.op_curve lib op.Dfg.kind ~width:op.Dfg.width
-
-(* Delay range of an op, upper end clamped to the step budget so scheduled
-   operations can always fit a cycle. *)
-let op_range lib budget dfg o =
-  let op = Dfg.op dfg o in
-  match op_curve lib op with
+(* Delay range of an op's curve, upper end clamped to the step budget so
+   scheduled operations can always fit a cycle. *)
+let curve_range budget = function
   | Some c ->
     let lo = Curve.min_delay c in
     Interval.make lo (Float.max lo (Float.min (Curve.max_delay c) budget))
   | None -> Interval.point 0.0
-
-let op_sensitivity lib dfg o d =
-  let op = Dfg.op dfg o in
-  match op_curve lib op with Some c -> Curve.sensitivity c d | None -> 0.0
 
 let active_ops dfg =
   List.filter
@@ -231,8 +219,20 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   if budget_clock <= 0.0 then Error (F_invalid "clock period below register overhead")
   else begin
     try
-    let ranges o = op_range lib budget_clock dfg o in
-    let sensitivity o d = op_sensitivity lib dfg o d in
+    (* Each op's curve and range, looked up once: neither changes within
+       the call. *)
+    let curves =
+      Array.init n (fun i ->
+          let op = Dfg.op dfg (Dfg.Op_id.of_int i) in
+          Library.op_curve lib op.Dfg.kind ~width:op.Dfg.width)
+    in
+    let range = Array.map (curve_range budget_clock) curves in
+    let ranges o = range.(Dfg.Op_id.to_int o) in
+    let sensitivity o d =
+      match curves.(Dfg.Op_id.to_int o) with
+      | Some c -> Curve.sensitivity c d
+      | None -> 0.0
+    in
     (* Delay targets. *)
     let targets = Array.make n 0.0 in
     let priorities = Array.make n 0.0 in
@@ -254,7 +254,6 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       float_of_int
         (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early)
     in
-    let pre_budget_error = ref None in
     (match flow with
     | Conventional ->
       set_targets_from (fun o -> Interval.lo (ranges o));
@@ -280,10 +279,8 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       | Budget.Infeasible _ ->
         (* Fall back to fastest targets; the schedule pass will tell the
            caller whether the design truly needs more states. *)
-        pre_budget_error := Some "pre-schedule budgeting infeasible";
         set_targets_from (fun o -> Interval.lo (ranges o));
         List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops));
-    ignore !pre_budget_error;
     (* Instance counts per (kind, width) group, learned across relaxation
        attempts; the allocation is rebuilt from them before every pass. *)
     let counts : (Resource_kind.t * int, int ref) Hashtbl.t = Hashtbl.create 8 in
@@ -347,11 +344,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                 in
                 let sens' o d = if Schedule.is_placed sched o then 0.0 else sensitivity o d in
                 Obs.incr c_rebudget_runs;
-                let attrib = Attrib.create tdfg' in
-                (match
-                   Budget.run ~config:bcfg ~event_phase:"rebudget" ~attrib tdfg'
-                     ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
-                 with
+                match
+                  Budget.run ~config:bcfg ~event_phase:"rebudget" tdfg'
+                    ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
+                with
                 | Budget.Feasible delays ->
                   List.iter
                     (fun o ->
@@ -375,17 +371,11 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                       let i = Dfg.Op_id.to_int o in
                       if not (Schedule.is_placed sched o) then
                         targets.(i) <- Interval.lo (ranges o))
-                    ops);
-                let tt = Attrib.instance_totals attrib in
-                if tt.Attrib.touched > 0 then begin
-                  Obs.observe d_edge_cone (float_of_int tt.Attrib.cone);
-                  Obs.observe d_edge_waste (100.0 *. Attrib.wasted_ratio tt)
-                end
+                    ops
             end)
       | (Conventional | Slowest_first | Slack_based), _ -> None
     in
-    let make_params alloc =
-      ignore alloc;
+    let params =
       {
         Sched_core.clock;
         ii;
@@ -404,7 +394,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       if flow = Slowest_first && relaxations = 0 then refresh_slowest_targets ();
       Obs.incr c_attempts;
       let alloc = build_alloc () in
-      match Obs.span "flow.schedule" (fun () -> Sched_core.run dfg ~alloc (make_params alloc)) with
+      match Obs.span "flow.schedule" (fun () -> Sched_core.run dfg ~alloc params) with
       | Ok sched -> Ok (sched, relaxations)
       | Error f when relaxations < config.max_relaxations -> (
         Obs.incr c_relaxations;

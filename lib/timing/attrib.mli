@@ -1,52 +1,25 @@
-(** Work attribution for the timing engine (ROADMAP: incremental timing).
+(** Work attribution for the timing engine.
 
-    The slack flow re-runs a full two-pass analysis — 2·E edge
-    relaxations — after every tentative delay change and after every
-    scheduled CFG edge.  An incremental engine would only re-relax the
-    edges incident to operations whose arrival or required time actually
-    moved.  This module measures that gap.  Each {!observe} compares an
-    analysis result against the previous one on the same tracker and
-    charges three monotone counters:
+    Every relaxation the slack engine ({!Slack}) performs is charged to two
+    monotone counters:
 
     - [timing.wasted_work_ratio.touched] — edge relaxations actually
-      performed (2·E per full analysis; the Bellman–Ford baseline
-      additionally charges its fixpoint scans through {!charge_touched});
-    - [timing.wasted_work_ratio.cone] — the would-be dirty cone: the
-      incident edges of the ops whose arrival or required time changed
-      since the previous analysis, i.e. what an incremental engine would
-      have had to re-relax;
-    - [timing.wasted_work_ratio.changed_bin] — ops whose slack moved to a
-      different budgeting bin (multiples of the margin): the changes that
-      can alter a budgeting decision at all.
+      performed (a full pass relaxes every edge twice; an incremental
+      update only the edges of the nodes it recomputes; the Bellman–Ford
+      baseline additionally charges its fixpoint scans);
+    - [timing.wasted_work_ratio.cone] — the relaxations at nodes whose
+      recomputed arrival or required time differs from the stored one:
+      the work that changed a value.
 
-    The wasted-work ratio is [1 - cone/touched], the fraction of edge
-    relaxations whose inputs had not changed.  Ratios are derived at
-    report time; only the raw counts are counters, keeping them monotone
-    and exactly reproducible across identical runs. *)
-
-type t
-(** Tracker for one timed DFG (one budgeting context).  Not thread-safe:
-    use one tracker per [Budget.run]. *)
-
-val create : Timed_dfg.t -> t
-
-val observe : t -> margin:float -> Slack.result -> unit
-(** Charge one full analysis: [touched += 2·E]; [cone += incident edges
-    of ops whose arr/req changed] (clamped to touched; the first analysis
-    on a tracker is all-dirty); [changed_bin += ops whose
-    [floor(slack/margin)] bin moved].  [margin <= 0] puts every slack in
-    one bin. *)
+    The wasted-work ratio is [1 - cone/touched]: the fraction of
+    relaxations that re-derived a value the engine already held.  Ratios
+    are derived at report time; only the raw counts are counters, keeping
+    them monotone and exactly reproducible across identical runs. *)
 
 val charge_touched : int -> unit
-(** Extra relaxations performed outside {!observe} (e.g. the
-    Bellman–Ford baseline's fixpoint scans); global counter only. *)
+val charge_cone : int -> unit
 
-type totals = { analyses : int; touched : int; cone : int; changed_bin : int }
-
-val instance_totals : t -> totals
-(** What this tracker charged so far — race-free under concurrent
-    trackers, unlike the global counters, so per-edge attribution stays
-    deterministic on the explore domain pool. *)
+type totals = { touched : int; cone : int }
 
 val totals : unit -> totals
 (** Process-wide totals, read from the global counters. *)

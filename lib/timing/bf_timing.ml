@@ -1,9 +1,3 @@
-(* Node numbering: op i -> i, sink of op i -> n + i. *)
-
-let slot n = function
-  | Timed_dfg.Op o -> Dfg.Op_id.to_int o
-  | Timed_dfg.Sink o -> n + Dfg.Op_id.to_int o
-
 let c_analyses = Obs.counter "slack.bf_analyses"
 
 let analyze tdfg ~clock ~del =
@@ -13,27 +7,24 @@ let analyze tdfg ~clock ~del =
      counter, which races across explore domains. *)
   Attrib.charge_touched (2 * Timed_dfg.edge_count tdfg);
   if clock <= 0.0 then invalid_arg "Bf_timing.analyze: clock must be positive";
-  let dfg = Timed_dfg.dfg tdfg in
-  let n = Dfg.op_count dfg in
-  let node_del = function Timed_dfg.Op o -> del o | Timed_dfg.Sink _ -> 0.0 in
-  let nodes = Timed_dfg.topo tdfg in
+  let n = Dfg.op_count (Timed_dfg.dfg tdfg) in
+  let pred = Timed_dfg.pred_csr tdfg and succ = Timed_dfg.succ_csr tdfg in
+  (* Node numbering: the timed DFG's slots (op i -> i, its sink -> n + i). *)
+  let node_del u = if u < n then del (Dfg.Op_id.of_int u) else 0.0 in
   let fwd = ref [] and bwd = ref [] in
   let fwd_sources = ref [] and bwd_sources = ref [] in
-  List.iter
+  Array.iter
     (fun u ->
-      let preds = Timed_dfg.preds tdfg u in
-      let succs = Timed_dfg.succs tdfg u in
-      if preds = [] then fwd_sources := slot n u :: !fwd_sources;
-      if succs = [] then bwd_sources := slot n u :: !bwd_sources;
-      List.iter
-        (fun (v, lat) ->
-          let weight = node_del u -. (clock *. float_of_int lat) in
-          fwd :=
-            { Bellman_ford.src = slot n u; dst = slot n v; weight } :: !fwd;
-          bwd :=
-            { Bellman_ford.src = slot n v; dst = slot n u; weight } :: !bwd)
-        succs)
-    nodes;
+      let first = succ.Timed_dfg.off.(u) and last = succ.Timed_dfg.off.(u + 1) in
+      if pred.Timed_dfg.off.(u) = pred.Timed_dfg.off.(u + 1) then fwd_sources := u :: !fwd_sources;
+      if first = last then bwd_sources := u :: !bwd_sources;
+      for k = first to last - 1 do
+        let v = succ.Timed_dfg.nbr.(k) in
+        let weight = node_del u -. (clock *. float_of_int succ.Timed_dfg.lat.(k)) in
+        fwd := { Bellman_ford.src = u; dst = v; weight } :: !fwd;
+        bwd := { Bellman_ford.src = v; dst = u; weight } :: !bwd
+      done)
+    (Timed_dfg.topo_slots tdfg);
   let solve edges sources =
     match Bellman_ford.solve ~shuffle_seed:0x5eed ~node_count:(2 * n) ~edges ~sources () with
     | Bellman_ford.Solution dist -> dist
@@ -46,12 +37,11 @@ let analyze tdfg ~clock ~del =
   let lateness = solve !bwd !bwd_sources in
   let arr = Array.make n nan and req = Array.make n nan and slack = Array.make n nan in
   let min_slack = ref infinity in
-  List.iter
-    (fun o ->
-      let i = Dfg.Op_id.to_int o in
+  Array.iter
+    (fun i ->
       arr.(i) <- arr_all.(i);
       req.(i) <- clock -. lateness.(i);
       slack.(i) <- req.(i) -. arr.(i);
       if slack.(i) < !min_slack then min_slack := slack.(i))
-    (Timed_dfg.active_ops tdfg);
+    (Timed_dfg.active_slots tdfg);
   { Slack.arr; req; slack; min_slack = !min_slack }

@@ -21,7 +21,42 @@ type result = {
 
 val analyze :
   ?aligned:bool -> Timed_dfg.t -> clock:float -> del:(Dfg.Op_id.t -> float) -> result
-(** [aligned] defaults to [false].  [clock] must be positive. *)
+(** One full analysis: {!create} an engine and return its {!result}.
+    [aligned] defaults to [false].  [clock] must be positive. *)
+
+(** {1 Incremental engine}
+
+    An engine holds the arrival, required and slack values of one timed
+    DFG under one delay assignment, and keeps them equal, bit for bit, to
+    what a full analysis of its current delays computes.  A single-delay
+    change re-propagates only from the changed op and stops wherever a
+    recomputed value has the bits of the stored one.  Changes since the
+    last {!commit} can be undone by {!rollback}. *)
+
+type engine
+
+val create :
+  ?aligned:bool -> Timed_dfg.t -> clock:float -> del:(Dfg.Op_id.t -> float) -> engine
+(** Full pass over [del] (read once per active op). *)
+
+val reset : engine -> (Dfg.Op_id.t -> float) -> unit
+(** Replace every delay and run a full pass; commits. *)
+
+val set_delay : engine -> Dfg.Op_id.t -> float -> unit
+(** Change one active op's delay incrementally; undoable until the next
+    {!commit}, {!rollback} or {!reset}. *)
+
+val commit : engine -> unit
+val rollback : engine -> unit
+(** Restore the exact state of the last commit. *)
+
+val slack : engine -> Dfg.Op_id.t -> float
+val min_slack : engine -> float
+
+val result : engine -> result
+(** A copy of the current values. *)
+
+(** {1 Reading results} *)
 
 val op_slack : result -> Dfg.Op_id.t -> float
 

@@ -9,15 +9,19 @@ let pp_node ppf = function
   | Op o -> Format.fprintf ppf "op%d" (Dfg.Op_id.to_int o)
   | Sink o -> Format.fprintf ppf "sink%d" (Dfg.Op_id.to_int o)
 
+type csr = { off : int array; nbr : int array; lat : int array }
+
+(* Node slots: op i at i, its sink at n + i.  Edges are stored once per
+   direction, in edge insertion order within each slot. *)
 type t = {
   dfg : Dfg.t;
   spans : Dfg.span array;
-  is_active : bool array; (* by op index *)
-  active_list : Dfg.Op_id.t list;
-  topo_nodes : node list;
-  pred_arr : (node * int) list array; (* 2n slots: op i at i, sink i at n+i *)
-  succ_arr : (node * int) list array; (* both in edge insertion order *)
-  edges : int;
+  n : int;
+  active : int array;  (* active op indices, ascending *)
+  order : int array;  (* active slots, topologically sorted *)
+  position : int array;  (* slot -> index in [order]; -1 when inactive *)
+  pred : csr;
+  succ : csr;
 }
 
 exception Unrealizable of string
@@ -25,6 +29,8 @@ exception Unrealizable of string
 let slot n = function
   | Op o -> Dfg.Op_id.to_int o
   | Sink o -> n + Dfg.Op_id.to_int o
+
+let node_of_slot n s = if s < n then Op (Dfg.Op_id.of_int s) else Sink (Dfg.Op_id.of_int (s - n))
 
 let c_builds = Obs.counter "timed_dfg.builds"
 let c_nodes = Obs.counter "timed_dfg.nodes"
@@ -38,70 +44,148 @@ let build dfg ~spans =
   Dfg.iter_ops dfg (fun o ->
       is_active.(Dfg.Op_id.to_int o.Dfg.id) <-
         (match o.Dfg.kind with Dfg.Const _ -> false | _ -> true));
-  let pred_arr = Array.make (2 * n) [] and succ_arr = Array.make (2 * n) [] in
-  let edges = ref 0 in
-  let add_edge src dst w =
-    succ_arr.(slot n src) <- (dst, w) :: succ_arr.(slot n src);
-    pred_arr.(slot n dst) <- (src, w) :: pred_arr.(slot n dst);
-    incr edges
-  in
-  let early o = spans.(Dfg.Op_id.to_int o).Dfg.early in
-  let late o = spans.(Dfg.Op_id.to_int o).Dfg.late in
-  (* Dependency edges: forward deps between active ops. *)
-  List.iter
-    (fun oid ->
-      if is_active.(Dfg.Op_id.to_int oid) then
-        List.iter
-          (fun sid ->
-            if is_active.(Dfg.Op_id.to_int sid) then begin
-              match Cfg.latency cfg (early oid) (early sid) with
-              | Some w -> add_edge (Op oid) (Op sid) w
-              | None ->
-                raise
-                  (Unrealizable
-                     (Printf.sprintf "dependency %s -> %s has undefined latency"
-                        (Dfg.op dfg oid).Dfg.name (Dfg.op dfg sid).Dfg.name))
-            end)
-          (Dfg.succs dfg oid))
-    (Dfg.ops dfg);
-  (* Sink edges: weight = latency(early o, late o). *)
-  List.iter
-    (fun oid ->
-      if is_active.(Dfg.Op_id.to_int oid) then begin
-        match Cfg.latency cfg (early oid) (late oid) with
-        | Some w -> add_edge (Op oid) (Sink oid) w
-        | None ->
-          raise
-            (Unrealizable
-               (Printf.sprintf "op %s has a span with unreachable late edge"
-                  (Dfg.op dfg oid).Dfg.name))
-      end)
-    (Dfg.ops dfg);
+  (* Successor offsets: an active op's active forward successors, then its
+     sink.  Ops are the edge sources in index order, so slot order is
+     insertion order. *)
+  let succ_off = Array.make ((2 * n) + 1) 0 in
+  let n_active = ref 0 in
+  for i = 0 to n - 1 do
+    let deg =
+      if is_active.(i) then begin
+        incr n_active;
+        List.fold_left
+          (fun k s -> if is_active.(Dfg.Op_id.to_int s) then k + 1 else k)
+          1
+          (Dfg.succs dfg (Dfg.Op_id.of_int i))
+      end
+      else 0
+    in
+    succ_off.(i + 1) <- succ_off.(i) + deg
+  done;
+  for s = n to (2 * n) - 1 do
+    succ_off.(s + 1) <- succ_off.(s)
+  done;
+  let edges = succ_off.(2 * n) in
+  let succ_nbr = Array.make edges 0 and succ_lat = Array.make edges 0 in
+  let early i = spans.(i).Dfg.early and late i = spans.(i).Dfg.late in
+  (* Dependency edges first, then sink edges, so an unrealizable graph
+     reports the same offender whatever its shape. *)
+  for i = 0 to n - 1 do
+    if is_active.(i) then
+      ignore
+        (List.fold_left
+           (fun e sid ->
+             let j = Dfg.Op_id.to_int sid in
+             if not is_active.(j) then e
+             else begin
+               match Cfg.latency cfg (early i) (early j) with
+               | Some w ->
+                 succ_nbr.(e) <- j;
+                 succ_lat.(e) <- w;
+                 e + 1
+               | None ->
+                 raise
+                   (Unrealizable
+                      (Printf.sprintf "dependency %s -> %s has undefined latency"
+                         (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.name
+                         (Dfg.op dfg sid).Dfg.name))
+             end)
+           succ_off.(i)
+           (Dfg.succs dfg (Dfg.Op_id.of_int i)))
+  done;
+  for i = 0 to n - 1 do
+    if is_active.(i) then begin
+      match Cfg.latency cfg (early i) (late i) with
+      | Some w ->
+        let e = succ_off.(i + 1) - 1 in
+        succ_nbr.(e) <- n + i;
+        succ_lat.(e) <- w
+      | None ->
+        raise
+          (Unrealizable
+             (Printf.sprintf "op %s has a span with unreachable late edge"
+                (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.name))
+    end
+  done;
+  (* Predecessors: a stable counting sort of the successor edges by
+     destination keeps insertion order. *)
+  let pred_off = Array.make ((2 * n) + 1) 0 in
+  Array.iter (fun d -> pred_off.(d + 1) <- pred_off.(d + 1) + 1) succ_nbr;
+  for s = 0 to (2 * n) - 1 do
+    pred_off.(s + 1) <- pred_off.(s + 1) + pred_off.(s)
+  done;
+  let fill = Array.sub pred_off 0 (2 * n) in
+  let pred_nbr = Array.make edges 0 and pred_lat = Array.make edges 0 in
+  for src = 0 to n - 1 do
+    for e = succ_off.(src) to succ_off.(src + 1) - 1 do
+      let d = succ_nbr.(e) in
+      pred_nbr.(fill.(d)) <- src;
+      pred_lat.(fill.(d)) <- succ_lat.(e);
+      fill.(d) <- fill.(d) + 1
+    done
+  done;
   (* Topological order: ops in DFG topo order, each immediately followed by
      its sink (sinks have no successors, so this is a valid extension). *)
-  let topo_nodes =
-    List.concat_map
-      (fun oid ->
-        if is_active.(Dfg.Op_id.to_int oid) then [ Op oid; Sink oid ] else [])
-      (Dfg.topo_order dfg)
-  in
+  let active = Array.make !n_active 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i live ->
+      if live then begin
+        active.(!k) <- i;
+        incr k
+      end)
+    is_active;
+  let order = Array.make (2 * !n_active) 0 in
+  let position = Array.make (2 * n) (-1) in
+  k := 0;
+  List.iter
+    (fun oid ->
+      let i = Dfg.Op_id.to_int oid in
+      if is_active.(i) then begin
+        order.(!k) <- i;
+        order.(!k + 1) <- n + i;
+        position.(i) <- !k;
+        position.(n + i) <- !k + 1;
+        k := !k + 2
+      end)
+    (Dfg.topo_order dfg);
   Obs.incr c_builds;
-  Obs.add c_nodes (List.length topo_nodes);
-  Obs.add c_edges !edges;
-  (* Edges were consed on; restore insertion order once, here. *)
-  Array.map_inplace List.rev pred_arr;
-  Array.map_inplace List.rev succ_arr;
-  let active_list = List.filter (fun o -> is_active.(Dfg.Op_id.to_int o)) (Dfg.ops dfg) in
-  { dfg; spans; is_active; active_list; topo_nodes; pred_arr; succ_arr; edges = !edges }
+  Obs.add c_nodes (Array.length order);
+  Obs.add c_edges edges;
+  {
+    dfg;
+    spans;
+    n;
+    active;
+    order;
+    position;
+    pred = { off = pred_off; nbr = pred_nbr; lat = pred_lat };
+    succ = { off = succ_off; nbr = succ_nbr; lat = succ_lat };
+  }
 
 let dfg t = t.dfg
 let spans t = t.spans
-let active t o = t.is_active.(Dfg.Op_id.to_int o)
-let active_ops t = t.active_list
-let topo t = t.topo_nodes
-let preds t node = t.pred_arr.(slot (Dfg.op_count t.dfg) node)
-let succs t node = t.succ_arr.(slot (Dfg.op_count t.dfg) node)
-let edge_count t = t.edges
+let active t o = t.position.(Dfg.Op_id.to_int o) >= 0
+let edge_count t = Array.length t.succ.nbr
+let slot_count t = 2 * t.n
+let active_slots t = t.active
+let topo_slots t = t.order
+let topo_positions t = t.position
+let pred_csr t = t.pred
+let succ_csr t = t.succ
+
+(* List views, derived on demand for the cold callers. *)
+let active_ops t = Array.fold_right (fun i acc -> Dfg.Op_id.of_int i :: acc) t.active []
+let topo t = Array.fold_right (fun s acc -> node_of_slot t.n s :: acc) t.order []
+
+let neighbours t c node =
+  let s = slot t.n node in
+  List.init (c.off.(s + 1) - c.off.(s)) (fun k ->
+      let e = c.off.(s) + k in
+      (node_of_slot t.n c.nbr.(e), c.lat.(e)))
+
+let preds t node = neighbours t t.pred node
+let succs t node = neighbours t t.succ node
 
 let latency_between t o1 o2 =
   let early o = t.spans.(Dfg.Op_id.to_int o).Dfg.early in
@@ -111,13 +195,18 @@ let latency_between t o1 o2 =
    replaced.  The result is deliberately allowed to be ill-formed (negative
    weights included) so tests can prove the timed-DFG validator fires. *)
 let with_edge_weight t ~src ~dst ~weight =
-  let n = Dfg.op_count t.dfg in
-  let replace lst other =
-    List.map (fun (nd, w) -> if node_equal nd other then (nd, weight) else (nd, w)) lst
+  let s = slot t.n src and d = slot t.n dst in
+  let replace c from other =
+    let lat = Array.copy c.lat and hit = ref false in
+    for e = c.off.(from) to c.off.(from + 1) - 1 do
+      if c.nbr.(e) = other then begin
+        lat.(e) <- weight;
+        hit := true
+      end
+    done;
+    ({ c with lat }, !hit)
   in
-  let succ_arr = Array.copy t.succ_arr and pred_arr = Array.copy t.pred_arr in
-  if not (List.exists (fun (nd, _) -> node_equal nd dst) succ_arr.(slot n src)) then
-    invalid_arg "Timed_dfg.with_edge_weight: no such edge";
-  succ_arr.(slot n src) <- replace succ_arr.(slot n src) dst;
-  pred_arr.(slot n dst) <- replace pred_arr.(slot n dst) src;
-  { t with succ_arr; pred_arr }
+  let succ, found = replace t.succ s d in
+  if not found then invalid_arg "Timed_dfg.with_edge_weight: no such edge";
+  let pred, _ = replace t.pred d s in
+  { t with succ; pred }

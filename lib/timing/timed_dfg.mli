@@ -33,6 +33,45 @@ val spans : t -> Dfg.span array
 val active : t -> Dfg.Op_id.t -> bool
 (** Whether the op participates in timing (constants do not). *)
 
+val edge_count : t -> int
+
+(** {1 Slot-indexed adjacency}
+
+    The graph is stored once, in flat arrays.  Node slots: op [i] at slot
+    [i], its sink at [n + i], where [n] is the DFG's op count.  The arrays
+    below are the graph itself, not copies: callers must not mutate
+    them. *)
+
+type csr = {
+  off : int array;  (** [slot_count + 1] offsets *)
+  nbr : int array;  (** neighbour slot of each edge *)
+  lat : int array;  (** latency weight of each edge *)
+}
+(** The edges of slot [s] are [off.(s)] to [off.(s + 1) - 1], in edge
+    insertion order: an op's forward dependencies in DFG order, then its
+    sink edge. *)
+
+val slot_count : t -> int
+(** [2 * n]. *)
+
+val active_slots : t -> int array
+(** Active op indices (= slots), ascending. *)
+
+val topo_slots : t -> int array
+(** Active slots (ops and sinks) in topological order, each op immediately
+    followed by its sink. *)
+
+val topo_positions : t -> int array
+(** Inverse of {!topo_slots}: each slot's index in it, [-1] for the slots
+    of inactive ops. *)
+
+val pred_csr : t -> csr
+val succ_csr : t -> csr
+
+(** {1 List views}
+
+    Derived from the arrays on every call; for callers off the hot path. *)
+
 val active_ops : t -> Dfg.Op_id.t list
 val topo : t -> node list
 (** All active nodes (ops and sinks), topologically sorted. *)
@@ -41,7 +80,6 @@ val preds : t -> node -> (node * int) list
 (** Predecessors with latency weights. *)
 
 val succs : t -> node -> (node * int) list
-val edge_count : t -> int
 
 val latency_between : t -> Dfg.Op_id.t -> Dfg.Op_id.t -> int option
 (** Latency weight that an edge between these two ops would carry:

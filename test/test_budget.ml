@@ -3,12 +3,11 @@
 
 let lib = Library.idealized
 
-let interpolation_setup () =
-  let ip = Interpolation.unrolled () in
-  let dfg = ip.Interpolation.dfg in
+(* The budgeting inputs the slack flow derives: each op's delay range,
+   upper end clamped to the clock, and its area sensitivity. *)
+let budget_inputs lib dfg ~clock =
   let spans = Dfg.compute_spans dfg in
   let tdfg = Timed_dfg.build dfg ~spans in
-  let clock = Interpolation.clock in
   let ranges o =
     let op = Dfg.op dfg o in
     match Library.op_curve lib op.Dfg.kind ~width:op.Dfg.width with
@@ -24,6 +23,12 @@ let interpolation_setup () =
     | Some c -> Curve.sensitivity c d
     | None -> 0.0
   in
+  (tdfg, ranges, sensitivity)
+
+let interpolation_setup () =
+  let ip = Interpolation.unrolled () in
+  let clock = Interpolation.clock in
+  let tdfg, ranges, sensitivity = budget_inputs lib ip.Interpolation.dfg ~clock in
   (ip, tdfg, clock, ranges, sensitivity)
 
 let test_interpolation_budget_finds_550 () =
@@ -169,6 +174,53 @@ let prop_budget_always_verifies =
           (Slack.analyze ~aligned:true tdfg ~clock ~del:(fun o ->
                delays.(Dfg.Op_id.to_int o))))
 
+(* Under the Bellman-Ford baseline every check pays one fixpoint: each
+   phase-1 probe, each tentative phase-2 increase and each half-size retry.
+   An increase either verifies at once, or fails and is retried at half
+   size, which verifies or freezes the op; so increases = accepted +
+   freezes, where accepted are the Delay_update events of rounds >= 1.
+   The second manifest design exercises all four kinds of check. *)
+let test_bellman_ford_prices_every_check () =
+  let entry = List.nth (Corpus.plan ~seed:42 ()) 1 in
+  let lib = Library.default in
+  let clock = entry.Corpus.clock_ps -. Library.register_overhead lib in
+  let tdfg, ranges, sensitivity =
+    budget_inputs lib (Corpus.design entry).Random_design.dfg ~clock
+  in
+  let config = { Budget.default_config with Budget.engine = Budget.Bellman_ford_baseline } in
+  let names =
+    [ "slack.bf_analyses"; "budget.feasibility_probes"; "budget.half_retries"; "budget.freezes" ]
+  in
+  let value name = Obs.value (Obs.counter name) in
+  let before = List.map value names in
+  Obs.Events.enable ~capacity:(1 lsl 16) ();
+  let outcome = Budget.run ~config tdfg ~clock ~ranges ~sensitivity in
+  let events = Obs.Events.events () in
+  Obs.Events.disable ();
+  Obs.Events.clear ();
+  let accepted =
+    List.length
+      (List.filter
+         (fun ev ->
+           match ev.Obs.Events.payload with
+           | Obs.Events.Delay_update { round; _ } -> round >= 1
+           | _ -> false)
+         events)
+  in
+  match (List.map2 (fun n b -> value n - b) names before, outcome) with
+  | [ bf; probes; half; freezes ], Budget.Feasible delays -> (
+    Alcotest.(check bool) "every kind of check occurs" true
+      (probes > 0 && accepted > 0 && half > 0 && freezes > 0);
+    Alcotest.(check int) "one fixpoint per check" (probes + accepted + freezes + half) bf;
+    (* Pricing the baseline changes no result. *)
+    match Budget.run tdfg ~clock ~ranges ~sensitivity with
+    | Budget.Feasible two_pass ->
+      Alcotest.(check (array (float 0.0))) "same delays as the two-pass engine" two_pass
+        delays
+    | Budget.Infeasible _ -> Alcotest.fail "two-pass run infeasible")
+  | _, Budget.Infeasible _ -> Alcotest.fail "the design budgets feasibly"
+  | _ -> Alcotest.fail "counter list mismatch"
+
 let suite =
   [
     Alcotest.test_case "interpolation budget ~550ps" `Quick test_interpolation_budget_finds_550;
@@ -176,6 +228,8 @@ let suite =
     Alcotest.test_case "infeasible reported" `Quick test_budget_infeasible_reported;
     Alcotest.test_case "lambda knob monotone" `Quick test_lambda_knob_monotone;
     Alcotest.test_case "generous clock slows everything" `Quick test_resizer_budget_full_range;
+    Alcotest.test_case "bellman-ford baseline prices every check" `Quick
+      test_bellman_ford_prices_every_check;
     QCheck_alcotest.to_alcotest prop_budget_always_verifies;
   ]
 

@@ -137,9 +137,8 @@ let test_snapshot_lenient () =
 
    CFG: start --e0--> state --e1--> exit; five ops on e0 in a chain
    rd -> add -> mul -> sub -> wr.  The timed DFG then has 4 chain edges
-   plus one sink edge per op: E = 9, so one full analysis touches 2E = 18
-   directed relaxations.  Incident-edge degrees: rd and wr 2 (one chain
-   edge + sink), add/mul/sub 3 (two chain edges + sink); total 13. *)
+   plus one sink edge per op: E = 9, so one full pass of the slack engine
+   touches 2E = 18 directed relaxations. *)
 let chain_tdfg () =
   let cfg = Cfg.create () in
   let st = Cfg.add_node cfg Cfg.State in
@@ -161,53 +160,43 @@ let chain_tdfg () =
   (Timed_dfg.build dfg ~spans, mul)
 
 let totals_check msg (expected : Attrib.totals) (got : Attrib.totals) =
-  Alcotest.(check int) (msg ^ ": analyses") expected.Attrib.analyses got.Attrib.analyses;
   Alcotest.(check int) (msg ^ ": touched") expected.Attrib.touched got.Attrib.touched;
-  Alcotest.(check int) (msg ^ ": cone") expected.Attrib.cone got.Attrib.cone;
-  Alcotest.(check int)
-    (msg ^ ": changed_bin")
-    expected.Attrib.changed_bin got.Attrib.changed_bin
+  Alcotest.(check int) (msg ^ ": cone") expected.Attrib.cone got.Attrib.cone
+
+(* What [f] charged to the global counters. *)
+let charged f =
+  let before = Attrib.totals () in
+  let x = f () in
+  let after = Attrib.totals () in
+  ( x,
+    {
+      Attrib.touched = after.Attrib.touched - before.Attrib.touched;
+      cone = after.Attrib.cone - before.Attrib.cone;
+    } )
 
 let test_attrib_exact () =
   let tdfg, mul = chain_tdfg () in
   Alcotest.(check int) "timed DFG has 4 chain + 5 sink edges" 9
     (Timed_dfg.edge_count tdfg);
-  let a = Attrib.create tdfg in
-  let clock = 1000.0 and margin = 50.0 in
+  let clock = 1000.0 in
   let del_flat _ = 100.0 in
-  (* First analysis: everything is dirty (cone = touched), no bin history. *)
-  Attrib.observe a ~margin (Slack.analyze tdfg ~clock ~del:del_flat);
-  totals_check "first analysis"
-    { Attrib.analyses = 1; touched = 18; cone = 18; changed_bin = 0 }
-    (Attrib.instance_totals a);
-  (* Identical delays: nothing changed, the entire re-analysis is waste. *)
-  Attrib.observe a ~margin (Slack.analyze tdfg ~clock ~del:del_flat);
-  totals_check "identical re-analysis"
-    { Attrib.analyses = 2; touched = 36; cone = 18; changed_bin = 0 }
-    (Attrib.instance_totals a);
+  (* First pass: every value is new, so the cone is everything touched. *)
+  let e, first = charged (fun () -> Slack.create tdfg ~clock ~del:del_flat) in
+  totals_check "first pass" { Attrib.touched = 18; cone = 18 } first;
+  (* Identical delays: nothing changed, the whole pass is waste. *)
+  let (), again = charged (fun () -> Slack.reset e del_flat) in
+  totals_check "identical reset" { Attrib.touched = 18; cone = 0 } again;
   Alcotest.(check (float 1e-9)) "wasted ratio = 1/2" 0.5
-    (Attrib.wasted_ratio (Attrib.instance_totals a));
-  (* Slowing the middle op moves every op's arrival or required time: the
-     cone is the full incident-degree sum (13) and every slack drops by
-     500 ps, crossing 50 ps bins. *)
-  let del_slow o = if Dfg.Op_id.equal o mul then 600.0 else 100.0 in
-  Attrib.observe a ~margin (Slack.analyze tdfg ~clock ~del:del_slow);
-  totals_check "perturbed re-analysis"
-    { Attrib.analyses = 3; touched = 54; cone = 31; changed_bin = 5 }
-    (Attrib.instance_totals a)
-
-(* Global counters integrate every tracker (Budget.run creates one per
-   run), so they only ever grow. *)
-let test_attrib_global_counters () =
-  let before = Attrib.totals () in
-  let tdfg, _ = chain_tdfg () in
-  let a = Attrib.create tdfg in
-  Attrib.observe a ~margin:50.0 (Slack.analyze tdfg ~clock:1000.0 ~del:(fun _ -> 100.0));
-  let after = Attrib.totals () in
-  Alcotest.(check int) "global analyses grew by 1" 1
-    (after.Attrib.analyses - before.Attrib.analyses);
-  Alcotest.(check int) "global touched grew by 2E" 18
-    (after.Attrib.touched - before.Attrib.touched)
+    (Attrib.wasted_ratio
+       { Attrib.touched = first.Attrib.touched + again.Attrib.touched; cone = 18 });
+  (* Slowing the middle op re-relaxes the in-edges of the five nodes
+     downstream of it (sub, wr and three sinks) and the out-edges of mul,
+     add and rd (2 each): 11 relaxations, every one moving a value. *)
+  let (), bump = charged (fun () -> Slack.set_delay e mul 600.0) in
+  totals_check "single-delay update" { Attrib.touched = 11; cone = 11 } bump;
+  (* Undoing costs no relaxation. *)
+  let (), undo = charged (fun () -> Slack.rollback e) in
+  totals_check "rollback" { Attrib.touched = 0; cone = 0 } undo
 
 (* ------------------------------------------------------------------ *)
 (* Event-stream divergence localization. *)
@@ -291,8 +280,6 @@ let () =
         [
           Alcotest.test_case "counters exact on a 5-op chain" `Quick
             test_attrib_exact;
-          Alcotest.test_case "global counters integrate trackers" `Quick
-            test_attrib_global_counters;
         ] );
       ( "diff",
         [

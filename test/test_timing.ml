@@ -1,5 +1,6 @@
 (* Timed DFG construction, sequential slack (paper Table 3, numeric and
-   symbolic), aligned slack, and the Bellman-Ford baseline agreement. *)
+   symbolic), aligned slack, the Bellman-Ford baseline agreement, and the
+   incremental slack engine against the full pass. *)
 
 let rz = lazy (Resizer.table3 ())
 
@@ -226,6 +227,75 @@ let prop_slack_antimonotone_in_delay =
           Slack.op_slack res1 o <= Slack.op_slack res0 o +. 1e-9)
         (Timed_dfg.active_ops tdfg))
 
+(* The incremental engine against its oracle, the full pass: seeded corpus
+   designs of every CFG shape and size class, aligned and raw, under random
+   single-op delay changes, each committed or rolled back.  After every
+   step the engine's values must have the bits of a fresh analysis of the
+   current delays, and a rollback must restore the pre-step state bit for
+   bit. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_result (a : Slack.result) (b : Slack.result) =
+  same_bits a.Slack.arr b.Slack.arr
+  && same_bits a.Slack.req b.Slack.req
+  && same_bits a.Slack.slack b.Slack.slack
+  && same_bits [| a.Slack.min_slack |] [| b.Slack.min_slack |]
+
+let engine_matches_full_pass ~seed ~shape ~klass ~aligned =
+  let d =
+    Random_design.generate ~profile:(Corpus.profile_of_klass klass) ~shape ~seed ()
+  in
+  let dfg = d.Random_design.dfg in
+  let tdfg = Timed_dfg.build dfg ~spans:(Dfg.compute_spans dfg) in
+  let clock = d.Random_design.suggested_clock in
+  let rng = Splitmix.create (seed lxor 0x5eed) in
+  (* Delays on a coarse grid hit ties and exact cancellations (signed
+     zeros included) far more often than uniform draws would. *)
+  let draw () =
+    if Splitmix.int rng 4 = 0 then float_of_int (Splitmix.int rng 5) *. clock /. 4.0
+    else Splitmix.float rng (1.2 *. clock)
+  in
+  let delays = Array.init (Dfg.op_count dfg) (fun _ -> draw ()) in
+  let del o = delays.(Dfg.Op_id.to_int o) in
+  let e = Slack.create ~aligned tdfg ~clock ~del in
+  let oracle () = Slack.analyze ~aligned tdfg ~clock ~del in
+  let active = Array.of_list (Timed_dfg.active_ops tdfg) in
+  let ok = ref (same_result (Slack.result e) (oracle ())) in
+  for _ = 1 to 40 do
+    if !ok && Array.length active > 0 then begin
+      let before = Slack.result e in
+      let o = Splitmix.choose rng active in
+      let i = Dfg.Op_id.to_int o in
+      let old = delays.(i) in
+      delays.(i) <- (if Splitmix.int rng 8 = 0 then old else draw ());
+      Slack.set_delay e o delays.(i);
+      ok := same_result (Slack.result e) (oracle ());
+      if Splitmix.bool rng then Slack.commit e
+      else begin
+        Slack.rollback e;
+        delays.(i) <- old;
+        ok := !ok && same_result (Slack.result e) before
+      end
+    end
+  done;
+  !ok
+
+let prop_engine_matches_full_pass =
+  QCheck.Test.make ~name:"incremental engine == full pass, bit for bit" ~count:12
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun shape ->
+          List.for_all
+            (fun klass ->
+              List.for_all
+                (fun aligned -> engine_matches_full_pass ~seed ~shape ~klass ~aligned)
+                [ true; false ])
+            Corpus.all_klasses)
+        Random_design.all_shapes)
+
 let suite =
   [
     Alcotest.test_case "timed DFG weights (fig 5b)" `Quick test_timed_dfg_weights;
@@ -238,6 +308,7 @@ let suite =
     Alcotest.test_case "interpolation aligned chain" `Quick test_interpolation_aligned_chain;
     QCheck_alcotest.to_alcotest prop_critical_path_equal_slack;
     QCheck_alcotest.to_alcotest prop_slack_antimonotone_in_delay;
+    QCheck_alcotest.to_alcotest prop_engine_matches_full_pass;
   ]
 
 let () = Alcotest.run "timing" [ ("timing", suite) ]
