@@ -216,9 +216,7 @@ let lookup_design t name =
       Option.bind t.cfg.resolver (fun f -> f name)
   in
   match found with
-  | Some mk ->
-    let _, default_clock = mk () in
-    Ok (default_clock, fun () -> fst (mk ()))
+  | Some mk -> Ok mk
   | None ->
     Error
       (Printf.sprintf "unknown design %S (try: %s)" name
@@ -316,7 +314,8 @@ let execute_explore t ~id ~deadline_s ~design ~clocks ~flows ~iis ~recover
     ~point_deadline =
   match lookup_design t design with
   | Error m -> Protocol.error_response ~id m
-  | Ok (_, build) -> (
+  | Ok mk -> (
+    let build () = fst (mk ()) in
     match Explore_grid.of_specs ~clocks ~flows ~iis ~recover () with
     | Error m -> Protocol.error_response ~id m
     | Ok grid ->
@@ -341,7 +340,8 @@ let execute_shard_explore t ~id ~deadline_s ~design ~clocks ~flows ~iis
     ~recover ~point_deadline ~lease ~keys =
   match lookup_design t design with
   | Error m -> Protocol.error_response ~id m
-  | Ok (_, build) -> (
+  | Ok mk -> (
+    let build () = fst (mk ()) in
     match Explore_grid.of_specs ~clocks ~flows ~iis ~recover () with
     | Error m -> Protocol.error_response ~id m
     | Ok grid ->
@@ -472,11 +472,14 @@ let health_response t ~id =
 let execute_run t ~id ~deadline_s ~design ~clock ~flow =
   match lookup_design t design with
   | Error m -> Protocol.error_response ~id m
-  | Ok (default_clock, build) -> (
+  | Ok mk -> (
     match flow_of_name flow with
     | Error m -> Protocol.error_response ~id m
     | Ok flow -> (
-      let clock = Option.value ~default:default_clock clock in
+      (* Make the design for its default clock only when the request
+         names no clock; otherwise the sweep's build is the only call. *)
+      let clock = match clock with Some c -> c | None -> snd (mk ()) in
+      let build () = fst (mk ()) in
       match Explore_grid.make ~clocks:[ clock ] ~flows:[ flow ] () with
       | Error m -> Protocol.error_response ~id m
       | Ok grid -> (

@@ -513,6 +513,29 @@ let test_once_ping () =
     | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
     Alcotest.(check int) "clean drain exits 0" 0 daemon_code
 
+(* A run request that names its clock makes the design only for the
+   sweep: once for the design digest, plus once to evaluate a cache miss.
+   The same request twice is a miss, then a hit: three makes, where
+   reading the default clock as well made five. *)
+let test_run_makes_design_once () =
+  let calls = Atomic.make 0 in
+  let counting () =
+    Atomic.incr calls;
+    fir_build ()
+  in
+  let run = {|{"op":"run","id":"r1","design":"fir8","clock":2500.0,"flow":"slack"}|} in
+  match
+    Server.once
+      { Server.default_config with Server.designs = [ ("fir8", counting) ] }
+      ~request_json:(run ^ "\n" ^ run)
+  with
+  | Error m -> Alcotest.fail m
+  | Ok (responses, _) ->
+    Obs.Events.set_hook None;
+    List.iter (fun (body, _) -> Alcotest.(check string) "ok" "ok" (status_of body)) responses;
+    Alcotest.(check int) "two responses" 2 (List.length responses);
+    Alcotest.(check int) "miss makes twice, hit once" 3 (Atomic.get calls)
+
 (* ------------------------------------------------------------------ *)
 (* Fleet observability: the request span carries the remote trace
    context end-to-end over a real socket, and the telemetry op ships the
@@ -674,6 +697,8 @@ let () =
           Alcotest.test_case "drain journals and resumes identically" `Slow
             test_drain_journals_and_resumes;
           Alcotest.test_case "once: scripted ping" `Quick test_once_ping;
+          Alcotest.test_case "run with a clock makes the design once per use" `Quick
+            test_run_makes_design_once;
           Alcotest.test_case "trace context parents the worker span" `Quick
             test_trace_parents_worker_span;
           Alcotest.test_case "telemetry op ships snapshot + exposition" `Quick
