@@ -48,13 +48,11 @@ let c_updates = Obs.counter "budget.delay_updates"
 let c_half = Obs.counter "budget.half_retries"
 let c_freezes = Obs.counter "budget.freezes"
 
+let knob ~lambda r = Interval.lo r +. (lambda *. Interval.width r)
+
 let delays_at ~lambda tdfg ~ranges =
-  let dfg = Timed_dfg.dfg tdfg in
-  let n = Dfg.op_count dfg in
-  Array.init n (fun i ->
-      let o = Dfg.Op_id.of_int i in
-      let r = ranges o in
-      Interval.lo r +. (lambda *. Interval.width r))
+  Array.init (Dfg.op_count (Timed_dfg.dfg tdfg)) (fun i ->
+      knob ~lambda (ranges (Dfg.Op_id.of_int i)))
 
 let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
     ~sensitivity =
@@ -67,10 +65,7 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
   (* [ranges] is pure within a run: evaluate it once per op. *)
   let range = Array.init (Dfg.op_count dfg) (fun i -> ranges (Dfg.Op_id.of_int i)) in
   let range_of o = range.(Dfg.Op_id.to_int o) in
-  let knob lambda o =
-    let r = range_of o in
-    Interval.lo r +. (lambda *. Interval.width r)
-  in
+  let at lambda o = knob ~lambda (range_of o) in
   (* Every check — probe, bump or half-bump — prices the prior-work
      fixpoint under the Bellman–Ford baseline; its (unaligned) result is
      discarded in favour of the engine's aligned values. *)
@@ -81,18 +76,18 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
   in
   (* One engine for the whole run, holding the delays at knob [held]
      through phase 1; a probe resets every delay. *)
-  let e = Slack.create ~aligned:config.aligned tdfg ~clock ~del:(knob 0.0) in
+  let e = Slack.create ~aligned:config.aligned tdfg ~clock ~del:(at 0.0) in
   let held = ref 0.0 in
   let hold lambda =
     if not (Float.equal !held lambda) then begin
-      Slack.reset e (knob lambda);
+      Slack.reset e (at lambda);
       held := lambda
     end
   in
   let feasible () = Slack.min_slack e >= -.eps in
   let probe lambda =
     Obs.incr c_probes;
-    price (knob lambda);
+    price (at lambda);
     hold lambda;
     feasible ()
   in
@@ -117,7 +112,7 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
       end
     in
     hold lambda;
-    let delays = Array.map (fun r -> Interval.lo r +. (lambda *. Interval.width r)) range in
+    let delays = delays_at ~lambda tdfg ~ranges:range_of in
     let ops = Timed_dfg.active_ops tdfg in
     (* The uniform raise is itself a per-op budget update for every op with
        a non-degenerate delay range. *)

@@ -35,10 +35,10 @@ let[@inline] same_bits (a : float) b =
   a = b && (a <> 0.0 || Float.sign_bit a = Float.sign_bit b)
 
 type engine = {
-  g : Timed_dfg.t;
   n : int;
   clock : float;
   aligned : bool;
+  active : int array;
   order : int array;
   position : int array;
   pred : Timed_dfg.csr;
@@ -140,7 +140,7 @@ let settle_slack e i =
 
 (* In active-list order, as every full pass always folded it. *)
 let refresh_min e =
-  let active = Timed_dfg.active_slots e.g in
+  let active = e.active in
   let m = ref infinity in
   for k = 0 to Array.length active - 1 do
     let s = e.slack.(active.(k)) in
@@ -175,16 +175,15 @@ let full_pass e =
   for k = m - 1 downto 0 do
     ignore (settle_required e e.order.(k))
   done;
-  let active = Timed_dfg.active_slots e.g in
-  for k = 0 to Array.length active - 1 do
-    settle_slack e active.(k)
+  for k = 0 to Array.length e.active - 1 do
+    settle_slack e e.active.(k)
   done;
   refresh_min e;
   charge e;
   commit e
 
 let reset e del =
-  Array.iter (fun i -> e.del.(i) <- del (Dfg.Op_id.of_int i)) (Timed_dfg.active_slots e.g);
+  Array.iter (fun i -> e.del.(i) <- del (Dfg.Op_id.of_int i)) e.active;
   full_pass e
 
 let create ?(aligned = false) g ~clock ~del =
@@ -193,10 +192,10 @@ let create ?(aligned = false) g ~clock ~del =
   let order = Timed_dfg.topo_slots g in
   let e =
     {
-      g;
       n;
       clock;
       aligned;
+      active = Timed_dfg.active_slots g;
       order;
       position = Timed_dfg.topo_positions g;
       pred = Timed_dfg.pred_csr g;

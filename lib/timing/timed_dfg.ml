@@ -167,7 +167,6 @@ let dfg t = t.dfg
 let spans t = t.spans
 let active t o = t.position.(Dfg.Op_id.to_int o) >= 0
 let edge_count t = Array.length t.succ.nbr
-let slot_count t = 2 * t.n
 let active_slots t = t.active
 let topo_slots t = t.order
 let topo_positions t = t.position

@@ -43,16 +43,13 @@ val edge_count : t -> int
     them. *)
 
 type csr = {
-  off : int array;  (** [slot_count + 1] offsets *)
+  off : int array;  (** [2n + 1] offsets *)
   nbr : int array;  (** neighbour slot of each edge *)
   lat : int array;  (** latency weight of each edge *)
 }
 (** The edges of slot [s] are [off.(s)] to [off.(s + 1) - 1], in edge
     insertion order: an op's forward dependencies in DFG order, then its
     sink edge. *)
-
-val slot_count : t -> int
-(** [2 * n]. *)
 
 val active_slots : t -> int array
 (** Active op indices (= slots), ascending. *)
