@@ -240,13 +240,11 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       List.iter (fun o -> targets.(Dfg.Op_id.to_int o) <- del o) ops
     in
     let set_priorities_slack tdfg =
-      let res =
-        Slack.analyze ~aligned:true tdfg ~clock:budget_clock ~del:(fun o ->
+      let e =
+        Slack.create ~aligned:true tdfg ~clock:budget_clock ~del:(fun o ->
             targets.(Dfg.Op_id.to_int o))
       in
-      List.iter
-        (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.op_slack res o)
-        ops
+      List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
     in
     let spans0 = Dfg.compute_spans dfg in
     let mobility o =
@@ -354,13 +352,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                       let i = Dfg.Op_id.to_int o in
                       if not (Schedule.is_placed sched o) then targets.(i) <- delays.(i))
                     ops;
-                  let res =
-                    Slack.analyze ~aligned:true tdfg' ~clock:budget_clock ~del:(fun o ->
-                        targets.(Dfg.Op_id.to_int o))
-                  in
-                  List.iter
-                    (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.op_slack res o)
-                    ops
+                  set_priorities_slack tdfg'
                 | Budget.Infeasible _ ->
                   (* Sharing created violations: demand the fastest grades
                      for what remains (paper: "fixed by decreasing the

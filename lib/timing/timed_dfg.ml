@@ -40,10 +40,14 @@ let build dfg ~spans =
   let cfg = Dfg.cfg dfg in
   let n = Dfg.op_count dfg in
   if Array.length spans <> n then invalid_arg "Timed_dfg.build: span array size mismatch";
-  let is_active = Array.make n false in
+  (* [position] doubles as the active flag (>= 0) until the topological
+     positions are filled in at the end. *)
+  let position = Array.make (2 * n) (-1) in
   Dfg.iter_ops dfg (fun o ->
-      is_active.(Dfg.Op_id.to_int o.Dfg.id) <-
-        (match o.Dfg.kind with Dfg.Const _ -> false | _ -> true));
+      match o.Dfg.kind with
+      | Dfg.Const _ -> ()
+      | _ -> position.(Dfg.Op_id.to_int o.Dfg.id) <- 0);
+  let is_active i = position.(i) >= 0 in
   (* Successor offsets: an active op's active forward successors, then its
      sink.  Ops are the edge sources in index order, so slot order is
      insertion order. *)
@@ -51,10 +55,10 @@ let build dfg ~spans =
   let n_active = ref 0 in
   for i = 0 to n - 1 do
     let deg =
-      if is_active.(i) then begin
+      if is_active i then begin
         incr n_active;
         List.fold_left
-          (fun k s -> if is_active.(Dfg.Op_id.to_int s) then k + 1 else k)
+          (fun k s -> if is_active (Dfg.Op_id.to_int s) then k + 1 else k)
           1
           (Dfg.succs dfg (Dfg.Op_id.of_int i))
       end
@@ -71,12 +75,12 @@ let build dfg ~spans =
   (* Dependency edges first, then sink edges, so an unrealizable graph
      reports the same offender whatever its shape. *)
   for i = 0 to n - 1 do
-    if is_active.(i) then
+    if is_active i then
       ignore
         (List.fold_left
            (fun e sid ->
              let j = Dfg.Op_id.to_int sid in
-             if not is_active.(j) then e
+             if not (is_active j) then e
              else begin
                match Cfg.latency cfg (early i) (early j) with
                | Some w ->
@@ -94,7 +98,7 @@ let build dfg ~spans =
            (Dfg.succs dfg (Dfg.Op_id.of_int i)))
   done;
   for i = 0 to n - 1 do
-    if is_active.(i) then begin
+    if is_active i then begin
       match Cfg.latency cfg (early i) (late i) with
       | Some w ->
         let e = succ_off.(i + 1) - 1 in
@@ -107,41 +111,43 @@ let build dfg ~spans =
                 (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.name))
     end
   done;
-  (* Predecessors: a stable counting sort of the successor edges by
-     destination keeps insertion order. *)
+  (* Predecessors: a counting sort of the successor edges by destination.
+     Filling from the last edge backwards keeps insertion order, with
+     [pred_off.(d + 1)] as the cursor of [d]; it ends at the start of [d],
+     one slot right of where it belongs. *)
   let pred_off = Array.make ((2 * n) + 1) 0 in
   Array.iter (fun d -> pred_off.(d + 1) <- pred_off.(d + 1) + 1) succ_nbr;
   for s = 0 to (2 * n) - 1 do
     pred_off.(s + 1) <- pred_off.(s + 1) + pred_off.(s)
   done;
-  let fill = Array.sub pred_off 0 (2 * n) in
   let pred_nbr = Array.make edges 0 and pred_lat = Array.make edges 0 in
-  for src = 0 to n - 1 do
-    for e = succ_off.(src) to succ_off.(src + 1) - 1 do
+  for src = n - 1 downto 0 do
+    for e = succ_off.(src + 1) - 1 downto succ_off.(src) do
       let d = succ_nbr.(e) in
-      pred_nbr.(fill.(d)) <- src;
-      pred_lat.(fill.(d)) <- succ_lat.(e);
-      fill.(d) <- fill.(d) + 1
+      let k = pred_off.(d + 1) - 1 in
+      pred_nbr.(k) <- src;
+      pred_lat.(k) <- succ_lat.(e);
+      pred_off.(d + 1) <- k
     done
   done;
+  Array.blit pred_off 1 pred_off 0 (2 * n);
+  pred_off.(2 * n) <- edges;
   (* Topological order: ops in DFG topo order, each immediately followed by
      its sink (sinks have no successors, so this is a valid extension). *)
   let active = Array.make !n_active 0 in
   let k = ref 0 in
-  Array.iteri
-    (fun i live ->
-      if live then begin
-        active.(!k) <- i;
-        incr k
-      end)
-    is_active;
+  for i = 0 to n - 1 do
+    if is_active i then begin
+      active.(!k) <- i;
+      incr k
+    end
+  done;
   let order = Array.make (2 * !n_active) 0 in
-  let position = Array.make (2 * n) (-1) in
   k := 0;
   List.iter
     (fun oid ->
       let i = Dfg.Op_id.to_int oid in
-      if is_active.(i) then begin
+      if is_active i then begin
         order.(!k) <- i;
         order.(!k + 1) <- n + i;
         position.(i) <- !k;
