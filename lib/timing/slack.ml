@@ -138,7 +138,8 @@ let settle_slack e i =
   log e 3 e.slack i;
   e.slack.(i) <- e.req.(i) -. e.arr.(i)
 
-(* In active-list order, as every full pass always folded it. *)
+(* A fresh fold in active-list order after every change: [<] keeps the
+   first of equal values, so the order decides which zero is kept. *)
 let refresh_min e =
   let active = e.active in
   let m = ref infinity in
