@@ -160,7 +160,12 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
           (fun o ->
             Obs.Events.emit
               (Obs.Events.Slack_computed
-                 { op = op_name o; phase = event_phase; round = rn; slack_ps = Slack.slack e o }))
+                 {
+                   op = op_name o;
+                   phase = event_phase;
+                   round = rn;
+                   slack_ps = Slack.slack e o;
+                 }))
           ops;
       let by_gain =
         let gain o =

@@ -16,7 +16,8 @@ let analyze tdfg ~clock ~del =
   Array.iter
     (fun u ->
       let first = succ.Timed_dfg.off.(u) and last = succ.Timed_dfg.off.(u + 1) in
-      if pred.Timed_dfg.off.(u) = pred.Timed_dfg.off.(u + 1) then fwd_sources := u :: !fwd_sources;
+      if pred.Timed_dfg.off.(u) = pred.Timed_dfg.off.(u + 1) then
+        fwd_sources := u :: !fwd_sources;
       if first = last then bwd_sources := u :: !bwd_sources;
       for k = first to last - 1 do
         let v = succ.Timed_dfg.nbr.(k) in

@@ -30,7 +30,8 @@ let slot n = function
   | Op o -> Dfg.Op_id.to_int o
   | Sink o -> n + Dfg.Op_id.to_int o
 
-let node_of_slot n s = if s < n then Op (Dfg.Op_id.of_int s) else Sink (Dfg.Op_id.of_int (s - n))
+let node_of_slot n s =
+  if s < n then Op (Dfg.Op_id.of_int s) else Sink (Dfg.Op_id.of_int (s - n))
 
 let c_builds = Obs.counter "timed_dfg.builds"
 let c_nodes = Obs.counter "timed_dfg.nodes"

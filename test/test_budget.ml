@@ -189,7 +189,12 @@ let test_bellman_ford_prices_every_check () =
   in
   let config = { Budget.default_config with Budget.engine = Budget.Bellman_ford_baseline } in
   let names =
-    [ "slack.bf_analyses"; "budget.feasibility_probes"; "budget.half_retries"; "budget.freezes" ]
+    [
+      "slack.bf_analyses";
+      "budget.feasibility_probes";
+      "budget.half_retries";
+      "budget.freezes";
+    ]
   in
   let value name = Obs.value (Obs.counter name) in
   let before = List.map value names in

@@ -235,7 +235,9 @@ let prop_slack_antimonotone_in_delay =
    bit. *)
 let same_bits a b =
   Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
 
 let same_result (a : Slack.result) (b : Slack.result) =
   same_bits a.Slack.arr b.Slack.arr
