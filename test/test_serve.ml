@@ -515,26 +515,32 @@ let test_once_ping () =
 
 (* A run request that names its clock makes the design only for the
    sweep: once for the design digest, plus once to evaluate a cache miss.
-   The same request twice is a miss, then a hit: three makes, where
-   reading the default clock as well made five. *)
+   Reading the default clock as well made one more per request. *)
 let test_run_makes_design_once () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "s.sock" in
   let calls = Atomic.make 0 in
   let counting () =
     Atomic.incr calls;
     fir_build ()
   in
   let run = {|{"op":"run","id":"r1","design":"fir8","clock":2500.0,"flow":"slack"}|} in
-  match
-    Server.once
-      { Server.default_config with Server.designs = [ ("fir8", counting) ] }
-      ~request_json:(run ^ "\n" ^ run)
-  with
-  | Error m -> Alcotest.fail m
-  | Ok (responses, _) ->
-    Obs.Events.set_hook None;
-    List.iter (fun (body, _) -> Alcotest.(check string) "ok" "ok" (status_of body)) responses;
-    Alcotest.(check int) "two responses" 2 (List.length responses);
-    Alcotest.(check int) "miss makes twice, hit once" 3 (Atomic.get calls)
+  let made_by_request () =
+    let before = Atomic.get calls in
+    (match Client.one_shot (Client.Unix_path sock) run with
+    | Ok body -> Alcotest.(check string) "ok" "ok" (status_of body)
+    | Error m -> Alcotest.fail m);
+    Atomic.get calls - before
+  in
+  let (), _code =
+    with_server
+      { (server_config ~sock ()) with Server.designs = [ ("fir8", counting) ] }
+      (fun _t ->
+        Alcotest.(check int) "a miss makes it for the digest and the run" 2
+          (made_by_request ());
+        Alcotest.(check int) "a hit makes it once, for the digest" 1 (made_by_request ()))
+  in
+  ()
 
 (* ------------------------------------------------------------------ *)
 (* Fleet observability: the request span carries the remote trace
