@@ -31,6 +31,7 @@ let c_runs = Obs.counter "sched.runs"
 let c_edges = Obs.counter "sched.edges"
 let c_sweeps = Obs.counter "sched.ready_sweeps"
 let c_ready = Obs.counter "sched.ready_ops"
+let c_ready_checks = Obs.counter "sched.ready_checks"
 let c_placements = Obs.counter "sched.placements"
 let c_defer_res = Obs.counter "sched.defer.no_resource"
 let c_defer_slow = Obs.counter "sched.defer.too_slow"
@@ -305,11 +306,15 @@ let run dfg ~alloc params =
         while !progress do
           progress := false;
           Obs.incr c_sweeps;
+          let checks = ref 0 in
           let ready =
             Array.fold_right
               (fun o acc ->
-                if (not (Schedule.is_placed sched o)) && ready_on o e step then o :: acc
-                else acc)
+                if Schedule.is_placed sched o then acc
+                else begin
+                  incr checks;
+                  if ready_on o e step then o :: acc else acc
+                end)
               active_ops []
             |> List.sort (fun a b ->
                    (* Ops whose span ends here go first, then by priority. *)
@@ -323,6 +328,7 @@ let run dfg ~alloc params =
           in
           let nready = List.length ready in
           Obs.add c_ready nready;
+          Obs.add c_ready_checks !checks;
           List.iter
             (fun o ->
               if not (Schedule.is_placed sched o) then
