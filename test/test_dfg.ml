@@ -129,6 +129,46 @@ let test_interpolation_spans () =
   Alcotest.(check int) "a4 late bounded by wr" (Cfg.Edge_id.to_int e3)
     (Cfg.Edge_id.to_int s_a4.Dfg.late)
 
+(* Pins the exact bytes [Dfg.digest] hashes, which every manifest digest,
+   evaluation-cache key and journal key is built from: every CFG node kind,
+   every op kind (port names and a negative constant included), multi-digit
+   numbers, a named and a fixed op, and dependencies inserted out of order
+   (one loop-carried, one repeated). *)
+let test_digest_pinned () =
+  let cfg = Cfg.create () in
+  let node = Cfg.add_node cfg in
+  let plain = node Cfg.Plain and fork = node Cfg.Fork and s1 = node Cfg.State in
+  let s2 = node Cfg.State and join = node Cfg.Join and ex = node Cfg.Exit in
+  let edges =
+    List.map
+      (fun (a, b) -> Cfg.add_edge cfg a b)
+      [ (Cfg.start cfg, plain); (plain, fork); (fork, s1); (fork, s2); (s1, join); (s2, join);
+        (join, fork); (join, ex) ]
+    |> Array.of_list
+  in
+  let dfg = Dfg.create cfg in
+  let kinds =
+    Dfg.
+      [ Add; Sub; Mul; Div; Modulo; Shl; Shr; Land; Lor; Lxor; Lnot; Cmp Lt; Cmp Le; Cmp Eq;
+        Cmp Ne; Cmp Ge; Cmp Gt; Mux; Read "in_a"; Write "out_b"; Const (-42); Const 7 ]
+  in
+  let widths = [| 1; 9; 10; 32; 1234567 |] in
+  let ops =
+    List.mapi
+      (fun i kind ->
+        let name = if i = 3 then Some "acc" else None in
+        Dfg.add_op dfg ~kind ~width:widths.(i mod 5) ~birth:edges.(i mod 6) ~fixed:(i = 1)
+          ?name ())
+      kinds
+    |> Array.of_list
+  in
+  List.iter
+    (fun (src, dst, loop_carried) ->
+      Dfg.add_dep dfg ~src:ops.(src) ~dst:ops.(dst) ~loop_carried ())
+    [ (20, 0, false); (11, 12, false); (3, 2, true); (0, 1, false); (0, 1, false);
+      (18, 19, false); (4, 4, true) ];
+  Alcotest.(check string) "digest" "f63253a7278fa952c8a54eddc3b1e3d9" (Dfg.digest dfg)
+
 let prop_span_contains_consistent_window =
   (* On random linear-chain DFGs over a linear CFG, every span satisfies
      early reaches late, and spans of dependent ops are ordered. *)
@@ -197,6 +237,7 @@ let suite =
     Alcotest.test_case "unrealizable dep rejected" `Quick test_unrealizable_dep_rejected;
     Alcotest.test_case "fixedness defaults" `Quick test_fixedness_defaults;
     Alcotest.test_case "interpolation spans" `Quick test_interpolation_spans;
+    Alcotest.test_case "digest bytes pinned" `Quick test_digest_pinned;
     QCheck_alcotest.to_alcotest prop_span_contains_consistent_window;
   ]
 
