@@ -371,6 +371,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       {
         Sched_core.clock;
         ii;
+        spans = spans0;
         priority = (fun o -> priorities.(Dfg.Op_id.to_int o));
         target = eff_target;
         upgrade_on_miss = (match flow with Conventional -> false | _ -> true);

@@ -11,6 +11,7 @@ let pp_failure ppf f = Format.pp_print_string ppf f.message
 type params = {
   clock : float;
   ii : int option;
+  spans : Dfg.span array;
   priority : Dfg.Op_id.t -> float;
   target : Dfg.Op_id.t -> float;
   upgrade_on_miss : bool;
@@ -55,38 +56,101 @@ let run dfg ~alloc params =
   let pin o =
     Option.map (fun p -> p.Schedule.edge) (Schedule.placement sched o)
   in
-  let spans = ref (Dfg.compute_spans dfg) in
-  (* Per-pass indexes over state that [sched] and [alloc] own.  No instance
-     is added during a pass, so they are sized once; [Schedule.placements]
-     stays the source of truth, and these die with the pass.  [bookings]
-     holds each instance's placements, so the booking test walks one list
-     instead of the whole design; [fanin] is each list's length. *)
-  let n_inst = Alloc.count alloc in
-  let bookings = Array.make n_inst [] in
-  let fanin = Array.make n_inst 0 in
-  let fanin_of id = fanin.(Alloc.Inst_id.to_int id) in
+  let spans = ref params.spans in
+  let n = Dfg.op_count dfg in
   let is_active =
-    Array.init (Dfg.op_count dfg) (fun i ->
+    Array.init n (fun i ->
         match (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.kind with Dfg.Const _ -> false | _ -> true)
   in
   let active o = is_active.(Dfg.Op_id.to_int o) in
   let active_ops = Array.of_list (List.filter active (Dfg.ops dfg)) in
-  (* Compatible instances of each (kind, width), in instance order.  Grades
-     change during a pass, so ranking them stays per placement try. *)
-  let compatible = Hashtbl.create 8 in
-  let compatible_with (op : Dfg.op) =
-    let key = (op.Dfg.kind, op.Dfg.width) in
-    match Hashtbl.find_opt compatible key with
-    | Some insts -> insts
-    | None ->
-      let insts =
-        List.filter
-          (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
-          (Alloc.instances alloc)
-      in
-      Hashtbl.add compatible key insts;
-      insts
+  (* Per-pass indexes over state that [sched] and [alloc] own.  No instance
+     is added during a pass, so they are sized once; [Schedule.placements]
+     stays the source of truth, and these die with the pass.
+
+     [bookings] holds each instance's placements by step slot (the step,
+     or the step modulo the II under pipelining): {!Schedule.conflict}
+     only fires between placements of one slot, so the booking test walks
+     that slot alone.  [fanin] is each instance's placement count. *)
+  let n_inst = Alloc.count alloc in
+  let n_slots = match params.ii with Some k -> k | None -> Cfg.max_state_index cfg + 1 in
+  let slot_of step = match params.ii with Some k -> step mod k | None -> step in
+  let bookings = Array.make (n_inst * n_slots) [] in
+  let fanin = Array.make n_inst 0 in
+  let fanin_of c = fanin.(Alloc.Inst_id.to_int c.Alloc.id) in
+  (* Compatible instances of each op, in instance order; ops of one
+     (kind, width) share one array. *)
+  let compatible = Array.make n [||] in
+  let by_kind = ref [] in
+  let all_insts = Alloc.instances alloc in
+  Array.iter
+    (fun o ->
+      let op = Dfg.op dfg o in
+      let key = (op.Dfg.kind, op.Dfg.width) in
+      compatible.(Dfg.Op_id.to_int o) <-
+        (match List.assoc_opt key !by_kind with
+        | Some insts -> insts
+        | None ->
+          let insts =
+            Array.of_list
+              (List.filter
+                 (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
+                 all_insts)
+          in
+          by_kind := (key, insts) :: !by_kind;
+          insts))
+    active_ops;
+  (* The dependency frontier: the unplaced active ops whose forward
+     predecessors are all placed, which every ready op is.  [waiting]
+     counts each op's unplaced predecessor-list entries (a repeated
+     dependency counts twice, as it appears twice in [Dfg.succs]); the
+     frontier is an unordered array with O(1) insert and remove through
+     [slot_in_frontier]. *)
+  let waiting = Array.make n 0 in
+  let frontier = Array.make n 0 in
+  let frontier_size = ref 0 in
+  let slot_in_frontier = Array.make n (-1) in
+  let enter i =
+    slot_in_frontier.(i) <- !frontier_size;
+    frontier.(!frontier_size) <- i;
+    incr frontier_size
   in
+  let leave i =
+    let k = slot_in_frontier.(i) in
+    decr frontier_size;
+    let last = frontier.(!frontier_size) in
+    frontier.(k) <- last;
+    slot_in_frontier.(last) <- k;
+    slot_in_frontier.(i) <- -1
+  in
+  Array.iter
+    (fun o ->
+      let i = Dfg.Op_id.to_int o in
+      List.iter
+        (fun p -> if not (Schedule.is_placed sched p) then waiting.(i) <- waiting.(i) + 1)
+        (Dfg.preds dfg o);
+      if waiting.(i) = 0 then enter i)
+    active_ops;
+  let on_placed o =
+    leave (Dfg.Op_id.to_int o);
+    List.iter
+      (fun s ->
+        let j = Dfg.Op_id.to_int s in
+        waiting.(j) <- waiting.(j) - 1;
+        if waiting.(j) = 0 && is_active.(j) then enter j)
+      (Dfg.succs dfg o)
+  in
+  (* Topological index of each active op's span-end edge, the first key of
+     the ready order; refreshed after every respan. *)
+  let late_idx = Array.make n 0 in
+  let refresh_late_idx () =
+    Array.iter
+      (fun o ->
+        let i = Dfg.Op_id.to_int o in
+        late_idx.(i) <- Cfg.edge_topo_index cfg (!spans).(i).Dfg.late)
+      active_ops
+  in
+  refresh_late_idx ();
   let span_of o = (!spans).(Dfg.Op_id.to_int o) in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
   (* When an operation starves (its producers finish too late for any
@@ -162,99 +226,102 @@ let run dfg ~alloc params =
         | Some _ | None -> acc)
       0.0 (Dfg.preds dfg o)
   in
+  let rec booked here = function
+    | [] -> false
+    | p :: rest -> Schedule.conflict sched here p || booked here rest
+  in
+  (* By-grade order, the instance preference: cheapest (slowest) grade
+     first; among equal grades the emptiest instance, so sharing — and its
+     mux penalty — spreads; then instance order, which callers keep by
+     scanning in it.  Grades and fan-ins change during a pass, so the
+     order is evaluated at every try. *)
+  let before a b =
+    match Float.compare b.Alloc.point.Curve.delay a.Alloc.point.Curve.delay with
+    | 0 -> fanin_of a < fanin_of b
+    | c -> c < 0
+  in
+  let eff_of c = c.Alloc.point.Curve.delay +. mux_pen (fanin_of c + 1) in
   let try_place_raw o e step =
     let op = Dfg.op dfg o in
     let rt = ready_time o step in
     let window = budget -. rt in
     if window < -.eps then Defer (No_time { op = o; blame = blame_for o step })
     else begin
-      let rk =
-        match Resource_kind.of_op_kind op.Dfg.kind with
-        | Some rk -> rk
-        | None -> assert false (* constants never reach try_place *)
-      in
       let here = { Schedule.edge = e; step; start = rt; eff_delay = 0.0; inst = None } in
-      let free =
-        List.filter
-          (fun c ->
-            not
-              (List.exists (Schedule.conflict sched here)
-                 bookings.(Alloc.Inst_id.to_int c.Alloc.id)))
-          (compatible_with op)
-      in
-      (* Cheapest (slowest) grade first; among equal grades prefer the
-         emptiest instance so sharing — and its mux penalty — spreads, then
-         the lowest instance id. *)
-      let free =
-        List.stable_sort
-          (fun a b ->
-            match Float.compare b.Alloc.point.Curve.delay a.Alloc.point.Curve.delay with
-            | 0 -> Int.compare (fanin_of a.Alloc.id) (fanin_of b.Alloc.id)
-            | c -> c)
-          free
-      in
-      let eff_of c = c.Alloc.point.Curve.delay +. mux_pen (fanin_of c.Alloc.id + 1) in
-      let fitting = List.filter (fun c -> eff_of c <= window +. eps) free in
+      let slot = slot_of step in
+      let slot_bookings c = bookings.((Alloc.Inst_id.to_int c.Alloc.id * n_slots) + slot) in
+      let cands = compatible.(Dfg.Op_id.to_int o) in
       let do_place c =
         let eff = eff_of c in
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
         let k = Alloc.Inst_id.to_int c.Alloc.id in
-        bookings.(k) <- Option.get (Schedule.placement sched o) :: bookings.(k);
+        let b = (k * n_slots) + slot in
+        bookings.(b) <- Option.get (Schedule.placement sched o) :: bookings.(b);
         fanin.(k) <- fanin.(k) + 1;
+        on_placed o;
         Placed
       in
-      match fitting with
-      | _ :: _ ->
-        (* Prefer the slowest instance not slower than the budgeted target
-           (cheapest honouring the plan); if every fitting instance is
-           slower than the target, take the fastest fitting one to leave
-           room for chained consumers. *)
-        let target = params.target o in
-        let near = List.filter (fun c -> c.Alloc.point.Curve.delay <= target +. 1.0) fitting in
-        (match near with
-        | c :: _ -> do_place c
-        | [] -> do_place (List.nth fitting (List.length fitting - 1)))
-      | [] ->
-        if params.upgrade_on_miss then begin
-          let viable =
-            List.filter
-              (fun c ->
-                Curve.min_delay c.Alloc.curve +. mux_pen (fanin_of c.Alloc.id + 1)
-                <= window +. eps)
-              free
-          in
-          match viable with
-          | [] ->
-            if free = [] then Defer (No_resource { op = o; rk; width = op.Dfg.width })
-            else if window <= eps then Defer (No_time { op = o; blame = blame_for o step })
-            else Defer (Too_slow { op = o; window; blame = blame_for o step })
-          | _ :: _ ->
-            (* Upgrade the instance whose area damage is smallest. *)
-            let cost c =
-              let needed = window -. mux_pen (fanin_of c.Alloc.id + 1) in
-              Curve.area_at c.Alloc.curve needed -. c.Alloc.point.Curve.area
-            in
-            let best =
-              List.fold_left
-                (fun acc c ->
-                  match acc with
-                  | None -> Some c
-                  | Some b -> if cost c < cost b then Some c else acc)
-                None viable
-            in
-            (match best with
-            | Some c ->
-              let needed = window -. mux_pen (fanin_of c.Alloc.id + 1) in
-              if Alloc.upgrade_to_fit alloc c.Alloc.id ~max_delay:needed then begin
-                Obs.incr c_upgrades;
-                do_place c
-              end
-              else Defer (Too_slow { op = o; window; blame = blame_for o step })
-            | None -> Defer (Too_slow { op = o; window; blame = blame_for o step }))
+      (* Among the free instances whose effective delay fits the window,
+         prefer the first in by-grade order not slower than the budgeted
+         target (cheapest honouring the plan); if every fitting instance is
+         slower than the target, take the last, the fastest fitting one, to
+         leave room for chained consumers. *)
+      let target = params.target o in
+      let any_free = ref false and near = ref (-1) and last = ref (-1) in
+      for k = 0 to Array.length cands - 1 do
+        let c = cands.(k) in
+        if not (booked here (slot_bookings c)) then begin
+          any_free := true;
+          if eff_of c <= window +. eps then begin
+            if
+              c.Alloc.point.Curve.delay <= target +. 1.0
+              && (!near < 0 || before c cands.(!near))
+            then near := k;
+            if !last < 0 || not (before c cands.(!last)) then last := k
+          end
         end
-        else if free = [] then Defer (No_resource { op = o; rk; width = op.Dfg.width })
+      done;
+      if !near >= 0 then do_place cands.(!near)
+      else if !last >= 0 then do_place cands.(!last)
+      else if not !any_free then begin
+        match Resource_kind.of_op_kind op.Dfg.kind with
+        | Some rk -> Defer (No_resource { op = o; rk; width = op.Dfg.width })
+        | None -> assert false (* constants never reach try_place *)
+      end
+      else begin
+        (* Nothing fits: optionally upgrade the free instance whose area
+           damage is smallest, ties to the earlier in by-grade order. *)
+        let best = ref (-1) and best_cost = ref 0.0 in
+        if params.upgrade_on_miss then
+          for k = 0 to Array.length cands - 1 do
+            let c = cands.(k) in
+            if
+              (not (booked here (slot_bookings c)))
+              && Curve.min_delay c.Alloc.curve +. mux_pen (fanin_of c + 1) <= window +. eps
+            then begin
+              let needed = window -. mux_pen (fanin_of c + 1) in
+              let cost = Curve.area_at c.Alloc.curve needed -. c.Alloc.point.Curve.area in
+              if
+                !best < 0 || cost < !best_cost
+                || (cost = !best_cost && before c cands.(!best))
+              then begin
+                best := k;
+                best_cost := cost
+              end
+            end
+          done;
+        if !best >= 0 then begin
+          let c = cands.(!best) in
+          let needed = window -. mux_pen (fanin_of c + 1) in
+          if Alloc.upgrade_to_fit alloc c.Alloc.id ~max_delay:needed then begin
+            Obs.incr c_upgrades;
+            do_place c
+          end
+          else Defer (Too_slow { op = o; window; blame = blame_for o step })
+        end
         else if window <= eps then Defer (No_time { op = o; blame = blame_for o step })
         else Defer (Too_slow { op = o; window; blame = blame_for o step })
+      end
     end
   in
   let try_place o e step =
@@ -283,6 +350,15 @@ let run dfg ~alloc params =
     Obs.incr c_failures;
     raise (Fail { reason; message })
   in
+  (* Ops whose span ends here go first, then by priority, then by id. *)
+  let ready_order a b =
+    match Int.compare late_idx.(Dfg.Op_id.to_int a) late_idx.(Dfg.Op_id.to_int b) with
+    | 0 -> (
+      match Float.compare (params.priority a) (params.priority b) with
+      | 0 -> Dfg.Op_id.compare a b
+      | c -> c)
+    | c -> c
+  in
   let ev_on () = Obs.Events.enabled () in
   let emit_pick o e step ~ready_set_size =
     Obs.Events.emit
@@ -306,38 +382,25 @@ let run dfg ~alloc params =
         while !progress do
           progress := false;
           Obs.incr c_sweeps;
-          let checks = ref 0 in
-          let ready =
-            Array.fold_right
-              (fun o acc ->
-                if Schedule.is_placed sched o then acc
-                else begin
-                  incr checks;
-                  if ready_on o e step then o :: acc else acc
-                end)
-              active_ops []
-            |> List.sort (fun a b ->
-                   (* Ops whose span ends here go first, then by priority. *)
-                   let late_idx o = Cfg.edge_topo_index cfg (span_of o).Dfg.late in
-                   match Int.compare (late_idx a) (late_idx b) with
-                   | 0 -> (
-                     match Float.compare (params.priority a) (params.priority b) with
-                     | 0 -> Dfg.Op_id.compare a b
-                     | c -> c)
-                   | c -> c)
-          in
+          (* Only frontier ops can be ready; the ready order is total, so the
+             frontier's own order does not matter. *)
+          Obs.add c_ready_checks !frontier_size;
+          let ready = ref [] in
+          for k = 0 to !frontier_size - 1 do
+            let o = Dfg.Op_id.of_int frontier.(k) in
+            if ready_on o e step then ready := o :: !ready
+          done;
+          let ready = List.sort ready_order !ready in
           let nready = List.length ready in
           Obs.add c_ready nready;
-          Obs.add c_ready_checks !checks;
           List.iter
             (fun o ->
-              if not (Schedule.is_placed sched o) then
-                match try_place o e step with
-                | Placed ->
-                  progress := true;
-                  incr placed_here;
-                  if ev_on () then emit_pick o e step ~ready_set_size:nready
-                | Defer _ -> incr deferred_here)
+              match try_place o e step with
+              | Placed ->
+                progress := true;
+                incr placed_here;
+                if ev_on () then emit_pick o e step ~ready_set_size:nready
+              | Defer _ -> incr deferred_here)
             ready
         done;
         (* Paper step (b): an op whose span ends here must be placed.  The
@@ -373,7 +436,8 @@ let run dfg ~alloc params =
                });
         if params.respan then begin
           Obs.incr c_respans;
-          spans := Dfg.compute_spans ~pin dfg
+          spans := Dfg.compute_spans ~pin dfg;
+          refresh_late_idx ()
         end;
         match params.rebudget with Some f -> f sched !spans | None -> ())
       (Cfg.forward_edges_topo cfg);

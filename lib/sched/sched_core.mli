@@ -39,6 +39,9 @@ type params = {
           pipelining adds the recurrence constraint that a loop-carried
           producer lands within [ii] steps of its consumer, and folds
           resource booking modulo [ii] *)
+  spans : Dfg.span array;
+      (** the unpinned spans ({!Dfg.compute_spans} without [pin]); the
+          pass reads them until its first respan and never mutates them *)
   priority : Dfg.Op_id.t -> float;
       (** lower schedules first (criticality) *)
   target : Dfg.Op_id.t -> float;
