@@ -152,7 +152,7 @@ let group_key sharing dfg o =
     Some (rk, width)
   | None -> None
 
-let groups sharing dfg =
+let groups sharing dfg ops =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun o ->
@@ -160,7 +160,7 @@ let groups sharing dfg =
       | Some key ->
         Hashtbl.replace tbl key (o :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
       | None -> ())
-    (active_ops dfg);
+    ops;
   Hashtbl.fold (fun key ops acc -> (key, List.rev ops) :: acc) tbl []
   |> List.sort compare
 
@@ -199,6 +199,8 @@ exception Cancelled_exn of string
 let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   let cfg = Dfg.cfg dfg in
   let ops = active_ops dfg in
+  (* The resource groups depend only on the DFG and the sharing policy. *)
+  let groups = groups config.sharing dfg ops in
   let n = Dfg.op_count dfg in
   (* Cooperative deadline polls at phase boundaries: a stuck attempt — a
      runaway budgeting loop, an endless relaxation spiral — surfaces as
@@ -290,7 +292,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           | Slack_based -> slack_instance_count ?ii cfg spans0 gops
         in
         Hashtbl.replace counts (rk, width) (ref c))
-      (groups config.sharing dfg);
+      groups;
     (* Grade-decay knob: when a pass fails on timing (a slow producer
        exhausted a consumer's window) and adding resources cannot help,
        every target is pulled toward the fast end and the pass restarts —
@@ -319,7 +321,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           for _ = 1 to c do
             ignore (Alloc.add_instance alloc ~rk ~width ~delay:grade)
           done)
-        (groups config.sharing dfg);
+        groups;
       alloc
     in
     (* Per-edge re-budgeting hook (slack flow). *)
@@ -441,7 +443,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                           bop.Dfg.width = width
                           && Resource_kind.of_op_kind bop.Dfg.kind = Some rk)
                         gops)
-                    (groups config.sharing dfg)
+                    groups
                 with
                 | Some (key, _) -> Some key
                 | None -> group_key config.sharing dfg op)
@@ -450,8 +452,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
             match key with
             | Some key ->
               let group_size =
-                List.length
-                  (List.filter (fun o -> group_key config.sharing dfg o = Some key) ops)
+                match List.assoc_opt key groups with Some gops -> List.length gops | None -> 0
               in
               let c =
                 match Hashtbl.find_opt counts key with
