@@ -4,13 +4,15 @@ module Edge_id = Id.Make ()
 
 type node_kind = Start | State | Fork | Join | Plain | Exit
 
-let pp_node_kind ppf = function
-  | Start -> Format.pp_print_string ppf "start"
-  | State -> Format.pp_print_string ppf "state"
-  | Fork -> Format.pp_print_string ppf "fork"
-  | Join -> Format.pp_print_string ppf "join"
-  | Plain -> Format.pp_print_string ppf "plain"
-  | Exit -> Format.pp_print_string ppf "exit"
+let node_kind_name = function
+  | Start -> "start"
+  | State -> "state"
+  | Fork -> "fork"
+  | Join -> "join"
+  | Plain -> "plain"
+  | Exit -> "exit"
+
+let pp_node_kind ppf k = Format.pp_print_string ppf (node_kind_name k)
 
 type sealed = {
   back : bool array; (* indexed by edge id *)

@@ -29,6 +29,7 @@ type node_kind =
   | Plain  (** straight-line glue node *)
   | Exit   (** terminal node *)
 
+val node_kind_name : node_kind -> string
 val pp_node_kind : Format.formatter -> node_kind -> unit
 
 type t

@@ -328,35 +328,75 @@ let pp ppf t =
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
 
+(* Non-negative ints in decimal, as [%d] prints them. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* The dump is written with [Buffer] adds, not [Printf]: the serve daemon
+   digests on every cache hit.  The initial buffer stays below the minor
+   heap's 256-word allocation limit. *)
 let digest t =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 1024 in
+  let str s = Buffer.add_string buf s and chr c = Buffer.add_char buf c in
+  let nat n = add_nat buf n in
   let c = t.cfg in
-  Buffer.add_string buf
-    (Printf.sprintf "cfg %d %d\n" (Cfg.node_count c) (Cfg.edge_count c));
+  str "cfg ";
+  nat (Cfg.node_count c);
+  chr ' ';
+  nat (Cfg.edge_count c);
+  chr '\n';
   for n = 0 to Cfg.node_count c - 1 do
-    Buffer.add_string buf
-      (Format.asprintf "n%d %a\n" n Cfg.pp_node_kind
-         (Cfg.node_kind c (Cfg.Node_id.of_int n)))
+    chr 'n';
+    nat n;
+    chr ' ';
+    str (Cfg.node_kind_name (Cfg.node_kind c (Cfg.Node_id.of_int n)));
+    chr '\n'
   done;
   Cfg.iter_edges c (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "e%d %d %d\n" (Cfg.Edge_id.to_int e)
-           (Cfg.Node_id.to_int (Cfg.edge_src c e))
-           (Cfg.Node_id.to_int (Cfg.edge_dst c e))));
+      chr 'e';
+      nat (Cfg.Edge_id.to_int e);
+      chr ' ';
+      nat (Cfg.Node_id.to_int (Cfg.edge_src c e));
+      chr ' ';
+      nat (Cfg.Node_id.to_int (Cfg.edge_dst c e));
+      chr '\n');
   Vec.iteri
     (fun i o ->
-      Buffer.add_string buf
-        (Printf.sprintf "o%d %s w%d b%d f%b %s\n" i (op_kind_name o.kind) o.width
-           (Cfg.Edge_id.to_int o.birth) o.fixed o.name))
+      chr 'o';
+      nat i;
+      chr ' ';
+      str (op_kind_name o.kind);
+      str " w";
+      nat o.width;
+      str " b";
+      nat (Cfg.Edge_id.to_int o.birth);
+      str " f";
+      str (string_of_bool o.fixed);
+      chr ' ';
+      str o.name;
+      chr '\n')
     t.ops_v;
   (* Dependency insertion order is a construction detail, not content:
      sort so equal graphs built in different orders digest equally. *)
   let deps = Vec.to_array t.deps in
   Array.sort
-    (fun a b -> compare (a.src, a.dst, a.loop_carried) (b.src, b.dst, b.loop_carried))
+    (fun a b ->
+      match Int.compare a.src b.src with
+      | 0 -> (
+        match Int.compare a.dst b.dst with
+        | 0 -> Bool.compare a.loop_carried b.loop_carried
+        | c -> c)
+      | c -> c)
     deps;
   Array.iter
     (fun d ->
-      Buffer.add_string buf (Printf.sprintf "d %d %d %b\n" d.src d.dst d.loop_carried))
+      str "d ";
+      nat d.src;
+      chr ' ';
+      nat d.dst;
+      chr ' ';
+      str (string_of_bool d.loop_carried);
+      chr '\n')
     deps;
   Digest.to_hex (Digest.string (Buffer.contents buf))
