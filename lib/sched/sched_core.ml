@@ -75,7 +75,7 @@ let run dfg ~alloc params =
   let n_inst = Alloc.count alloc in
   let n_slots = match params.ii with Some k -> k | None -> Cfg.max_state_index cfg + 1 in
   let slot_of step = match params.ii with Some k -> step mod k | None -> step in
-  let bookings = Array.make (n_inst * n_slots) [] in
+  let bookings = Array.init n_inst (fun _ -> Array.make n_slots []) in
   let fanin = Array.make n_inst 0 in
   let fanin_of c = fanin.(Alloc.Inst_id.to_int c.Alloc.id) in
   (* Compatible instances of each op, in instance order; ops of one
@@ -249,14 +249,13 @@ let run dfg ~alloc params =
     else begin
       let here = { Schedule.edge = e; step; start = rt; eff_delay = 0.0; inst = None } in
       let slot = slot_of step in
-      let slot_bookings c = bookings.((Alloc.Inst_id.to_int c.Alloc.id * n_slots) + slot) in
+      let slot_bookings c = bookings.(Alloc.Inst_id.to_int c.Alloc.id).(slot) in
       let cands = compatible.(Dfg.Op_id.to_int o) in
       let do_place c =
         let eff = eff_of c in
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
         let k = Alloc.Inst_id.to_int c.Alloc.id in
-        let b = (k * n_slots) + slot in
-        bookings.(b) <- Option.get (Schedule.placement sched o) :: bookings.(b);
+        bookings.(k).(slot) <- Option.get (Schedule.placement sched o) :: bookings.(k).(slot);
         fanin.(k) <- fanin.(k) + 1;
         on_placed o;
         Placed
