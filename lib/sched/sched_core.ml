@@ -105,23 +105,23 @@ let run dfg ~alloc params =
      counts each op's unplaced predecessor-list entries (a repeated
      dependency counts twice, as it appears twice in [Dfg.succs]); the
      frontier is an unordered array with O(1) insert and remove through
-     [slot_in_frontier]. *)
+     [frontier_pos]. *)
   let waiting = Array.make n 0 in
   let frontier = Array.make n 0 in
   let frontier_size = ref 0 in
-  let slot_in_frontier = Array.make n (-1) in
+  let frontier_pos = Array.make n (-1) in
   let enter i =
-    slot_in_frontier.(i) <- !frontier_size;
+    frontier_pos.(i) <- !frontier_size;
     frontier.(!frontier_size) <- i;
     incr frontier_size
   in
   let leave i =
-    let k = slot_in_frontier.(i) in
+    let k = frontier_pos.(i) in
     decr frontier_size;
     let last = frontier.(!frontier_size) in
     frontier.(k) <- last;
-    slot_in_frontier.(last) <- k;
-    slot_in_frontier.(i) <- -1
+    frontier_pos.(last) <- k;
+    frontier_pos.(i) <- -1
   in
   Array.iter
     (fun o ->
