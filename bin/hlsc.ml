@@ -18,9 +18,10 @@
      corpus   generate or verify the seeded ~100-design validation corpus
               manifest (corpus/manifest.tsv); --verify exits non-zero on
               any digest drift
-     sweep    sharded exploration driver: spawn N shard processes over one
-              design or a whole corpus, merge their journals and fold the
-              frontier a single process would have produced
+     sweep    sharded exploration driver over one design or a whole corpus:
+              run N local shard processes and merge their journals, or
+              lease the key ranges to hlsc serve daemons (--workers), then
+              fold the frontier a single process would have produced
      merge-journals  validate disjoint shard journals (config-fingerprint
               agreement, no cross-journal key overlap), collapse resume
               duplicates, and write one key-sorted merged journal
@@ -203,6 +204,21 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write a Chrome trace-event JSON file on exit (open in Perfetto or chrome://tracing).")
 
+(* The telemetry flags every subcommand takes, as one term for [with_obs]. *)
+type obs_flags = {
+  stats : bool;
+  trace : string option;
+  events : string option;
+  force : bool;
+  no_crash : bool;
+}
+
+let obs_args =
+  let make stats trace events force no_crash =
+    { stats; trace; events; force; no_crash }
+  in
+  Term.(const make $ stats_arg $ trace_arg $ events_arg $ force_arg $ crash_arg)
+
 let validate_arg =
   Arg.(value & opt string "boundary" & info [ "validate" ] ~docv:"LEVEL"
          ~doc:"Phase-boundary invariant checking: off, boundary (default) or paranoid.")
@@ -246,7 +262,7 @@ let write_crash_dump code =
 (* Enable the requested telemetry sinks, run [k], then emit the report
    and/or trace file.  Emission happens even when [k] fails, so a failing
    flow still leaves its telemetry behind for diagnosis. *)
-let with_obs ~stats ~trace ~events ?(force = false) ?(no_crash = false) k =
+let with_obs { stats; trace; events; force; no_crash } k =
   match events with
   | Some path when Sys.file_exists path && not force ->
     Printf.eprintf
@@ -325,9 +341,8 @@ let report_result r =
     (fun v -> Format.printf "warning: %a@." Check.pp_violation v)
     r.Hls.report.Flows.violations
 
-let run_cmd source builtin clock lib flow validate max_recoveries stats trace events
-    force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let run_cmd source builtin clock lib flow validate max_recoveries obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* flow = flow_of flow in
@@ -336,9 +351,8 @@ let run_cmd source builtin clock lib flow validate max_recoveries stats trace ev
      let* r = Result.map_error classify_flow_error (Hls.run ~lib ~config flow d) in
      Ok (report_result r))
 
-let compare_cmd source builtin clock lib validate max_recoveries stats trace events
-    force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let compare_cmd source builtin clock lib validate max_recoveries obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* config = config_of validate max_recoveries in
@@ -363,9 +377,8 @@ let compare_cmd source builtin clock lib validate max_recoveries stats trace eve
      | Some (Validation _ as e), _ | _, Some (Validation _ as e) -> Error e
      | Some e, _ | _, Some e -> Error e)
 
-let slack_cmd source builtin clock lib validate max_recoveries stats trace events
-    force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let slack_cmd source builtin clock lib validate max_recoveries obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* config = config_of validate max_recoveries in
@@ -399,9 +412,8 @@ let slack_cmd source builtin clock lib validate max_recoveries stats trace event
        (if Slack.feasible res then "feasible (Prop. 1)" else "INFEASIBLE: relax latency or clock");
      Ok ())
 
-let emit_cmd source builtin clock lib flow validate max_recoveries output stats trace
-    events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let emit_cmd source builtin clock lib flow validate max_recoveries output obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* flow = flow_of flow in
@@ -415,9 +427,8 @@ let emit_cmd source builtin clock lib flow validate max_recoveries output stats 
        Ok ()
      | exception Sys_error m -> Error (Internal m))
 
-let dot_cmd source builtin clock lib flow validate max_recoveries output stats trace
-    events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let dot_cmd source builtin clock lib flow validate max_recoveries output obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* flow = flow_of flow in
@@ -479,6 +490,12 @@ let load_builder ~source ~builtin ~clock =
 
 let grid_axis label parse spec = Result.map_error (fun m -> Usage (label ^ ": " ^ m)) (parse spec)
 
+(* The --clocks axis; 'auto' is 8 periods from 0.8x to 1.5x the design's
+   base clock. *)
+let clock_axis ~base = function
+  | "auto" -> Ok (List.init 8 (fun k -> base *. (0.8 +. (0.1 *. float_of_int k))))
+  | spec -> grid_axis "--clocks" Explore_grid.parse_clocks spec
+
 (* --shard i/N: 1-based rank over N disjoint key-range shards. *)
 let parse_shard = function
   | None -> Ok None
@@ -518,20 +535,38 @@ let write_rendering ~what path content =
       Ok ()
     | exception Sys_error m -> Error (Internal m))
 
+(* One design's renderings: the CSV and JSON files, then the summary. *)
+let render_outcome ~csv ~json outcome =
+  let* () =
+    match csv with
+    | Some path -> write_rendering ~what:"CSV" path (Explore.to_csv outcome)
+    | None -> Ok ()
+  in
+  let* () =
+    match json with
+    | Some path -> write_rendering ~what:"JSON" path (Explore.to_json outcome)
+    | None -> Ok ()
+  in
+  print_string (Explore.render_summary outcome);
+  Ok ()
+
+let check_frontier outcome =
+  if outcome.Explore.total > 0 && outcome.Explore.frontier = [] then
+    Error
+      (Flow_failed
+         (Printf.sprintf "all %d grid points failed; frontier is empty"
+            outcome.Explore.total))
+  else Ok ()
+
 let explore_cmd source builtin clock lib validate max_recoveries clocks flows iis
     recover jobs cache_file point_deadline deadline retries strict journal_file
-    resume_file shard csv json stats trace events force no_crash progress =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+    resume_file shard csv json obs progress =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* config = config_of validate max_recoveries in
      let* name, base_clock, build = load_builder ~source ~builtin ~clock in
-     let* clocks =
-       if clocks = "auto" then
-         (* 0.8x .. 1.5x the design's base clock, 8 points. *)
-         Ok (List.init 8 (fun k -> base_clock *. (0.8 +. (0.1 *. float_of_int k))))
-       else grid_axis "--clocks" Explore_grid.parse_clocks clocks
-     in
+     let* clocks = clock_axis ~base:base_clock clocks in
      let* flows = grid_axis "--flows" Explore_grid.parse_flows flows in
      let* iis = grid_axis "--ii" Explore_grid.parse_iis iis in
      let* recover = grid_axis "--recover" Explore_grid.parse_recover recover in
@@ -692,17 +727,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
          | exception Sys_error m -> Error (Internal m))
        | _ -> Ok ()
      in
-     let* () =
-       match csv with
-       | Some path -> write_rendering ~what:"CSV" path (Explore.to_csv outcome)
-       | None -> Ok ()
-     in
-     let* () =
-       match json with
-       | Some path -> write_rendering ~what:"JSON" path (Explore.to_json outcome)
-       | None -> Ok ()
-     in
-     print_string (Explore.render_summary outcome);
+     let* () = render_outcome ~csv ~json outcome in
      if Explore.partial outcome then
        Error
          (Interrupted
@@ -713,12 +738,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
                (match journal_path with
                | Some p -> Printf.sprintf "; resume with --resume %s" p
                | None -> "")))
-     else if outcome.Explore.total > 0 && outcome.Explore.frontier = [] then
-       Error
-         (Flow_failed
-            (Printf.sprintf "all %d grid points failed; frontier is empty"
-               outcome.Explore.total))
-     else Ok ())
+     else check_frontier outcome)
 
 (* Grid fuzzing: random spec strings (valid, degenerate and garbage
    fragments) through the Explore_grid parsers — which must reject bad
@@ -794,9 +814,8 @@ let fuzz_grids ~lib ~config ~grids ~seed =
    tolerated (tight random designs may be legitimately infeasible — the
    ladder transcript says the system degraded gracefully); invariant
    violations and crashes are not. *)
-let fuzz_cmd count seed lib validate max_recoveries grids stats trace events force
-    no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let fuzz_cmd count seed lib validate max_recoveries grids obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
      let* config = config_of validate max_recoveries in
@@ -843,8 +862,8 @@ let fuzz_cmd count seed lib validate max_recoveries grids stats trace events for
 (* explain: replay a provenance event file into one operation's decision
    timeline — its slack history across budgeting rounds, every delay-grade
    update (with the phase that made it), and its final schedule state. *)
-let explain_cmd file op_name stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let explain_cmd file op_name obs =
+  with_obs obs @@ fun () ->
   finish
     (let module E = Obs.Events in
      let* path =
@@ -946,8 +965,8 @@ let explain_cmd file op_name stats trace events force no_crash =
    be identical (full recompute vs incremental replay, or two runs of the
    same configuration).  The first diverging event — shown with +-K context
    and a per-field payload diff — is where the runs' decisions split. *)
-let diff_events_cmd file_a file_b context stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let diff_events_cmd file_a file_b context obs =
+  with_obs obs @@ fun () ->
   finish
     (let module E = Obs.Events in
      let* path_a, path_b =
@@ -1134,8 +1153,8 @@ let address_name = function
 let serve_cmd socket port lib validate max_recoveries jobs high_water
     drain_deadline read_timeout deadline point_deadline retries backoff
     journal_file cache_file corpus once request_script drain_after_points metrics
-    telemetry stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+    telemetry obs =
+  with_obs obs @@ fun () ->
   let cfg =
     let* lib = lib_of lib in
     let* config = config_of validate max_recoveries in
@@ -1264,8 +1283,8 @@ let req_design_arg =
          ~doc:"Built-in design name for run/explore requests.")
 
 let request_cmd socket host port op json id design clock flow clocks flows iis
-    recover deadline point_deadline retry stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+    recover deadline point_deadline retry obs =
+  with_obs obs @@ fun () ->
   let addr =
     match port with
     | Some p -> Client.Tcp (host, p)
@@ -1347,8 +1366,8 @@ let request_cmd socket host port op json id design clock flow clocks flows iis
 (* corpus / sweep / merge-journals: the 100-design corpus and sharded
    exploration *)
 
-let corpus_cmd out seed count verify stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let corpus_cmd out seed count verify obs =
+  with_obs obs @@ fun () ->
   finish
     (if verify then
        match Corpus.verify ~path:out with
@@ -1406,8 +1425,8 @@ let corpus_cmd out seed count verify stats trace events force no_crash =
          print_string (Text_table.render t);
          Ok ())
 
-let merge_journals_cmd inputs output stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let merge_journals_cmd inputs output obs =
+  with_obs obs @@ fun () ->
   finish
     (let* output =
        match output with
@@ -1451,13 +1470,14 @@ let wait_child pid =
   | _, Unix.WEXITED c -> c
   | _, Unix.WSIGNALED s | _, Unix.WSTOPPED s -> 128 + s
 
-(* Children must see the exact float values the parent planned with, so
-   clock axes are serialized as hex floats (%h round-trips bit-exactly
-   through the grid parser's [float_of_string]). *)
+(* Remote daemons must see the exact float values the supervisor planned
+   with, so a lease's clock axis is serialized as hex floats (%h
+   round-trips bit-exactly through the grid parser's [float_of_string]). *)
 let clocks_spec_of clocks = String.concat "," (List.map (Printf.sprintf "%h") clocks)
 
-(* Run the shard children, tolerate the explore exit contract (0 ok, 4 all
-   points infeasible — data, the merge decides), propagate interrupts. *)
+(* Run the shard children one at a time, then report the first that
+   failed.  A sweep child exits 0 once its journal holds its whole key
+   range. *)
 let run_children children =
   let results =
     List.map (fun (i, log, argv) -> (i, log, wait_child (spawn_child ~log argv))) children
@@ -1465,33 +1485,17 @@ let run_children children =
   List.fold_left
     (fun acc (i, log, code) ->
       let* () = acc in
-      match code with
-      | 0 | 4 -> Ok ()
-      | 5 ->
-        Error
-          (Interrupted
-             (Printf.sprintf "shard %d was interrupted; its journal is resumable (log: %s)"
-                i log))
-      | c ->
-        Error
-          (Internal (Printf.sprintf "shard %d exited %d (log: %s)" i c log)))
+      if code = 0 then Ok ()
+      else Error (Internal (Printf.sprintf "shard %d exited %d (log: %s)" i code log)))
     (Ok ()) results
 
-(* The per-design grid of a corpus sweep: 'auto' clocks span the design's
-   own suggested period, and a manifest II constraint pins the II axis. *)
-let corpus_grid ~clocks_spec ~flows ~iis ~recover (e : Corpus.entry) =
-  let* clocks =
-    if clocks_spec = "auto" then
-      Ok (List.init 8 (fun k -> e.Corpus.clock_ps *. (0.8 +. (0.1 *. float_of_int k))))
-    else grid_axis "--clocks" Explore_grid.parse_clocks clocks_spec
-  in
-  let iis = if e.Corpus.ii > 0 then [ Some e.Corpus.ii ] else iis in
-  Result.map_error (fun m -> Usage m) (Explore_grid.make ~clocks ~flows ~iis ~recover ())
-
-let rec take_n n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take_n (n - 1) tl
+(* [List.map] for a function that may fail: left to right, first error wins. *)
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: tl ->
+    let* y = f x in
+    let* ys = map_result f tl in
+    Ok (y :: ys)
 
 (* --workers: "HOST:PORT,unix:PATH,..." — the remote hlsc serve daemons a
    distributed sweep leases shard ranges to. *)
@@ -1523,8 +1527,8 @@ let parse_workers spec =
 (* top: a refreshing fleet dashboard assembled from each daemon's stats
    reply — admission state, cache effectiveness, lease activity, shard
    latency and wasted-work ratio, one line per daemon per poll. *)
-let top_cmd workers interval iterations stats trace events force no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+let top_cmd workers interval iterations obs =
+  with_obs obs @@ fun () ->
   finish
     (let* wl =
        match workers with
@@ -1727,11 +1731,159 @@ let fleet_artifacts ~dir ~workers (o : Dispatch.outcome) =
   | Sys_error m -> Error (Internal m)
   | Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
 
+(* One design of a sweep: its grid, pure builder and corpus class (None in
+   single-design mode), and the lease job remote daemons run for it.  The
+   job's full keys are what the shard plan ranges over, identically in the
+   parent and every child. *)
+type sweep_design = {
+  name : string;
+  klass : Corpus.klass option;
+  grid : Explore_grid.t;
+  build : unit -> Dfg.t;
+  job : Dispatch.job;
+}
+
+(* Lease the jobs to remote daemons and journal the returned records —
+   one per key, already key-sorted — straight into DIR/merged.jnl.
+   [Ok None] means no worker was reachable and the caller should degrade
+   to local shard children. *)
+let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
+  mkdir_p dir;
+  let total_points =
+    List.fold_left (fun a (j : Dispatch.job) -> a + List.length j.Dispatch.keys) 0 jobs
+  in
+  (if progress then begin
+     Obs.Events.enable ();
+     let last = ref Int64.min_int in
+     Obs.Events.set_hook
+       (Some
+          (fun ev ->
+            match ev.Obs.Events.payload with
+            | Obs.Events.Dispatch_sample
+                {
+                  workers; leases; done_points; total_points; reassigned; stolen;
+                  salvaged;
+                } ->
+              let now = Obs.now_ns () in
+              if Int64.sub now !last >= 1_000_000_000L || done_points >= total_points
+              then begin
+                last := now;
+                Printf.eprintf
+                  "hlsc: sweep: %d/%d points done on %d worker%s (%d lease%s active, \
+                   %d reassigned, %d stolen, %d salvaged)\n%!"
+                  done_points total_points workers
+                  (if workers = 1 then "" else "s")
+                  leases
+                  (if leases = 1 then "" else "s")
+                  reassigned stolen salvaged
+              end
+            | _ -> ()))
+   end);
+  let result =
+    Fun.protect
+      ~finally:(fun () -> if progress then Obs.Events.set_hook None)
+      (fun () -> Dispatch.run dcfg jobs)
+  in
+  match result with
+  | Error m ->
+    Printf.eprintf "hlsc: sweep: %s; falling back to local shard processes\n%!" m;
+    Dispatch.note_fallback_local ();
+    Ok None
+  | Ok o ->
+    let wl = dcfg.Dispatch.workers in
+    Printf.printf
+      "sweep: dispatched %d points to %d worker%s: %d leases, %d reassigned, %d \
+       stolen, %d salvaged, %d lost worker%s\n"
+      total_points (List.length wl)
+      (if List.length wl = 1 then "" else "s")
+      o.Dispatch.leases o.Dispatch.reassigned o.Dispatch.stolen
+      o.Dispatch.salvaged_points o.Dispatch.workers_lost
+      (if o.Dispatch.workers_lost = 1 then "" else "s");
+    let merged_path = Filename.concat dir "merged.jnl" in
+    let* () =
+      try
+        let w = Journal.start ~path:merged_path ~fresh:true in
+        Fun.protect
+          ~finally:(fun () -> Journal.close w)
+          (fun () ->
+            List.iter (fun (key, s) -> Journal.record w ~key s) o.Dispatch.records);
+        Ok ()
+      with Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
+    in
+    let* () = fleet_artifacts ~dir ~workers:wl o in
+    if o.Dispatch.complete then Ok (Some o.Dispatch.records)
+    else
+      Error
+        (Interrupted
+           (Printf.sprintf
+              "distributed sweep stopped (%s): %d of %d points are merged into %s; \
+               finish with hlsc explore ... --resume %s"
+              (Option.value ~default:"interrupted" o.Dispatch.abort)
+              (List.length o.Dispatch.records) total_points merged_path merged_path))
+
+let ok_points o =
+  o.Explore.total - o.Explore.failed - o.Explore.timed_out - o.Explore.crashed
+
+(* The corpus summary: frontier size and feasibility rate by design class
+   — EXPERIMENTS.md's table. *)
+let render_corpus ~csv ~json outcomes =
+  let sum f l = List.fold_left (fun a (_, o) -> a + f o) 0 l in
+  let frontier o = List.length o.Explore.frontier in
+  let t =
+    Text_table.create
+      ~headers:[ "class"; "designs"; "points"; "feasible %"; "frontier"; "mean" ]
+  in
+  let csv_buf = Buffer.create 256 in
+  Buffer.add_string csv_buf
+    "class,designs,points,ok,feasible_pct,frontier,frontier_mean\n";
+  List.iter
+    (fun k ->
+      match List.filter (fun (d, _) -> d.klass = Some k) outcomes with
+      | [] -> ()
+      | of_k ->
+        let designs = List.length of_k in
+        let points = sum (fun o -> o.Explore.total) of_k in
+        let frontier = sum frontier of_k in
+        let pct =
+          if points = 0 then 0.0
+          else 100.0 *. float_of_int (sum ok_points of_k) /. float_of_int points
+        in
+        let mean = float_of_int frontier /. float_of_int designs in
+        Text_table.add_row t
+          [
+            Corpus.klass_name k; string_of_int designs; string_of_int points;
+            Printf.sprintf "%.1f" pct; string_of_int frontier; Printf.sprintf "%.1f" mean;
+          ];
+        Buffer.add_string csv_buf
+          (Printf.sprintf "%s,%d,%d,%d,%.1f,%d,%.1f\n" (Corpus.klass_name k) designs
+             points (sum ok_points of_k) pct frontier mean))
+    Corpus.all_klasses;
+  let points = sum (fun o -> o.Explore.total) outcomes in
+  Printf.printf "corpus sweep: %d designs, %d points\n" (List.length outcomes) points;
+  print_string (Text_table.render t);
+  let* () =
+    match csv with
+    | Some path ->
+      write_rendering ~what:"corpus summary CSV" path (Buffer.contents csv_buf)
+    | None -> Ok ()
+  in
+  match json with
+  | Some path ->
+    let open Obs.Json in
+    write_rendering ~what:"JSON" path
+      (to_string
+         (Obj
+            [
+              ("designs", Int (List.length outcomes));
+              ("points", Int points);
+              ("frontier_total", Int (sum frontier outcomes));
+            ]))
+  | None -> Ok ()
+
 let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows iis
     recover corpus take shards shard journal_file dir jobs workers lease_points
-    lease_deadline heartbeat steal progress csv json stats trace events force
-    no_crash =
-  with_obs ~stats ~trace ~events ~force ~no_crash @@ fun () ->
+    lease_deadline heartbeat steal progress csv json obs =
+  with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib_s in
      let* config = config_of validate max_recoveries in
@@ -1744,535 +1896,224 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
      let* () =
        if jobs < 0 then Error (Usage "--jobs must be non-negative") else Ok ()
      in
+     let* () =
+       if lease_points < 1 then Error (Usage "--lease-points must be at least 1")
+       else Ok ()
+     in
+     let* () =
+       if lease_deadline <= 0.0 then Error (Usage "--lease-deadline must be positive")
+       else Ok ()
+     in
      let* shard = parse_shard shard in
-     let fingerprint = Explore.config_fingerprint config in
-     let lib_name = Library.name lib in
-     let full_key digest pkey =
-       Eval_cache.key ~digest ~lib:lib_name ~config:fingerprint ~point_key:pkey
-     in
-     let jnl i = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
-     let merged_path = Filename.concat dir "merged.jnl" in
-     let merge () =
-       Result.map_error
-         (fun m -> Usage m)
-         (Shard.merge_journals
-            ~inputs:(List.init shards (fun k -> jnl (k + 1)))
-            ~output:merged_path)
-     in
-     let load_merged () =
-       Result.fold
-         ~ok:(fun (entries, _) -> Ok entries)
-         ~error:(fun m -> Error (Internal m))
-         (Journal.load ~path:merged_path)
-     in
      let* workers_l =
        match workers with
        | None -> Ok None
-       | Some spec ->
-         let* () =
-           if shard <> None then
-             Error (Usage "--workers drives remote daemons; drop --shard")
-           else Ok ()
-         in
-         let* l = parse_workers spec in
-         Ok (Some l)
+       | Some _ when shard <> None ->
+         Error (Usage "--workers drives remote daemons; drop --shard")
+       | Some _ when corpus = None && source <> None ->
+         Error
+           (Usage
+              "--workers needs a --design name the remote daemons can resolve, \
+               not a source file")
+       | Some spec -> Result.map Option.some (parse_workers spec)
      in
-     (* Distributed mode: lease the key ranges to remote workers, then
-        journal and merge the returned records exactly as the local path
-        does — the frontier fold below cannot tell who evaluated what.
-        [Ok None] means no worker was reachable and the caller should
-        degrade to local shard children. *)
-     let dispatch_merged wl jobs_l =
-       mkdir_p dir;
-       let dcfg =
-         {
-           Dispatch.default_config with
-           Dispatch.workers = wl;
-           lease_points;
-           lease_deadline;
-           heartbeat;
-           steal;
-           (* One sweep, one trace: every lease and heartbeat is stamped
-              with this id, so worker request spans parent under the
-              supervisor in the merged fleet trace.  The id never lands in
-              provenance files, so it cannot perturb byte-identity. *)
-           trace_id = Some (Printf.sprintf "sweep-%d" (Unix.getpid ()));
-         }
-       in
-       let total_points =
-         List.fold_left
-           (fun a (j : Dispatch.job) -> a + List.length j.Dispatch.keys)
-           0 jobs_l
-       in
-       (if progress then begin
-          Obs.Events.enable ();
-          let last = ref Int64.min_int in
-          Obs.Events.set_hook
-            (Some
-               (fun ev ->
-                 match ev.Obs.Events.payload with
-                 | Obs.Events.Dispatch_sample
-                     {
-                       workers;
-                       leases;
-                       done_points;
-                       total_points;
-                       reassigned;
-                       stolen;
-                       salvaged;
-                     } ->
-                   let now = Obs.now_ns () in
-                   if
-                     Int64.sub now !last >= 1_000_000_000L
-                     || done_points >= total_points
-                   then begin
-                     last := now;
-                     Printf.eprintf
-                       "hlsc: sweep: %d/%d points done on %d worker%s (%d lease%s \
-                        active, %d reassigned, %d stolen, %d salvaged)\n%!"
-                       done_points total_points workers
-                       (if workers = 1 then "" else "s")
-                       leases
-                       (if leases = 1 then "" else "s")
-                       reassigned stolen salvaged
-                   end
-                 | _ -> ()))
-        end);
-       let result =
-         Fun.protect
-           ~finally:(fun () -> if progress then Obs.Events.set_hook None)
-           (fun () -> Dispatch.run dcfg jobs_l)
-       in
-       match result with
-       | Error m ->
-         Printf.eprintf "hlsc: sweep: %s; falling back to local shard processes\n%!" m;
-         Dispatch.note_fallback_local ();
-         Ok None
-       | Ok o ->
-         Printf.printf
-           "sweep: dispatched %d points to %d worker%s: %d leases, %d reassigned, \
-            %d stolen, %d salvaged, %d lost worker%s\n"
-           total_points (List.length wl)
-           (if List.length wl = 1 then "" else "s")
-           o.Dispatch.leases o.Dispatch.reassigned o.Dispatch.stolen
-           o.Dispatch.salvaged_points o.Dispatch.workers_lost
-           (if o.Dispatch.workers_lost = 1 then "" else "s");
-         let tbl = Hashtbl.create 256 in
-         List.iter (fun (k, s) -> Hashtbl.replace tbl k s) o.Dispatch.records;
-         let keys = List.map fst o.Dispatch.records in
-         let n = max 1 (min (List.length wl) (List.length keys)) in
-         let* () =
-           try
-             Array.iteri
-               (fun k range ->
-                 let w = Journal.start ~path:(jnl (k + 1)) ~fresh:true in
-                 Fun.protect
-                   ~finally:(fun () -> Journal.close w)
-                   (fun () ->
-                     List.iter
-                       (fun ck -> Journal.record w ~key:ck (Hashtbl.find tbl ck))
-                       range))
-               (Shard.plan ~shards:n keys);
-             Ok ()
-           with Unix.Unix_error (e, _, p) ->
-             Error (Internal (p ^ ": " ^ Unix.error_message e))
-         in
-         let* stats_m =
-           Result.map_error (fun m -> Usage m)
-             (Shard.merge_journals
-                ~inputs:(List.init n (fun k -> jnl (k + 1)))
-                ~output:merged_path)
-         in
-         Printf.printf "sweep: %d worker journal%s -> %s: %d entries (%d duplicates)\n"
-           stats_m.Shard.journals
-           (if stats_m.Shard.journals = 1 then "" else "s")
-           merged_path stats_m.Shard.entries stats_m.Shard.duplicates;
-         let* () = fleet_artifacts ~dir ~workers:wl o in
-         if not o.Dispatch.complete then
-           Error
-             (Interrupted
-                (Printf.sprintf
-                   "distributed sweep stopped (%s): %d of %d points are merged \
-                    into %s; finish with hlsc explore ... --resume %s"
-                   (Option.value ~default:"interrupted" o.Dispatch.abort)
-                   (List.length keys) total_points merged_path merged_path))
-         else
-           let* entries = load_merged () in
-           Ok (Some entries)
-     in
-     match corpus with
-     | None -> (
-       (* Single-design mode: shard-run the explore grid of one design via
-          N [hlsc explore --shard i/N] processes, merge, fold. *)
-       let* () =
-         match shard with
-         | None -> Ok ()
-         | Some _ ->
-           Error (Usage "--shard without --corpus: run hlsc explore --shard instead")
-       in
-       let* name, base_clock, build = load_builder ~source ~builtin ~clock in
-       let* clocks_l =
-         if clocks = "auto" then
-           Ok (List.init 8 (fun k -> base_clock *. (0.8 +. (0.1 *. float_of_int k))))
-         else grid_axis "--clocks" Explore_grid.parse_clocks clocks
+     let fingerprint = Explore.config_fingerprint config in
+     let lib_name = Library.name lib in
+     (* A manifest II constraint pins the design's II axis. *)
+     let resolve ~name ~klass ~base ~ii build =
+       let* clocks_l = clock_axis ~base clocks in
+       let iis_l, iis =
+         match ii with Some n -> ([ Some n ], string_of_int n) | None -> (iis_l, iis)
        in
        let* grid =
          Result.map_error (fun m -> Usage m)
            (Explore_grid.make ~clocks:clocks_l ~flows:flows_l ~iis:iis_l
               ~recover:recover_l ())
        in
+       let digest = Dfg.digest (build ()) in
+       let job =
+         {
+           Dispatch.design = name;
+           clocks = clocks_spec_of clocks_l;
+           flows;
+           iis;
+           recover;
+           point_deadline = None;
+           keys = List.map Explore_grid.point_key (Explore_grid.points grid);
+           key_of =
+             (fun pk ->
+               Eval_cache.key ~digest ~lib:lib_name ~config:fingerprint ~point_key:pk);
+         }
+       in
+       Ok { name; klass; grid; build; job }
+     in
+     let* designs =
+       match corpus with
+       | None ->
+         let* name, base, build = load_builder ~source ~builtin ~clock in
+         let* d = resolve ~name ~klass:None ~base ~ii:None build in
+         Ok [ d ]
+       | Some manifest ->
+         let* _seed, entries =
+           Result.map_error (fun m -> Usage (manifest ^ ": " ^ m))
+             (Corpus.load ~path:manifest)
+         in
+         let entries =
+           match take with
+           | None -> entries
+           | Some k -> List.filteri (fun i _ -> i < k) entries
+         in
+         let* () =
+           if entries = [] then Error (Usage "corpus selection is empty") else Ok ()
+         in
+         map_result
+           (fun (e : Corpus.entry) ->
+             resolve ~name:e.Corpus.name ~klass:(Some e.Corpus.klass)
+               ~base:e.Corpus.clock_ps
+               ~ii:(if e.Corpus.ii > 0 then Some e.Corpus.ii else None)
+               (fun () -> (Corpus.design e).Random_design.dfg))
+           entries
+     in
+     match shard with
+     | Some (rank, n) ->
+       (* Child mode: evaluate this shard's key range across every design
+          it touches, all into one journal. *)
+       let* jpath =
+         match journal_file with
+         | Some p -> Ok p
+         | None -> Error (Usage "--shard needs --journal FILE")
+       in
+       let all_keys =
+         List.concat_map
+           (fun d -> List.map d.job.Dispatch.key_of d.job.Dispatch.keys)
+           designs
+       in
+       let mine = Hashtbl.create 256 in
+       List.iter
+         (fun k -> Hashtbl.replace mine k ())
+         (Shard.plan ~shards:n all_keys).(rank - 1);
+       let* w =
+         match Journal.start ~path:jpath ~fresh:true with
+         | w -> Ok w
+         | exception Unix.Unix_error (e, _, _) ->
+           Error (Internal (jpath ^ ": " ^ Unix.error_message e))
+       in
+       Fun.protect
+         ~finally:(fun () -> Journal.close w)
+         (fun () ->
+           List.iter
+             (fun d ->
+               let select pk = Hashtbl.mem mine (d.job.Dispatch.key_of pk) in
+               if List.exists select d.job.Dispatch.keys then begin
+                 let o =
+                   Explore.run
+                     ?jobs:(if jobs = 0 then None else Some jobs)
+                     ~select ~journal:w ~lib ~config ~name:d.name ~build:d.build d.grid
+                 in
+                 Printf.printf "shard %d/%d %s: %d points, %d ok\n" rank n d.name
+                   o.Explore.total (ok_points o)
+               end)
+             designs;
+           Ok ())
+     | None ->
+       (* Local children: N [hlsc sweep --shard i/N] processes over the same
+          design list, their journals merged into DIR/merged.jnl. *)
        let local () =
          mkdir_p dir;
-         let children =
-           List.init shards (fun k ->
-               let i = k + 1 in
-               let argv =
-                 [ Sys.executable_name; "explore" ]
-                 @ (match source with Some s -> [ s ] | None -> [])
-                 @ (match builtin with Some b -> [ "--design"; b ] | None -> [])
-                 @ (match clock with
-                   | Some c -> [ "--clock"; Printf.sprintf "%h" c ]
-                   | None -> [])
-                 @ [
-                     "--library"; lib_s; "--validate"; validate; "--max-recoveries";
-                     string_of_int max_recoveries; "--clocks"; clocks_spec_of clocks_l;
-                     "--flows"; flows; "--ii"; iis; "--recover"; recover; "--jobs";
-                     string_of_int jobs; "--shard";
-                     Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
-                   ]
-               in
-               (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv))
+         let merged_path = Filename.concat dir "merged.jnl" in
+         let jnl i = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
+         let opt flag = function Some v -> [ flag; v ] | None -> [] in
+         let child i =
+           let argv =
+             [ Sys.executable_name; "sweep" ]
+             @ Option.to_list source @ opt "--design" builtin
+             @ opt "--clock" (Option.map (Printf.sprintf "%h") clock)
+             @ opt "--corpus" corpus
+             @ opt "--take" (Option.map string_of_int take)
+             @ [
+                 "--library"; lib_s; "--validate"; validate; "--max-recoveries";
+                 string_of_int max_recoveries; "--clocks"; clocks; "--flows"; flows;
+                 "--ii"; iis; "--recover"; recover; "--jobs"; string_of_int jobs;
+                 "--shard"; Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
+               ]
+           in
+           (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv)
          in
-         let* () = run_children children in
-         let* stats_m = merge () in
+         let* () = run_children (List.init shards (fun k -> child (k + 1))) in
+         let* m =
+           Result.map_error
+             (fun m -> Usage m)
+             (Shard.merge_journals
+                ~inputs:(List.init shards (fun k -> jnl (k + 1)))
+                ~output:merged_path)
+         in
          Printf.printf "sweep: %d shards -> %s: %d entries (%d duplicates)\n"
-           stats_m.Shard.journals merged_path stats_m.Shard.entries
-           stats_m.Shard.duplicates;
-         load_merged ()
+           m.Shard.journals merged_path m.Shard.entries m.Shard.duplicates;
+         Result.fold
+           ~ok:(fun (entries, _) -> Ok entries)
+           ~error:(fun m -> Error (Internal m))
+           (Journal.load ~path:merged_path)
        in
        let* resume =
          match workers_l with
          | None -> local ()
          | Some wl -> (
-           let* () =
-             match source with
-             | Some _ ->
-               Error
-                 (Usage
-                    "--workers needs a --design name the remote daemons can \
-                     resolve, not a source file")
-             | None -> Ok ()
-           in
-           let digest = Dfg.digest (build ()) in
-           let job =
+           let dcfg =
              {
-               Dispatch.design = name;
-               clocks = clocks_spec_of clocks_l;
-               flows;
-               iis;
-               recover;
-               point_deadline = None;
-               keys =
-                 List.map Explore_grid.point_key (Explore_grid.points grid);
-               key_of = (fun pk -> full_key digest pk);
+               Dispatch.default_config with
+               Dispatch.workers = wl;
+               lease_points;
+               lease_deadline;
+               heartbeat;
+               steal;
+               (* One sweep, one trace: every lease and heartbeat is stamped
+                  with this id, so worker request spans parent under the
+                  supervisor in the merged fleet trace.  The id never lands
+                  in provenance files, so it cannot perturb byte-identity. *)
+               trace_id = Some (Printf.sprintf "sweep-%d" (Unix.getpid ()));
              }
            in
-           let* dispatched = dispatch_merged wl [ job ] in
-           match dispatched with
-           | Some entries -> Ok entries
-           | None -> local ())
+           let* dispatched =
+             dispatch_sweep ~dir ~progress dcfg (List.map (fun d -> d.job) designs)
+           in
+           match dispatched with Some records -> Ok records | None -> local ())
        in
-       (* The fold: every point is answered by the merged journal, so this
+       (* The fold: every point is answered by the merged records, so this
           renders — byte-identically — what one process would have. *)
-       let* outcome =
-         match Explore.run ~jobs:1 ~resume ~lib ~config ~name ~build grid with
-         | o -> Ok o
-         | exception e ->
-           Error (Internal (Printf.sprintf "fold crashed: %s" (Printexc.to_string e)))
+       let* outcomes =
+         map_result
+           (fun d ->
+             match
+               Explore.run ~jobs:1 ~resume ~lib ~config ~name:d.name ~build:d.build d.grid
+             with
+             | o -> Ok (d, o)
+             | exception e ->
+               Error
+                 (Internal
+                    (Printf.sprintf "fold of %s crashed: %s" d.name
+                       (Printexc.to_string e))))
+           designs
        in
-       let* () =
-         match csv with
-         | Some path -> write_rendering ~what:"CSV" path (Explore.to_csv outcome)
-         | None -> Ok ()
-       in
-       let* () =
-         match json with
-         | Some path -> write_rendering ~what:"JSON" path (Explore.to_json outcome)
-         | None -> Ok ()
-       in
-       print_string (Explore.render_summary outcome);
-       if outcome.Explore.total > 0 && outcome.Explore.frontier = [] then
-         Error
-           (Flow_failed
-              (Printf.sprintf "all %d grid points failed; frontier is empty"
-                 outcome.Explore.total))
-       else Ok ())
-     | Some manifest -> (
-       let* _mseed, entries =
-         Result.map_error (fun m -> Usage (manifest ^ ": " ^ m))
-           (Corpus.load ~path:manifest)
-       in
-       let entries =
-         match take with None -> entries | Some k -> take_n k entries
-       in
-       let* () =
-         if entries = [] then Error (Usage "corpus selection is empty") else Ok ()
-       in
-       (* Resolve every design once: grid, digest and builder.  Key order
-          is what the shard plan ranges over, identically in parent and
-          children. *)
-       let* specs =
-         List.fold_left
-           (fun acc (e : Corpus.entry) ->
-             let* acc = acc in
-             let* grid =
-               corpus_grid ~clocks_spec:clocks ~flows:flows_l ~iis:iis_l
-                 ~recover:recover_l e
-             in
-             let build () = (Corpus.design e).Random_design.dfg in
-             let digest = Dfg.digest (build ()) in
-             Ok ((e, grid, digest, build) :: acc))
-           (Ok []) entries
-       in
-       let specs = List.rev specs in
-       let all_keys =
-         List.concat_map
-           (fun (_, grid, digest, _) ->
-             List.map
-               (fun p -> full_key digest (Explore_grid.point_key p))
-               (Explore_grid.points grid))
-           specs
-       in
-       match shard with
-       | Some (rank, n) ->
-         (* Child mode: evaluate this shard's key range across every design
-            it touches, all into one journal. *)
-         let* jpath =
-           match journal_file with
-           | Some p -> Ok p
-           | None -> Error (Usage "--shard needs --journal FILE")
-         in
-         let plan = Shard.plan ~shards:n all_keys in
-         let mine = Hashtbl.create 256 in
-         List.iter (fun k -> Hashtbl.replace mine k ()) plan.(rank - 1);
-         let* w =
-           match Journal.start ~path:jpath ~fresh:true with
-           | w -> Ok w
-           | exception Unix.Unix_error (e, _, _) ->
-             Error (Internal (jpath ^ ": " ^ Unix.error_message e))
-         in
-         Fun.protect
-           ~finally:(fun () -> Journal.close w)
-           (fun () ->
-             List.iter
-               (fun ((e : Corpus.entry), grid, digest, build) ->
-                 let select pkey = Hashtbl.mem mine (full_key digest pkey) in
-                 let owned =
-                   List.exists
-                     (fun p -> select (Explore_grid.point_key p))
-                     (Explore_grid.points grid)
-                 in
-                 if owned then begin
-                   let o =
-                     Explore.run
-                       ?jobs:(if jobs = 0 then None else Some jobs)
-                       ~select ~journal:w ~lib ~config ~name:e.Corpus.name ~build
-                       grid
-                   in
-                   Printf.printf "shard %d/%d %s: %d points, %d ok\n" rank n
-                     e.Corpus.name o.Explore.total
-                     (o.Explore.total - o.Explore.failed - o.Explore.timed_out
-                    - o.Explore.crashed)
-                 end)
-               specs;
-             Ok ())
-       | None ->
-         (* Parent: spawn one child per shard, merge, fold the corpus. *)
-         let local () =
-           mkdir_p dir;
-           let children =
-             List.init shards (fun k ->
-                 let i = k + 1 in
-                 let argv =
-                   [
-                     Sys.executable_name; "sweep"; "--corpus"; manifest; "--library";
-                     lib_s; "--validate"; validate; "--max-recoveries";
-                     string_of_int max_recoveries; "--clocks"; clocks; "--flows";
-                     flows; "--ii"; iis; "--recover"; recover; "--jobs";
-                     string_of_int jobs; "--shards"; string_of_int shards; "--shard";
-                     Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
-                   ]
-                   @ (match take with
-                     | Some t -> [ "--take"; string_of_int t ]
-                     | None -> [])
-                 in
-                 (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv))
-           in
-           let* () = run_children children in
-           let* stats_m = merge () in
-           Printf.printf "sweep: %d shards -> %s: %d entries (%d duplicates)\n"
-             stats_m.Shard.journals merged_path stats_m.Shard.entries
-             stats_m.Shard.duplicates;
-           load_merged ()
-         in
-         let* resume =
-           match workers_l with
-           | None -> local ()
-           | Some wl -> (
-             (* One job per corpus design: the remote daemons resolve the
-                design names through their own --corpus manifest. *)
-             let* jobs_l =
-               List.fold_left
-                 (fun acc ((e : Corpus.entry), grid, digest, _build) ->
-                   let* acc = acc in
-                   let* clocks_le =
-                     if clocks = "auto" then
-                       Ok
-                         (List.init 8 (fun k ->
-                              e.Corpus.clock_ps *. (0.8 +. (0.1 *. float_of_int k))))
-                     else grid_axis "--clocks" Explore_grid.parse_clocks clocks
-                   in
-                   let iis_s =
-                     if e.Corpus.ii > 0 then string_of_int e.Corpus.ii else iis
-                   in
-                   Ok
-                     ({
-                        Dispatch.design = e.Corpus.name;
-                        clocks = clocks_spec_of clocks_le;
-                        flows;
-                        iis = iis_s;
-                        recover;
-                        point_deadline = None;
-                        keys =
-                          List.map Explore_grid.point_key (Explore_grid.points grid);
-                        key_of = (fun pk -> full_key digest pk);
-                      }
-                     :: acc))
-                 (Ok []) specs
-             in
-             let* dispatched = dispatch_merged wl (List.rev jobs_l) in
-             match dispatched with
-             | Some entries -> Ok entries
-             | None -> local ())
-         in
-         let* outcomes =
-           List.fold_left
-             (fun acc ((e : Corpus.entry), grid, _digest, build) ->
-               let* acc = acc in
-               match
-                 Explore.run ~jobs:1 ~resume ~lib ~config ~name:e.Corpus.name
-                   ~build grid
-               with
-               | o -> Ok ((e, o) :: acc)
-               | exception exn ->
-                 Error
-                   (Internal
-                      (Printf.sprintf "fold of %s crashed: %s" e.Corpus.name
-                         (Printexc.to_string exn))))
-             (Ok []) specs
-         in
-         let outcomes = List.rev outcomes in
-         (* The corpus summary: frontier size and feasibility rate by design
-            class — EXPERIMENTS.md's table. *)
-         let row k =
-           let of_k =
-             List.filter (fun ((e : Corpus.entry), _) -> e.Corpus.klass = k) outcomes
-           in
-           if of_k = [] then None
-           else
-             let designs = List.length of_k in
-             let points =
-               List.fold_left (fun a (_, o) -> a + o.Explore.total) 0 of_k
-             in
-             let ok =
-               List.fold_left
-                 (fun a (_, o) ->
-                   a + o.Explore.total - o.Explore.failed - o.Explore.timed_out
-                   - o.Explore.crashed)
-                 0 of_k
-             in
-             let frontier =
-               List.fold_left
-                 (fun a (_, o) -> a + List.length o.Explore.frontier)
-                 0 of_k
-             in
-             Some (designs, points, ok, frontier)
-         in
-         let t =
-           Text_table.create
-             ~headers:
-               [ "class"; "designs"; "points"; "feasible %"; "frontier"; "mean" ]
-         in
-         let csv_buf = Buffer.create 256 in
-         Buffer.add_string csv_buf "class,designs,points,ok,feasible_pct,frontier,frontier_mean\n";
-         List.iter
-           (fun k ->
-             match row k with
-             | None -> ()
-             | Some (designs, points, ok, frontier) ->
-               let pct =
-                 if points = 0 then 0.0
-                 else 100.0 *. float_of_int ok /. float_of_int points
-               in
-               let mean = float_of_int frontier /. float_of_int designs in
-               Text_table.add_row t
-                 [
-                   Corpus.klass_name k; string_of_int designs; string_of_int points;
-                   Printf.sprintf "%.1f" pct; string_of_int frontier;
-                   Printf.sprintf "%.1f" mean;
-                 ];
-               Buffer.add_string csv_buf
-                 (Printf.sprintf "%s,%d,%d,%d,%.1f,%d,%.1f\n" (Corpus.klass_name k)
-                    designs points ok pct frontier mean))
-           Corpus.all_klasses;
-         Printf.printf "corpus sweep: %d designs, %d points\n" (List.length outcomes)
-           (List.length all_keys);
-         print_string (Text_table.render t);
-         let* () =
-           match csv with
-           | Some path ->
-             write_rendering ~what:"corpus summary CSV" path (Buffer.contents csv_buf)
-           | None -> Ok ()
-         in
-         let* () =
-           match json with
-           | Some path ->
-             let open Obs.Json in
-             let body =
-               to_string
-                 (Obj
-                    [
-                      ("designs", Int (List.length outcomes));
-                      ("points", Int (List.length all_keys));
-                      ( "frontier_total",
-                        Int
-                          (List.fold_left
-                             (fun a (_, o) -> a + List.length o.Explore.frontier)
-                             0 outcomes) );
-                    ])
-             in
-             write_rendering ~what:"JSON" path body
-           | None -> Ok ()
-         in
-         Ok ()))
+       match outcomes with
+       | [ ({ klass = None; _ }, o) ] ->
+         let* () = render_outcome ~csv ~json o in
+         check_frontier o
+       | _ -> render_corpus ~csv ~json outcomes)
 
 let run_t =
   Cmd.v (Cmd.info "run" ~doc:"Run one scheduling flow and print the result")
     Term.(const run_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
-          $ validate_arg $ max_recoveries_arg $ stats_arg $ trace_arg $ events_arg
-          $ force_arg $ crash_arg)
+          $ validate_arg $ max_recoveries_arg $ obs_args)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"Conventional vs slack-based, side by side")
     Term.(const compare_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
-          $ validate_arg $ max_recoveries_arg $ stats_arg $ trace_arg $ events_arg
-          $ force_arg $ crash_arg)
+          $ validate_arg $ max_recoveries_arg $ obs_args)
 
 let slack_t =
   Cmd.v (Cmd.info "slack" ~doc:"Pre-schedule sequential-slack report")
     Term.(const slack_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
-          $ validate_arg $ max_recoveries_arg $ stats_arg $ trace_arg $ events_arg
-          $ force_arg $ crash_arg)
+          $ validate_arg $ max_recoveries_arg $ obs_args)
 
 let output_arg =
   Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
@@ -2281,8 +2122,7 @@ let output_arg =
 let emit_t =
   Cmd.v (Cmd.info "emit" ~doc:"Run a flow and write the Verilog rendering")
     Term.(const emit_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
-          $ validate_arg $ max_recoveries_arg $ output_arg $ stats_arg $ trace_arg
-          $ events_arg $ force_arg $ crash_arg)
+          $ validate_arg $ max_recoveries_arg $ output_arg $ obs_args)
 
 let clocks_arg =
   Arg.(value & opt string "auto" & info [ "clocks" ] ~docv:"SPEC"
@@ -2382,8 +2222,7 @@ let explore_t =
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
           $ iis_arg $ recover_arg $ jobs_arg $ cache_arg $ point_deadline_arg
           $ deadline_arg $ retries_arg $ strict_arg $ journal_arg $ resume_arg
-          $ shard_arg $ csv_arg $ json_arg $ stats_arg $ trace_arg $ events_arg
-          $ force_arg $ crash_arg $ progress_arg)
+          $ shard_arg $ csv_arg $ json_arg $ obs_args $ progress_arg)
 
 let corpus_out_arg =
   Arg.(value & opt string "corpus/manifest.tsv" & info [ "out"; "o" ] ~docv:"FILE"
@@ -2409,7 +2248,7 @@ let corpus_t =
     (Cmd.info "corpus"
        ~doc:"Generate or verify the seeded 100-design validation corpus manifest")
     Term.(const corpus_cmd $ corpus_out_arg $ corpus_seed_arg $ corpus_count_arg
-          $ corpus_verify_arg $ stats_arg $ trace_arg $ events_arg $ force_arg $ crash_arg)
+          $ corpus_verify_arg $ obs_args)
 
 let merge_inputs_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"JOURNAL"
@@ -2423,8 +2262,7 @@ let merge_journals_t =
   Cmd.v
     (Cmd.info "merge-journals"
        ~doc:"Validate and merge disjoint shard journals into one resumable journal")
-    Term.(const merge_journals_cmd $ merge_inputs_arg $ merge_output_arg
-          $ stats_arg $ trace_arg $ events_arg $ force_arg $ crash_arg)
+    Term.(const merge_journals_cmd $ merge_inputs_arg $ merge_output_arg $ obs_args)
 
 let sweep_corpus_arg =
   Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"MANIFEST"
@@ -2441,29 +2279,33 @@ let shards_arg =
 
 let sweep_dir_arg =
   Arg.(value & opt string "sweep-out" & info [ "dir" ] ~docv:"DIR"
-         ~doc:"Directory for shard journals, logs and the merged journal \
-               (default sweep-out).")
+         ~doc:"Directory for shard journals, logs, the merged journal and \
+               the fleet telemetry files of a --workers sweep (default \
+               sweep-out).")
 
 let workers_arg =
   Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"LIST"
          ~doc:"Comma-separated hlsc serve daemons (HOST:PORT or unix:PATH) to \
                lease shard key-ranges to instead of spawning local shard \
                processes.  Dead, partitioned or stalled workers are detected, \
-               their durable progress salvaged, and their leases reassigned; \
-               if no worker is reachable at all the sweep degrades to local \
-               shard processes.")
+               their durable progress salvaged, and their leases reassigned. \
+               The returned records are journaled once, key-sorted, straight \
+               into DIR/merged.jnl; no shard journals are written.  If no \
+               worker is reachable at all the sweep degrades to local shard \
+               processes.")
 
 let lease_points_arg =
   Arg.(value & opt int 8 & info [ "lease-points" ] ~docv:"N"
-         ~doc:"Maximum grid points per lease (default 8): smaller leases \
-               lose less work per worker failure and balance better, at more \
-               round trips.")
+         ~doc:"Maximum grid points per lease (default 8, at least 1): smaller \
+               leases lose less work per worker failure and balance better, \
+               at more round trips.")
 
 let lease_deadline_arg =
   Arg.(value & opt float 60.0 & info [ "lease-deadline" ] ~docv:"SECONDS"
-         ~doc:"Deadline per lease (default 60): the worker cancels and \
-               reports partial results at the deadline, and the supervisor \
-               reassigns a lease it has heard nothing about for this long.")
+         ~doc:"Deadline per lease (default 60, must be positive): the worker \
+               cancels and reports partial results at the deadline, and the \
+               supervisor reassigns a lease it has heard nothing about for \
+               this long.")
 
 let heartbeat_arg =
   Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
@@ -2486,28 +2328,36 @@ let sweep_progress_arg =
 let sweep_t =
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Sharded exploration driver: spawn N shard processes, merge their \
-             journals, fold the frontier"
+       ~doc:"Sharded exploration driver: run N shard processes or lease to \
+             daemons, merge the records, fold the frontier"
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "Partitions the explore grid (single design) or grid x corpus \
-              (--corpus) by canonical key range into N disjoint shards, runs \
-              each shard as an independent process journaling to \
-              DIR/shard-i.jnl, merges with the merge-journals semantics, and \
-              folds the merged journal into the frontier a single process \
-              would have produced — byte-identically.  The same partition can \
-              be run across machines instead: hlsc explore --shard i/N \
-              --journal shard-i.jnl on each, then hlsc merge-journals.";
+             "Resolves the sweep into a list of designs — one built-in or \
+              source design, or every selected design of a corpus manifest \
+              (--corpus) — each with its own grid, and partitions their \
+              canonical keys by range into N disjoint shards.  Locally, each \
+              shard runs as a child process (hlsc sweep ... --shard i/N \
+              --journal DIR/shard-i.jnl), and the shard journals are merged \
+              into DIR/merged.jnl with the merge-journals semantics.  With \
+              --workers, the key ranges are leased to hlsc serve daemons and \
+              the returned records are journaled once into DIR/merged.jnl.  \
+              Either way the merged records are folded into the frontier (one \
+              design) or the per-class summary (--corpus) that a single \
+              process would have produced — byte-identically.";
+           `P
+             "The same partition can be run across machines instead: hlsc \
+              explore --shard i/N --journal shard-i.jnl on each (hlsc sweep \
+              --corpus MANIFEST --shard i/N --journal shard-i.jnl for a \
+              corpus), then hlsc merge-journals.";
          ])
     Term.(const sweep_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
           $ iis_arg $ recover_arg $ sweep_corpus_arg $ sweep_take_arg
           $ shards_arg $ shard_arg $ journal_arg $ sweep_dir_arg $ jobs_arg
           $ workers_arg $ lease_points_arg $ lease_deadline_arg $ heartbeat_arg
-          $ steal_arg $ sweep_progress_arg $ csv_arg $ json_arg $ stats_arg
-          $ trace_arg $ events_arg $ force_arg $ crash_arg)
+          $ steal_arg $ sweep_progress_arg $ csv_arg $ json_arg $ obs_args)
 
 let count_arg =
   Arg.(value & opt int 25 & info [ "count"; "n" ] ~docv:"N"
@@ -2532,29 +2382,25 @@ let fuzz_t =
     (Cmd.info "fuzz"
        ~doc:"Random designs through every flow under invariant validation")
     Term.(const fuzz_cmd $ count_arg $ seed_arg $ lib_arg $ fuzz_validate_arg
-          $ max_recoveries_arg $ grids_fuzz_arg $ stats_arg $ trace_arg $ events_arg
-          $ force_arg $ crash_arg)
+          $ max_recoveries_arg $ grids_fuzz_arg $ obs_args)
 
 let dot_t =
   Cmd.v
     (Cmd.info "dot" ~doc:"Dump Graphviz renderings (CFG, DFG+spans, timed DFG, schedule)")
     Term.(const dot_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
-          $ validate_arg $ max_recoveries_arg $ output_arg $ stats_arg $ trace_arg
-          $ events_arg $ force_arg $ crash_arg)
+          $ validate_arg $ max_recoveries_arg $ output_arg $ obs_args)
 
 let explain_t =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Replay a provenance event file into one operation's decision timeline")
-    Term.(const explain_cmd $ explain_file_arg $ explain_op_arg $ stats_arg
-          $ trace_arg $ events_arg $ force_arg $ crash_arg)
+    Term.(const explain_cmd $ explain_file_arg $ explain_op_arg $ obs_args)
 
 let diff_events_t =
   Cmd.v
     (Cmd.info "diff-events"
        ~doc:"Localize the first divergence between two provenance event files")
-    Term.(const diff_events_cmd $ diff_a_arg $ diff_b_arg $ diff_context_arg
-          $ stats_arg $ trace_arg $ events_arg $ force_arg $ crash_arg)
+    Term.(const diff_events_cmd $ diff_a_arg $ diff_b_arg $ diff_context_arg $ obs_args)
 
 let serve_t =
   Cmd.v
@@ -2566,8 +2412,7 @@ let serve_t =
           $ drain_deadline_arg $ read_timeout_arg $ serve_deadline_arg
           $ point_deadline_arg $ serve_retries_arg $ backoff_arg $ journal_arg
           $ cache_arg $ serve_corpus_arg $ once_arg $ request_script_arg
-          $ drain_after_points_arg $ metrics_arg $ serve_telemetry_arg
-          $ stats_arg $ trace_arg $ events_arg $ force_arg $ crash_arg)
+          $ drain_after_points_arg $ metrics_arg $ serve_telemetry_arg $ obs_args)
 
 let req_retry_arg =
   Arg.(value & opt int 0 & info [ "retry" ] ~docv:"N"
@@ -2583,8 +2428,7 @@ let request_t =
     Term.(const request_cmd $ socket_arg $ req_host_arg $ port_arg $ req_op_arg
           $ req_json_arg $ req_id_arg $ req_design_arg $ clock_arg $ flow_arg
           $ clocks_arg $ grid_flows_arg $ iis_arg $ recover_arg
-          $ serve_deadline_arg $ point_deadline_arg $ req_retry_arg $ stats_arg
-          $ trace_arg $ events_arg $ force_arg $ crash_arg)
+          $ serve_deadline_arg $ point_deadline_arg $ req_retry_arg $ obs_args)
 
 let top_workers_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"ADDR"
@@ -2605,9 +2449,8 @@ let top_t =
              dashboard: inflight/queue depth, shed and completed requests, \
              active leases, cache hit rate, wasted-work ratio and \
              shard-lease latency p95 per worker")
-    Term.(const top_cmd $ top_workers_arg $ top_interval_arg
-          $ top_iterations_arg $ stats_arg $ trace_arg $ events_arg $ force_arg
-          $ crash_arg)
+    Term.(const top_cmd $ top_workers_arg $ top_interval_arg $ top_iterations_arg
+          $ obs_args)
 
 let () =
   let doc = "slack-budgeting high-level synthesis (DATE 2012 reproduction)" in
