@@ -2,22 +2,26 @@
    a result fails tier-1 even though every other rule compares two runs of
    the same binary.
 
-   Two sections, one line per result:
+   Four sections, one line per result:
    - [kernel]: each of the paper's 21 kernel designs (the four kernels,
-     Table 4 points D1-D15, the chained IDCT of 2 and 4 passes) under the
-     conventional and slack flows: total area as a hex float, steps,
-     relaxations, area-recovery regrades, and the MD5 of the run's
-     decision-event JSONL;
+     Table 4 points D1-D15, the chained IDCT of 2 and 4 passes) under all
+     three flows: total area as a hex float, steps, relaxations,
+     area-recovery regrades, and the MD5 of the run's decision-event
+     JSONL;
    - [corpus]: the journal record of every point of the first four
      manifest designs (all four CFG shapes, one pipelined, one large) over
      the CLI's auto grid;
    - [events]: the first 20 manifest designs (the benchmark's corpus
      workload: II 4 and 8, pipelined diamond and nest designs) at their
-     manifest clock and II under both flows, in the [kernel] format.
+     manifest clock and II under all three flows, in the [kernel] format.
      Their per-edge re-budgeting is where the slack flow's timing engine
      does most of its work, and their pipelined designs fold resource
      booking modulo the II, so the decisions taken there are pinned, not
-     only the records.
+     only the records;
+   - [ablation-NAME]: the four kernels under the conventional and slack
+     flows with one non-default config knob each (see [ablations]), in
+     the [kernel] format, so the config paths the default flows skip are
+     pinned too.
 
    [test_golden.exe] compares against [results.golden] and names the first
    design whose line differs.  [test_golden.exe --write FILE] regenerates
@@ -42,13 +46,28 @@ let kernel_designs () =
       [ 2; 4 ]
 
 let flows = [ Flows.Conventional; Flows.Slack_based ]
+let all_flows = [ Flows.Conventional; Flows.Slowest_first; Flows.Slack_based ]
+
+(* One non-default knob per ablation, everything else at the default. *)
+let ablations =
+  let d = Flows.default_config in
+  let sharing = d.Flows.sharing and budget = d.Flows.budget_config in
+  [
+    ( "merge-add-sub",
+      { d with Flows.sharing = { sharing with Flows.merge_add_sub = true } } );
+    ( "width-buckets",
+      { d with Flows.sharing = { sharing with Flows.width_buckets = true } } );
+    ("discrete", { d with Flows.grading = Alloc.Discrete });
+    ("no-rebudget", { d with Flows.rebudget_config = None });
+    ("unaligned", { d with Flows.budget_config = { budget with Budget.aligned = false } });
+  ]
 
 (* Large enough that no kernel run drops an event. *)
 let event_capacity = 1 lsl 20
 
-let run_line section (d : Hls.design) flow =
+let run_line ?config section (d : Hls.design) flow =
   Obs.Events.enable ~capacity:event_capacity ();
-  let r = Hls.run flow d in
+  let r = Hls.run ?config flow d in
   let events = Obs.Events.events () in
   Obs.Events.disable ();
   Obs.Events.clear ();
@@ -100,14 +119,21 @@ let event_lines (e : Corpus.entry) =
     Hls.design ?ii ~name:e.Corpus.name ~clock:e.Corpus.clock_ps
       (Corpus.design e).Random_design.dfg
   in
-  List.map (run_line "events" d) flows
+  List.map (run_line "events" d) all_flows
+
+let ablation_lines kernels (name, config) =
+  List.concat_map
+    (fun d -> List.map (run_line ~config ("ablation-" ^ name) d) flows)
+    kernels
 
 let golden_lines () =
   let plan = Corpus.plan ~seed:42 () in
   let first n = List.filteri (fun i _ -> i < n) plan in
-  List.concat_map (fun d -> List.map (run_line "kernel" d) flows) (kernel_designs ())
+  let kernels = kernel_designs () in
+  List.concat_map (fun d -> List.map (run_line "kernel" d) all_flows) kernels
   @ List.concat_map corpus_lines (first 4)
   @ List.concat_map event_lines (first 20)
+  @ List.concat_map (ablation_lines (List.filteri (fun i _ -> i < 4) kernels)) ablations
 
 let render lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
 let golden_file = "results.golden"
