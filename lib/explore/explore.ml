@@ -33,12 +33,34 @@ let c_resumed = Obs.counter "explore.resumed"
 
 (* Sweep-constant configuration fingerprint: everything outside the grid
    axes that can change a point's result must appear here, or stale cache
-   entries would be served across configurations. *)
+   entries would be served across configurations.  Grading and the two
+   budgeting configs are appended only when they differ from
+   [Flows.default_config], so the keys of default sweeps (journals, cache
+   files, the golden file) do not move.  No field may print a '|': it
+   separates the parts of a cache key. *)
 let config_fingerprint (c : Flows.config) =
-  Printf.sprintf "validate=%s,maxrec=%d,maxrelax=%d,iibump=%b,merge=%b,buckets=%b"
+  let d = Flows.default_config in
+  (* margin:aligned:rounds:bisection:engine *)
+  let budget (b : Budget.config) =
+    Printf.sprintf "%h:%b:%d:%d:%s" b.Budget.margin_frac b.Budget.aligned
+      b.Budget.max_rounds b.Budget.bisection_steps
+      (match b.Budget.engine with
+      | Budget.Two_pass -> "two-pass"
+      | Budget.Bellman_ford_baseline -> "bellman-ford")
+  in
+  let unless_default name v default render =
+    if v = default then "" else Printf.sprintf ",%s=%s" name (render v)
+  in
+  Printf.sprintf "validate=%s,maxrec=%d,maxrelax=%d,iibump=%b,merge=%b,buckets=%b%s%s%s"
     (Check.level_name c.Flows.validate)
     c.Flows.max_recoveries c.Flows.max_relaxations c.Flows.allow_ii_bump
     c.Flows.sharing.Flows.merge_add_sub c.Flows.sharing.Flows.width_buckets
+    (unless_default "grading" c.Flows.grading d.Flows.grading (function
+      | Alloc.Continuous -> "continuous"
+      | Alloc.Discrete -> "discrete"))
+    (unless_default "budget" c.Flows.budget_config d.Flows.budget_config budget)
+    (unless_default "rebudget" c.Flows.rebudget_config d.Flows.rebudget_config
+       (function None -> "none" | Some b -> budget b))
 
 let evaluate ?deadline ~lib ~config ~name ~build (p : Explore_grid.point) =
   (* The deadline clock starts when the point starts, not when the sweep

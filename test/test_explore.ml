@@ -257,6 +257,47 @@ let test_sweep_cache_memoizes () =
   in
   Alcotest.(check int) "config change misses" o.Explore.total o.Explore.evaluated
 
+(* Grading and both budgeting configs change results, so a sweep under
+   any of them must miss a cache filled at the default config and report
+   what a fresh sweep under that config reports. *)
+let test_sweep_cache_keys_config () =
+  let grid =
+    match
+      Explore_grid.of_specs ~clocks:"2200:2800:200" ~flows:"conv,slack" ()
+    with
+    | Ok g -> g
+    | Error m -> Alcotest.fail m
+  in
+  let sweep ?cache config =
+    Explore.run ~jobs:1 ?cache ~lib:Library.default ~config ~name:"fir8"
+      ~build:(fun () -> (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg)
+      grid
+  in
+  let areas (o : Explore.outcome) =
+    List.map
+      (fun (r : Explore.point_result) -> r.Explore.summary.Eval_cache.area)
+      o.Explore.results
+  in
+  let cache = Eval_cache.create () in
+  let default = sweep ~cache Flows.default_config in
+  let d = Flows.default_config in
+  List.iter
+    (fun (name, config) ->
+      let o = sweep ~cache config in
+      Alcotest.(check int) (name ^ ": no hits") 0 o.Explore.hits;
+      Alcotest.(check (list (float 0.0))) (name ^ ": fresh areas")
+        (areas (sweep config)) (areas o);
+      Alcotest.(check bool) (name ^ ": no '|' in the fingerprint") false
+        (String.contains (Explore.config_fingerprint config) '|'))
+    [
+      ("discrete", { d with Flows.grading = Alloc.Discrete });
+      ( "unaligned",
+        { d with Flows.budget_config = { d.Flows.budget_config with aligned = false } } );
+      ("no-rebudget", { d with Flows.rebudget_config = None });
+    ];
+  Alcotest.(check bool) "discrete grading moves an area" true
+    (areas default <> areas (sweep { d with Flows.grading = Alloc.Discrete }))
+
 let test_cache_file_roundtrip () =
   let cache = Eval_cache.create () in
   let cold = run_sweep ~cache () in
@@ -481,6 +522,8 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Quick
             test_sweep_deterministic_across_jobs;
           Alcotest.test_case "cache memoizes" `Quick test_sweep_cache_memoizes;
+          Alcotest.test_case "grading and budgeting key the cache" `Quick
+            test_sweep_cache_keys_config;
           Alcotest.test_case "cache file round-trip" `Quick
             test_cache_file_roundtrip;
           Alcotest.test_case "cache corruption handling" `Quick
