@@ -51,9 +51,11 @@ let config_fingerprint (c : Flows.config) =
   let unless_default name v default render =
     if v = default then "" else Printf.sprintf ",%s=%s" name (render v)
   in
-  Printf.sprintf "validate=%s,maxrec=%d,maxrelax=%d,iibump=%b,merge=%b,buckets=%b%s%s%s"
+  (* [iibump=false] names a ladder rung that no longer exists; it stays so
+     that no key moves. *)
+  Printf.sprintf "validate=%s,maxrec=%d,maxrelax=%d,iibump=false,merge=%b,buckets=%b%s%s%s"
     (Check.level_name c.Flows.validate)
-    c.Flows.max_recoveries c.Flows.max_relaxations c.Flows.allow_ii_bump
+    c.Flows.max_recoveries c.Flows.max_relaxations
     c.Flows.sharing.Flows.merge_add_sub c.Flows.sharing.Flows.width_buckets
     (unless_default "grading" c.Flows.grading d.Flows.grading (function
       | Alloc.Continuous -> "continuous"

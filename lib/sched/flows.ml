@@ -5,12 +5,11 @@ let flow_name = function
   | Slowest_first -> "slowest-first"
   | Slack_based -> "slack-based"
 
-type recovery_step = Relax_budget | Force_fast_grades | Bump_ii
+type recovery_step = Relax_budget | Force_fast_grades
 
 let recovery_step_name = function
   | Relax_budget -> "relax-budget"
   | Force_fast_grades -> "force-fast-grades"
-  | Bump_ii -> "bump-ii"
 
 type recovery_outcome = Recovered | Still_failing of string
 
@@ -104,7 +103,6 @@ type config = {
   sharing : sharing;
   validate : Check.level;
   max_recoveries : int;
-  allow_ii_bump : bool;
 }
 
 let default_config =
@@ -118,7 +116,6 @@ let default_config =
     sharing = { merge_add_sub = false; width_buckets = false };
     validate = Check.Boundary;
     max_recoveries = 3;
-    allow_ii_bump = false;
   }
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
@@ -509,10 +506,8 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
      configuration ({!Budget.relax}) and a relaxation allowance of at
      least 16 passes;
    + {b force-fast-grades}: pull every delay target to the fast end of its
-     curve ([gamma0 = 0]), the strongest answer to timing starvation;
-   + {b bump-ii} (opt-in, pipelined designs only): trade throughput for
-     schedulability by raising the initiation interval by one. *)
-let apply_rung (config, ii, gamma0) = function
+     curve ([gamma0 = 0]), the strongest answer to timing starvation. *)
+let apply_rung (config, gamma0) = function
   | Relax_budget ->
     ( {
         config with
@@ -520,10 +515,8 @@ let apply_rung (config, ii, gamma0) = function
         rebudget_config = Option.map Budget.relax config.rebudget_config;
         max_relaxations = max 16 (2 * config.max_relaxations);
       },
-      ii,
       gamma0 )
-  | Force_fast_grades -> (config, ii, 0.0)
-  | Bump_ii -> (config, Option.map (fun k -> k + 1) ii, gamma0)
+  | Force_fast_grades -> (config, 0.0)
 
 let once_failure_message = function
   | F_invalid m -> m
@@ -551,11 +544,9 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
            { failed_flow = flow; violations = Check.errors entry; recovery_log = [] })
     else
       let ladder =
-        let rungs =
+        List.filteri
+          (fun i _ -> i < config.max_recoveries)
           [ Relax_budget; Force_fast_grades ]
-          @ (if config.allow_ii_bump && ii <> None then [ Bump_ii ] else [])
-        in
-        List.filteri (fun i _ -> i < config.max_recoveries) rungs
       in
       let fail last log =
         let recovery_log = List.rev log in
@@ -579,14 +570,14 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
           | F_check _ | F_sched _ ->
             Obs.incr c_recoveries;
             let state = apply_rung state rung in
-            let config', ii', gamma0 = state in
+            let config', gamma0 = state in
             let emit_rung outcome =
               if Obs.Events.enabled () then
                 Obs.Events.emit
                   (Obs.Events.Recovery_step
                      { rung = recovery_step_name rung; outcome })
             in
-            (match run_once config' ii' flow dfg ~lib ~clock ~gamma0 ~cancel with
+            (match run_once config' ii flow dfg ~lib ~clock ~gamma0 ~cancel with
             | Ok report ->
               emit_rung "recovered";
               Ok
@@ -604,4 +595,4 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
       match run_once config ii flow dfg ~lib ~clock ~gamma0:1.0 ~cancel with
       | Ok report -> Ok report
       | Error (F_invalid m) -> Error (Invalid m)
-      | Error f -> escalate (config, ii, 1.0) f [] ladder)
+      | Error f -> escalate (config, 1.0) f [] ladder)

@@ -25,13 +25,13 @@ val flow_name : flow -> string
     When an attempt fails with a scheduler failure or a boundary-check
     violation, [run] escalates through bounded recovery rungs (cumulative,
     in this order): re-budget with a relaxed {!Budget.config}; force every
-    delay target to its curve's fast end; opt-in, bump the initiation
-    interval.  Each rung tried is recorded in the report's
+    delay target to its curve's fast end.  Each rung tried is recorded in
+    the report's
     [recovery_log] — also attached to the error when the whole ladder
     fails — and counted by the [flow.recovery.attempts] telemetry
     counter. *)
 
-type recovery_step = Relax_budget | Force_fast_grades | Bump_ii
+type recovery_step = Relax_budget | Force_fast_grades
 
 val recovery_step_name : recovery_step -> string
 
@@ -80,11 +80,8 @@ type config = {
           (default) the cheap per-phase validators, [Paranoid] adds the
           post-budget slack audit and a full schedule audit on success *)
   max_recoveries : int;
-      (** recovery-ladder length bound (default 3, the full ladder); [0]
-          restores fail-fast behaviour *)
-  allow_ii_bump : bool;
-      (** let the ladder's last rung raise the initiation interval of a
-          pipelined design (default false: II is a throughput contract) *)
+      (** recovery-ladder length bound (default 3, which covers the whole
+          ladder); [0] restores fail-fast behaviour *)
 }
 
 val default_config : config
