@@ -302,9 +302,6 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       let lo = Interval.lo (ranges o) in
       lo +. (!gamma *. (targets.(i) -. lo))
     in
-    let refresh_slowest_targets () =
-      set_targets_from (fun o -> Interval.hi (ranges o))
-    in
     let build_alloc () =
       let alloc = Alloc.create ~grading:config.grading lib in
       List.iter
@@ -383,7 +380,6 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
        decision). *)
     let rec attempt relaxations =
       poll "schedule";
-      if flow = Slowest_first && relaxations = 0 then refresh_slowest_targets ();
       Obs.incr c_attempts;
       let alloc = build_alloc () in
       match Obs.span "flow.schedule" (fun () -> Sched_core.run dfg ~alloc params) with
