@@ -26,7 +26,6 @@ type report = {
   schedule : Schedule.t;
   relaxations : int;
   regrades : int;
-  targets : float array option;
   recovery_log : recovery_attempt list;
   violations : Check.violation list;
 }
@@ -485,7 +484,6 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           schedule;
           relaxations;
           regrades;
-          targets = (match flow with Slack_based -> Some (Array.copy targets) | _ -> None);
           recovery_log = [];
           violations = !collected;
         }

@@ -48,7 +48,6 @@ type report = {
   schedule : Schedule.t;
   relaxations : int;       (** schedule-pass restarts *)
   regrades : int;          (** area-recovery re-grades applied *)
-  targets : float array option;  (** budgeted delay per op (slack flow) *)
   recovery_log : recovery_attempt list;
       (** ladder transcript; [[]] when the first attempt succeeded *)
   violations : Check.violation list;
