@@ -132,21 +132,23 @@ let active_ops dfg =
     (fun o -> match (Dfg.op dfg o).Dfg.kind with Dfg.Const _ -> false | _ -> true)
     (Dfg.ops dfg)
 
+(* The group that serves an op of natural kind [rk] and [width]. *)
+let share sharing (rk, width) =
+  let rk =
+    if
+      sharing.merge_add_sub
+      && (Resource_kind.equal rk Resource_kind.Adder
+         || Resource_kind.equal rk Resource_kind.Subtractor)
+    then Resource_kind.Add_sub
+    else rk
+  in
+  (rk, if sharing.width_buckets then next_pow2 width 4 else width)
+
 let group_key sharing dfg o =
   let op = Dfg.op dfg o in
-  match Resource_kind.of_op_kind op.Dfg.kind with
-  | Some rk ->
-    let rk =
-      if
-        sharing.merge_add_sub
-        && (Resource_kind.equal rk Resource_kind.Adder
-           || Resource_kind.equal rk Resource_kind.Subtractor)
-      then Resource_kind.Add_sub
-      else rk
-    in
-    let width = if sharing.width_buckets then next_pow2 op.Dfg.width 4 else op.Dfg.width in
-    Some (rk, width)
-  | None -> None
+  Option.map
+    (fun rk -> share sharing (rk, op.Dfg.width))
+    (Resource_kind.of_op_kind op.Dfg.kind)
 
 let groups sharing dfg ops =
   let tbl = Hashtbl.create 8 in
@@ -424,21 +426,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
             in
             let key =
               match blame with
-              | Some (rk, width) -> (
-                (* Map the blamed natural kind through the sharing policy. *)
-                match
-                  List.find_opt
-                    (fun ((_, _), gops) ->
-                      List.exists
-                        (fun o ->
-                          let bop = Dfg.op dfg o in
-                          bop.Dfg.width = width
-                          && Resource_kind.of_op_kind bop.Dfg.kind = Some rk)
-                        gops)
-                    groups
-                with
-                | Some (key, _) -> Some key
-                | None -> group_key config.sharing dfg op)
+              | Some kind -> Some (share config.sharing kind)
               | None -> group_key config.sharing dfg op
             in
             match key with
