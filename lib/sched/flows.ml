@@ -144,23 +144,30 @@ let share sharing (rk, width) =
   in
   (rk, if sharing.width_buckets then next_pow2 width 4 else width)
 
-let group_key sharing dfg o =
+(* The natural kind and width of an op; [None] for a constant. *)
+let natural_kind dfg o =
   let op = Dfg.op dfg o in
-  Option.map
-    (fun rk -> share sharing (rk, op.Dfg.width))
-    (Resource_kind.of_op_kind op.Dfg.kind)
+  Option.map (fun rk -> (rk, op.Dfg.width)) (Resource_kind.of_op_kind op.Dfg.kind)
 
-let groups sharing dfg ops =
+(* A resource group: the ops one kind and width of instance serves, and
+   how many instances the next pass allocates for them, learned across
+   relaxation attempts. *)
+type group = { key : Resource_kind.t * int; ops : Dfg.Op_id.t list; mutable count : int }
+
+(* Groups in key order, each starting at [count ops] instances. *)
+let groups sharing dfg ops ~count =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun o ->
-      match group_key sharing dfg o with
-      | Some key ->
+      match natural_kind dfg o with
+      | Some kind ->
+        let key = share sharing kind in
         Hashtbl.replace tbl key (o :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
       | None -> ())
     ops;
   Hashtbl.fold (fun key ops acc -> (key, List.rev ops) :: acc) tbl []
   |> List.sort compare
+  |> List.map (fun (key, ops) -> { key; ops; count = count ops })
 
 let median l =
   match List.sort Float.compare l with
@@ -197,8 +204,6 @@ exception Cancelled_exn of string
 let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   let cfg = Dfg.cfg dfg in
   let ops = active_ops dfg in
-  (* The resource groups depend only on the DFG and the sharing policy. *)
-  let groups = groups config.sharing dfg ops in
   let n = Dfg.op_count dfg in
   (* Cooperative deadline polls at phase boundaries: a stuck attempt — a
      runaway budgeting loop, an endless relaxation spiral — surfaces as
@@ -279,18 +284,18 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
            caller whether the design truly needs more states. *)
         set_targets_from (fun o -> Interval.lo (ranges o));
         List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops));
-    (* Instance counts per (kind, width) group, learned across relaxation
-       attempts; the allocation is rebuilt from them before every pass. *)
-    let counts : (Resource_kind.t * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun ((rk, width), gops) ->
-        let c =
-          match flow with
-          | Conventional | Slowest_first -> 1
-          | Slack_based -> slack_instance_count ?ii cfg spans0 gops
-        in
-        Hashtbl.replace counts (rk, width) (ref c))
-      groups;
+    (* The allocation is rebuilt from the group counts before every pass. *)
+    let groups =
+      groups config.sharing dfg ops
+        ~count:
+          (match flow with
+          | Conventional | Slowest_first -> fun _ -> 1
+          | Slack_based -> slack_instance_count ?ii cfg spans0)
+    in
+    let group_of kind =
+      let key = share config.sharing kind in
+      List.find_opt (fun g -> g.key = key) groups
+    in
     (* Grade-decay knob: when a pass fails on timing (a slow producer
        exhausted a consumer's window) and adding resources cannot help,
        every target is pulled toward the fast end and the pass restarts —
@@ -306,14 +311,13 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
     let build_alloc () =
       let alloc = Alloc.create ~grading:config.grading lib in
       List.iter
-        (fun ((rk, width), gops) ->
+        (fun { key = rk, width; ops = gops; count } ->
           let grade =
             match flow with
             | Conventional -> 0.0
             | Slowest_first | Slack_based -> median (List.map eff_target gops)
           in
-          let c = !(Hashtbl.find counts (rk, width)) in
-          for _ = 1 to c do
+          for _ = 1 to count do
             ignore (Alloc.add_instance alloc ~rk ~width ~delay:grade)
           done)
         groups;
@@ -387,22 +391,18 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       | Ok sched -> Ok (sched, relaxations)
       | Error f when relaxations < config.max_relaxations -> (
         Obs.incr c_relaxations;
+        let widen gs =
+          List.iter (fun g -> g.count <- g.count + 1) gs;
+          Obs.incr c_resource_adds;
+          attempt (relaxations + 1)
+        in
         match f.Sched_core.reason with
-        | Sched_core.No_resource { op; _ } -> (
-          match group_key config.sharing dfg op with
-          | Some key ->
-            (match Hashtbl.find_opt counts key with
-            | Some c -> incr c
-            | None -> Hashtbl.replace counts key (ref 1));
-            Obs.incr c_resource_adds;
-            attempt (relaxations + 1)
-          | None -> Error f)
+        | Sched_core.No_resource { rk; width; _ } -> (
+          match group_of (rk, width) with Some g -> widen [ g ] | None -> Error f)
         | Sched_core.Retime_failed _ ->
           (* Mux fan-in pushed a chain over the budget: widen every group
              by one instance to dilute sharing. *)
-          Hashtbl.iter (fun _ c -> incr c) counts;
-          Obs.incr c_resource_adds;
-          attempt (relaxations + 1)
+          widen groups
         | Sched_core.Too_slow { op; blame; _ } | Sched_core.No_time { op; blame } ->
           if flow = Slowest_first && !gamma > 0.02 then begin
             gamma := !gamma *. 0.8;
@@ -424,31 +424,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
               end
               else Error f
             in
-            let key =
-              match blame with
-              | Some kind -> Some (share config.sharing kind)
-              | None -> group_key config.sharing dfg op
-            in
-            match key with
-            | Some key ->
-              let group_size =
-                match List.assoc_opt key groups with Some gops -> List.length gops | None -> 0
-              in
-              let c =
-                match Hashtbl.find_opt counts key with
-                | Some c -> c
-                | None ->
-                  let c = ref 0 in
-                  Hashtbl.replace counts key c;
-                  c
-              in
-              if !c < group_size then begin
-                incr c;
-                Obs.incr c_resource_adds;
-                attempt (relaxations + 1)
-              end
-              else decay ()
-            | None -> decay ()
+            let blamed = match blame with Some _ -> blame | None -> natural_kind dfg op in
+            match Option.bind blamed group_of with
+            | Some g when g.count < List.length g.ops -> widen [ g ]
+            | Some _ | None -> decay ()
           end)
       | Error f -> Error f
     in
