@@ -190,14 +190,6 @@ let slack_instance_count ?ii cfg spans ops =
   in
   max 1 (int_of_float (ceil (float_of_int total /. Float.max 1.0 mean_span)))
 
-(* Failures of one ladder attempt, before they are dressed up as {!error}
-   (which additionally carries the ladder transcript). *)
-type once_failure =
-  | F_invalid of string
-  | F_check of Check.violation list
-  | F_sched of Sched_core.failure
-  | F_timeout of string  (* phase at which the cancel token fired *)
-
 exception Check_failed_exn of Check.violation list
 exception Cancelled_exn of string
 
@@ -207,7 +199,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
   let n = Dfg.op_count dfg in
   (* Cooperative deadline polls at phase boundaries: a stuck attempt — a
      runaway budgeting loop, an endless relaxation spiral — surfaces as
-     [F_timeout] instead of hanging the caller's worker domain. *)
+     [Timed_out] instead of hanging the caller's worker domain. *)
   let poll phase = if Cancel.cancelled cancel then raise (Cancelled_exn phase) in
   (* Violations recorded this attempt; [Error]-severity ones abort the
      attempt through {!Check_failed_exn}, warnings ride on the report. *)
@@ -221,7 +213,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
     end
   in
   let budget_clock = clock -. Library.register_overhead lib in
-  if budget_clock <= 0.0 then Error (F_invalid "clock period below register overhead")
+  if budget_clock <= 0.0 then Error (Invalid "clock period below register overhead")
   else begin
     try
     (* Each op's curve and range, looked up once: neither changes within
@@ -432,7 +424,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       | Error f -> Error f
     in
     match attempt 0 with
-    | Error failure -> Error (F_sched failure)
+    | Error failure -> Error (Sched_failed { failed_flow = flow; failure; recovery_log = [] })
     | Ok (schedule, relaxations) ->
       let regrades =
         if config.recover_area then
@@ -455,9 +447,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           violations = !collected;
         }
     with
-    | Check_failed_exn vs -> Error (F_check vs)
-    | Cancelled_exn phase -> Error (F_timeout phase)
-    | Timed_dfg.Unrealizable m -> Error (F_invalid ("timed DFG unrealizable: " ^ m))
+    | Check_failed_exn violations ->
+      Error (Validation_failed { failed_flow = flow; violations; recovery_log = [] })
+    | Cancelled_exn phase -> Error (Timed_out { failed_flow = flow; phase; recovery_log = [] })
+    | Timed_dfg.Unrealizable m -> Error (Invalid ("timed DFG unrealizable: " ^ m))
   end
 
 (* The self-healing retry ladder.  Each rung is cumulative — a later rung
@@ -479,11 +472,19 @@ let apply_rung (config, gamma0) = function
       gamma0 )
   | Force_fast_grades -> (config, 0.0)
 
-let once_failure_message = function
-  | F_invalid m -> m
-  | F_check vs -> Check.summary vs
-  | F_sched f -> Format.asprintf "%a" Sched_core.pp_failure f
-  | F_timeout phase -> "deadline exceeded (at " ^ phase ^ ")"
+(* What a ladder transcript records of a failed attempt: the error
+   without its flow name and transcript. *)
+let attempt_message = function
+  | Invalid m -> m
+  | Validation_failed { violations; _ } -> Check.summary violations
+  | Sched_failed { failure; _ } -> Format.asprintf "%a" Sched_core.pp_failure failure
+  | Timed_out { phase; _ } -> "deadline exceeded (at " ^ phase ^ ")"
+
+let with_recovery_log recovery_log = function
+  | Invalid _ as e -> e
+  | Validation_failed r -> Validation_failed { r with recovery_log }
+  | Sched_failed r -> Sched_failed { r with recovery_log }
+  | Timed_out r -> Timed_out { r with recovery_log }
 
 let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~clock =
   match ii with
@@ -509,26 +510,17 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
           (fun i _ -> i < config.max_recoveries)
           [ Relax_budget; Force_fast_grades ]
       in
-      let fail last log =
-        let recovery_log = List.rev log in
-        match last with
-        | F_invalid m -> Error (Invalid m)
-        | F_check violations ->
-          Error (Validation_failed { failed_flow = flow; violations; recovery_log })
-        | F_sched failure ->
-          Error (Sched_failed { failed_flow = flow; failure; recovery_log })
-        | F_timeout phase -> Error (Timed_out { failed_flow = flow; phase; recovery_log })
-      in
+      let fail last log = Error (with_recovery_log (List.rev log) last) in
       let rec escalate state last log = function
         | [] -> fail last log
         | rung :: rest -> (
           match last with
-          | F_invalid _ | F_timeout _ ->
+          | Invalid _ | Timed_out _ ->
             (* Config problems make retrying futile; an expired deadline
                makes it forbidden — every further rung would also time out
                at its first poll. *)
             fail last log
-          | F_check _ | F_sched _ ->
+          | Validation_failed _ | Sched_failed _ ->
             Obs.incr c_recoveries;
             let state = apply_rung state rung in
             let config', gamma0 = state in
@@ -549,11 +541,10 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
             | Error f ->
               emit_rung "still-failing";
               escalate state f
-                ({ step = rung; outcome = Still_failing (once_failure_message f) }
+                ({ step = rung; outcome = Still_failing (attempt_message f) }
                 :: log)
                 rest))
       in
       match run_once config ii flow dfg ~lib ~clock ~gamma0:1.0 ~cancel with
-      | Ok report -> Ok report
-      | Error (F_invalid m) -> Error (Invalid m)
-      | Error f -> escalate (config, 1.0) f [] ladder)
+      | Ok _ as ok -> ok
+      | Error e -> escalate (config, 1.0) e [] ladder)
