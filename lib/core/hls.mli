@@ -28,10 +28,9 @@ val run :
   ?lib:Library.t -> ?config:Flows.config -> ?cancel:Cancel.t -> Flows.flow ->
   design -> (result, Flows.error) Stdlib.result
 (** [lib] defaults to {!Library.default}.  Errors are structured
-    ({!Flows.error}): render them with {!Flows.pp_error} or
-    {!Flows.error_message}.  [cancel] is a cooperative deadline polled at
-    the pipeline's phase boundaries ({!Flows.run}); a fired token yields
-    [Error (Flows.Timed_out _)].
+    ({!Flows.error}): render them with {!Flows.error_message}.  [cancel]
+    is a cooperative deadline polled at the pipeline's phase boundaries
+    ({!Flows.run}); a fired token yields [Error (Flows.Timed_out _)].
 
     Under [config.validate = Check.Paranoid] the netlist and area
     breakdown are additionally cross-checked against the schedule

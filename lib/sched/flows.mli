@@ -33,8 +33,6 @@ val flow_name : flow -> string
 
 type recovery_step = Relax_budget | Force_fast_grades
 
-val recovery_step_name : recovery_step -> string
-
 type recovery_outcome =
   | Recovered           (** this rung's attempt produced a schedule *)
   | Still_failing of string  (** the failure message of this rung's attempt *)
@@ -114,11 +112,9 @@ type error =
           the deadline), and sweep drivers treat it as data — the point
           was too expensive, not the pipeline broken. *)
 
-val pp_error : Format.formatter -> error -> unit
+val error_message : error -> string
 (** Renders [Sched_failed] through {!Sched_core.pp_failure}, followed by
     the ladder transcript when recovery was attempted. *)
-
-val error_message : error -> string
 
 val run :
   ?config:config -> ?cancel:Cancel.t -> ?ii:int -> flow -> Dfg.t ->
