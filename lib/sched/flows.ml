@@ -5,6 +5,30 @@ let flow_name = function
   | Slowest_first -> "slowest-first"
   | Slack_based -> "slack-based"
 
+(* Where a flow's delay targets, priorities and starting allocation come
+   from.  [Fastest] and [Slowest] put every target at its curve's fast or
+   slow end, order ops by mobility and start each group at one instance,
+   allocated at the fastest grade or at the group's median target.
+   [Budgeted] takes the targets from slack budgeting (Fig. 7) and orders
+   ops by slack, starts each group at its peak-demand estimate, and
+   re-spans and re-budgets after every CFG edge (Fig. 8 steps c-d). *)
+type start = Fastest | Slowest | Budgeted
+
+type policy = {
+  start : start;
+  upgrade_on_miss : bool;  (* speed up a free instance when none fits *)
+  decay_first : bool;
+      (* on timing starvation, decay every target toward the fast end
+         before widening the blamed group *)
+}
+
+(* The paper's three policies over one schedule pass: §II Case 1, §II
+   Case 2, and the slack-budgeted flow. *)
+let policy = function
+  | Conventional -> { start = Fastest; upgrade_on_miss = false; decay_first = false }
+  | Slowest_first -> { start = Slowest; upgrade_on_miss = true; decay_first = true }
+  | Slack_based -> { start = Budgeted; upgrade_on_miss = true; decay_first = false }
+
 type recovery_step = Relax_budget | Force_fast_grades
 
 let recovery_step_name = function
@@ -194,6 +218,7 @@ exception Check_failed_exn of Check.violation list
 exception Cancelled_exn of string
 
 let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
+  let policy = policy flow in
   let cfg = Dfg.cfg dfg in
   let ops = active_ops dfg in
   let n = Dfg.op_count dfg in
@@ -244,19 +269,24 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
     in
     let spans0 = Dfg.compute_spans dfg in
-    let mobility o =
-      let s = spans0.(Dfg.Op_id.to_int o) in
-      float_of_int
-        (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early)
+    let set_priorities_mobility () =
+      List.iter
+        (fun o ->
+          let s = spans0.(Dfg.Op_id.to_int o) in
+          priorities.(Dfg.Op_id.to_int o) <-
+            float_of_int
+              (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early))
+        ops
     in
-    (match flow with
-    | Conventional ->
-      set_targets_from (fun o -> Interval.lo (ranges o));
-      List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops
-    | Slowest_first ->
+    let fastest o = Interval.lo (ranges o) in
+    (match policy.start with
+    | Fastest ->
+      set_targets_from fastest;
+      set_priorities_mobility ()
+    | Slowest ->
       set_targets_from (fun o -> Interval.hi (ranges o));
-      List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops
-    | Slack_based -> (
+      set_priorities_mobility ()
+    | Budgeted -> (
       let tdfg = Timed_dfg.build dfg ~spans:spans0 in
       guard ~at:Check.Boundary (Check.timed_dfg tdfg);
       match
@@ -274,15 +304,15 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       | Budget.Infeasible _ ->
         (* Fall back to fastest targets; the schedule pass will tell the
            caller whether the design truly needs more states. *)
-        set_targets_from (fun o -> Interval.lo (ranges o));
-        List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- mobility o) ops));
+        set_targets_from fastest;
+        set_priorities_mobility ()));
     (* The allocation is rebuilt from the group counts before every pass. *)
     let groups =
       groups config.sharing dfg ops
         ~count:
-          (match flow with
-          | Conventional | Slowest_first -> fun _ -> 1
-          | Slack_based -> slack_instance_count ?ii cfg spans0)
+          (match policy.start with
+          | Fastest | Slowest -> fun _ -> 1
+          | Budgeted -> slack_instance_count ?ii cfg spans0)
     in
     let group_of kind =
       let key = share config.sharing kind in
@@ -305,9 +335,9 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       List.iter
         (fun { key = rk, width; ops = gops; count } ->
           let grade =
-            match flow with
-            | Conventional -> 0.0
-            | Slowest_first | Slack_based -> median (List.map eff_target gops)
+            match policy.start with
+            | Fastest -> 0.0
+            | Slowest | Budgeted -> median (List.map eff_target gops)
           in
           for _ = 1 to count do
             ignore (Alloc.add_instance alloc ~rk ~width ~delay:grade)
@@ -315,10 +345,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
         groups;
       alloc
     in
-    (* Per-edge re-budgeting hook (slack flow). *)
+    (* Per-edge re-budgeting hook. *)
     let rebudget =
-      match (flow, config.rebudget_config) with
-      | Slack_based, Some bcfg ->
+      match (policy.start, config.rebudget_config) with
+      | Budgeted, Some bcfg ->
         Some
           (fun sched spans' ->
             if List.exists (fun o -> not (Schedule.is_placed sched o)) ops then begin
@@ -355,10 +385,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                     (fun o ->
                       let i = Dfg.Op_id.to_int o in
                       if not (Schedule.is_placed sched o) then
-                        targets.(i) <- Interval.lo (ranges o))
+                        targets.(i) <- fastest o)
                     ops
             end)
-      | (Conventional | Slowest_first | Slack_based), _ -> None
+      | (Fastest | Slowest | Budgeted), _ -> None
     in
     let params =
       {
@@ -367,8 +397,8 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
         spans = spans0;
         priority = (fun o -> priorities.(Dfg.Op_id.to_int o));
         target = eff_target;
-        upgrade_on_miss = (match flow with Conventional -> false | _ -> true);
-        respan = (match flow with Slack_based -> true | _ -> false);
+        upgrade_on_miss = policy.upgrade_on_miss;
+        respan = policy.start = Budgeted;
         rebudget;
       }
     in
@@ -396,7 +426,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
              by one instance to dilute sharing. *)
           widen groups
         | Sched_core.Too_slow { op; blame; _ } | Sched_core.No_time { op; blame } ->
-          if flow = Slowest_first && !gamma > 0.02 then begin
+          if policy.decay_first && !gamma > 0.02 then begin
             gamma := !gamma *. 0.8;
             Obs.incr c_gamma_decays;
             attempt (relaxations + 1)
