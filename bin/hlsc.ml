@@ -136,11 +136,10 @@ let load_design ~source ~builtin ~clock =
   | Some _, Some _ -> Error (Usage "pass either a source file or --design, not both")
   | None, None -> Error (Usage "pass a source file or --design NAME")
 
-let flow_of = function
-  | "conventional" | "conv" -> Ok Flows.Conventional
-  | "slowest" | "slowest-first" -> Ok Flows.Slowest_first
-  | "slack" | "slack-based" -> Ok Flows.Slack_based
-  | s ->
+let flow_of s =
+  match Flows.of_name s with
+  | Some flow -> Ok flow
+  | None ->
     Error (Usage (Printf.sprintf "unknown flow %S (try: conventional, slowest, slack)" s))
 
 let config_of validate max_recoveries =
@@ -845,11 +844,11 @@ let fuzz_cmd count seed lib validate max_recoveries grids obs =
                    Printf.sprintf "%s/%s: %s" d.Random_design.name
                      (Flows.flow_name flow) (Flows.error_message e)
                    :: !violations)
-             [ Flows.Conventional; Flows.Slowest_first; Flows.Slack_based ])
+             Flows.all)
          designs;
        Printf.printf
-         "fuzz: %d designs x 3 flows: %d ok (%d via recovery), %d infeasible, %d violations\n"
-         count !ok !recovered !sched_fails
+         "fuzz: %d designs x %d flows: %d ok (%d via recovery), %d infeasible, %d violations\n"
+         count (List.length Flows.all) !ok !recovered !sched_fails
          (List.length !violations);
        let grid_violations =
          if grids > 0 then fuzz_grids ~lib ~config ~grids ~seed else []

@@ -9,10 +9,7 @@ type t = {
 
 let max_points = 100_000
 
-let flow_short = function
-  | Flows.Conventional -> "conv"
-  | Flows.Slowest_first -> "slowest"
-  | Flows.Slack_based -> "slack"
+let flow_short = Flows.short_name
 
 let dedup xs =
   List.rev
@@ -114,15 +111,13 @@ let parse_clocks spec =
 
 let parse_flows spec =
   match String.trim spec with
-  | "all" -> Ok [ Flows.Conventional; Flows.Slowest_first; Flows.Slack_based ]
+  | "all" -> Ok Flows.all
   | _ -> (
     let flow_item s =
-      match String.trim s with
-      | "conv" | "conventional" -> Ok Flows.Conventional
-      | "slowest" | "slowest-first" -> Ok Flows.Slowest_first
-      | "slack" | "slack-based" -> Ok Flows.Slack_based
-      | other ->
-        Error (Printf.sprintf "unknown flow %S (try: conv, slowest, slack, all)" other)
+      let s = String.trim s in
+      match Flows.of_name s with
+      | Some flow -> Ok flow
+      | None -> Error (Printf.sprintf "unknown flow %S (try: conv, slowest, slack, all)" s)
     in
     match split_commas spec with
     | [] -> Error "empty flow spec"

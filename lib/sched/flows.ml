@@ -1,9 +1,21 @@
 type flow = Conventional | Slowest_first | Slack_based
 
-let flow_name = function
-  | Conventional -> "conventional"
-  | Slowest_first -> "slowest-first"
-  | Slack_based -> "slack-based"
+(* Each flow's short name and full name. *)
+let names =
+  [
+    (Conventional, ("conv", "conventional"));
+    (Slowest_first, ("slowest", "slowest-first"));
+    (Slack_based, ("slack", "slack-based"));
+  ]
+
+let all = List.map fst names
+let short_name flow = fst (List.assoc flow names)
+let flow_name flow = snd (List.assoc flow names)
+
+let of_name s =
+  List.find_map
+    (fun (flow, (short, full)) -> if s = short || s = full then Some flow else None)
+    names
 
 (* Where a flow's delay targets, priorities and starting allocation come
    from.  [Fastest] and [Slowest] put every target at its curve's fast or

@@ -18,7 +18,19 @@
 
 type flow = Conventional | Slowest_first | Slack_based
 
+val all : flow list
+(** Every flow, in declaration order. *)
+
 val flow_name : flow -> string
+(** ["conventional"], ["slowest-first"] or ["slack-based"]: reports,
+    errors and event attributes print it. *)
+
+val short_name : flow -> string
+(** ["conv"], ["slowest"] or ["slack"]: grid specs and point keys print
+    it. *)
+
+val of_name : string -> flow option
+(** Either name of a flow. *)
 
 (** {1 Recovery ladder}
 

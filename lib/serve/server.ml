@@ -198,12 +198,10 @@ let start cfg =
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
 
-let flow_of_name = function
-  | "conventional" | "conv" -> Ok Flows.Conventional
-  | "slowest" | "slowest-first" -> Ok Flows.Slowest_first
-  | "slack" | "slack-based" -> Ok Flows.Slack_based
-  | s ->
-    Error (Printf.sprintf "unknown flow %S (try: conventional, slowest, slack)" s)
+let flow_of_name s =
+  match Flows.of_name s with
+  | Some flow -> Ok flow
+  | None -> Error (Printf.sprintf "unknown flow %S (try: conventional, slowest, slack)" s)
 
 let lookup_design t name =
   let found =
