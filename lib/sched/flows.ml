@@ -84,10 +84,8 @@ type error =
       recovery_log : recovery_attempt list;
     }
 
-let pp_recovery_log ppf = function
-  | [] -> ()
-  | log ->
-    List.iter (fun a -> Format.fprintf ppf "@.  recovery %a" pp_recovery_attempt a) log
+let pp_recovery_log ppf log =
+  List.iter (fun a -> Format.fprintf ppf "@.  recovery %a" pp_recovery_attempt a) log
 
 let pp_error ppf = function
   | Invalid m -> Format.pp_print_string ppf m
@@ -270,9 +268,6 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
     (* Delay targets. *)
     let targets = Array.make n 0.0 in
     let priorities = Array.make n 0.0 in
-    let set_targets_from del =
-      List.iter (fun o -> targets.(Dfg.Op_id.to_int o) <- del o) ops
-    in
     let set_priorities_slack tdfg =
       let e =
         Slack.create ~aligned:true tdfg ~clock:budget_clock ~del:(fun o ->
@@ -281,23 +276,22 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
     in
     let spans0 = Dfg.compute_spans dfg in
-    let set_priorities_mobility () =
+    (* Targets from [del]; ops ordered by mobility. *)
+    let by_mobility del =
       List.iter
         (fun o ->
-          let s = spans0.(Dfg.Op_id.to_int o) in
-          priorities.(Dfg.Op_id.to_int o) <-
+          let i = Dfg.Op_id.to_int o in
+          let s = spans0.(i) in
+          targets.(i) <- del o;
+          priorities.(i) <-
             float_of_int
               (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early))
         ops
     in
     let fastest o = Interval.lo (ranges o) in
     (match policy.start with
-    | Fastest ->
-      set_targets_from fastest;
-      set_priorities_mobility ()
-    | Slowest ->
-      set_targets_from (fun o -> Interval.hi (ranges o));
-      set_priorities_mobility ()
+    | Fastest -> by_mobility fastest
+    | Slowest -> by_mobility (fun o -> Interval.hi (ranges o))
     | Budgeted -> (
       let tdfg = Timed_dfg.build dfg ~spans:spans0 in
       guard ~at:Check.Boundary (Check.timed_dfg tdfg);
@@ -316,8 +310,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       | Budget.Infeasible _ ->
         (* Fall back to fastest targets; the schedule pass will tell the
            caller whether the design truly needs more states. *)
-        set_targets_from fastest;
-        set_priorities_mobility ()));
+        by_mobility fastest));
     (* The allocation is rebuilt from the group counts before every pass. *)
     let groups =
       groups config.sharing dfg ops
@@ -376,29 +369,27 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                   | None -> ranges o
                 in
                 let sens' o d = if Schedule.is_placed sched o then 0.0 else sensitivity o d in
+                let retarget del =
+                  List.iter
+                    (fun o ->
+                      if not (Schedule.is_placed sched o) then
+                        targets.(Dfg.Op_id.to_int o) <- del o)
+                    ops
+                in
                 Obs.incr c_rebudget_runs;
                 match
                   Budget.run ~config:bcfg ~event_phase:"rebudget" tdfg'
                     ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
                 with
                 | Budget.Feasible delays ->
-                  List.iter
-                    (fun o ->
-                      let i = Dfg.Op_id.to_int o in
-                      if not (Schedule.is_placed sched o) then targets.(i) <- delays.(i))
-                    ops;
+                  retarget (fun o -> delays.(Dfg.Op_id.to_int o));
                   set_priorities_slack tdfg'
                 | Budget.Infeasible _ ->
                   (* Sharing created violations: demand the fastest grades
                      for what remains (paper: "fixed by decreasing the
                      delays of operations"). *)
                   Obs.incr c_rebudget_infeasible;
-                  List.iter
-                    (fun o ->
-                      let i = Dfg.Op_id.to_int o in
-                      if not (Schedule.is_placed sched o) then
-                        targets.(i) <- fastest o)
-                    ops
+                  retarget fastest
             end)
       | (Fastest | Slowest | Budgeted), _ -> None
     in
@@ -564,8 +555,7 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
             fail last log
           | Validation_failed _ | Sched_failed _ ->
             Obs.incr c_recoveries;
-            let state = apply_rung state rung in
-            let config', gamma0 = state in
+            let ((config', gamma0) as state) = apply_rung state rung in
             let emit_rung outcome =
               if Obs.Events.enabled () then
                 Obs.Events.emit
