@@ -125,6 +125,21 @@ let test_grid_parsing () =
   (match Explore_grid.parse_flows "all" with
   | Ok fs -> Alcotest.(check int) "all flows" 3 (List.length fs)
   | Error m -> Alcotest.fail m);
+  (* Point keys and reports print these names, so they are pinned; every
+     flow parses from either of them, and "all" is not a flow. *)
+  let names = List.map (fun f -> (Flows.short_name f, Flows.flow_name f)) Flows.all in
+  Alcotest.(check (list (pair string string)))
+    "flow names"
+    [ ("conv", "conventional"); ("slowest", "slowest-first"); ("slack", "slack-based") ]
+    names;
+  List.iter
+    (fun f ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " parses") true (Flows.of_name name = Some f))
+        [ Flows.short_name f; Flows.flow_name f ])
+    Flows.all;
+  Alcotest.(check bool) "all is not a flow" true (Flows.of_name "all" = None);
   (match Explore_grid.parse_recover "both" with
   | Ok r -> Alcotest.(check int) "both policies" 2 (List.length r)
   | Error _ -> Alcotest.fail "recover both rejected");
