@@ -61,11 +61,6 @@ let upgrade_to_fit t id ~max_delay =
 
 let fu_area t = Vec.fold_left (fun acc i -> acc +. i.point.Curve.area) 0.0 t.insts
 
-let copy t =
-  let fresh = { lib = t.lib; mode = t.mode; insts = Vec.create () } in
-  Vec.iter (fun i -> ignore (Vec.push fresh.insts { i with point = i.point })) t.insts;
-  fresh
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>alloc: %d instance(s)@," (count t);
   Vec.iter

@@ -53,8 +53,4 @@ val upgrade_to_fit : t -> Inst_id.t -> max_delay:float -> bool
 val fu_area : t -> float
 (** Sum of instance areas at their current grades. *)
 
-val copy : t -> t
-(** Deep copy (fresh instances with the same ids and grades); used by
-    relaxation loops to roll back failed attempts. *)
-
 val pp : Format.formatter -> t -> unit

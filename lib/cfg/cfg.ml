@@ -73,12 +73,6 @@ let out_edges t n =
   Vec.iteri (fun i (s, _) -> if s = ni then acc := Edge_id.of_int i :: !acc) t.edges;
   List.rev !acc
 
-let in_edges t n =
-  let ni = Node_id.to_int n in
-  let acc = ref [] in
-  Vec.iteri (fun i (_, d) -> if d = ni then acc := Edge_id.of_int i :: !acc) t.edges;
-  List.rev !acc
-
 let states t =
   let acc = ref [] in
   Vec.iteri (fun i k -> if k = State then acc := Node_id.of_int i :: !acc) t.kinds;
@@ -261,8 +255,6 @@ let edge_topo_index t e =
   if pos < 0 then invalid_arg "Cfg.edge_topo_index: backward edge";
   pos
 
-let compare_edges_topo t a b = Int.compare (edge_topo_index t a) (edge_topo_index t b)
-
 let reaches t e1 e2 =
   if Edge_id.equal e1 e2 then true
   else begin
@@ -306,21 +298,3 @@ let max_state_index t = (sealed t "max_state_index").max_state
 
 let edge_dominates t e f =
   (sealed t "edge_dominates").edge_dom.(Edge_id.to_int f).(Edge_id.to_int e)
-
-let pp_edge t ppf e =
-  let s, d = edge_pair t e in
-  Format.fprintf ppf "e%d(%d->%d)" (Edge_id.to_int e) s d
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>CFG: %d nodes, %d edges@," (node_count t) (edge_count t);
-  Vec.iteri (fun i k -> Format.fprintf ppf "  n%d: %a@," i pp_node_kind k) t.kinds;
-  Vec.iteri
-    (fun i (s, d) ->
-      let tag =
-        match t.sealed_info with
-        | Some info when info.back.(i) -> " (back)"
-        | Some _ | None -> ""
-      in
-      Format.fprintf ppf "  e%d: n%d -> n%d%s@," i s d tag)
-    t.edges;
-  Format.fprintf ppf "@]"

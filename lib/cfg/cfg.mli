@@ -64,7 +64,6 @@ val node_kind : t -> Node_id.t -> node_kind
 val edge_src : t -> Edge_id.t -> Node_id.t
 val edge_dst : t -> Edge_id.t -> Node_id.t
 val out_edges : t -> Node_id.t -> Edge_id.t list
-val in_edges : t -> Node_id.t -> Edge_id.t list
 val states : t -> Node_id.t list
 val iter_edges : t -> (Edge_id.t -> unit) -> unit
 
@@ -79,8 +78,6 @@ val forward_edges_topo : t -> Edge_id.t list
 val edge_topo_index : t -> Edge_id.t -> int
 (** Position of a forward edge in {!forward_edges_topo}.  Backward edges
     raise [Invalid_argument]. *)
-
-val compare_edges_topo : t -> Edge_id.t -> Edge_id.t -> int
 
 val reaches : t -> Edge_id.t -> Edge_id.t -> bool
 (** [reaches t e1 e2]: [e2] lies on some forward path starting at [e1]
@@ -107,6 +104,3 @@ val state_of_edge : t -> Edge_id.t -> int
     by zero latency share a control step (they chain combinationally). *)
 
 val max_state_index : t -> int
-
-val pp_edge : t -> Format.formatter -> Edge_id.t -> unit
-val pp : Format.formatter -> t -> unit

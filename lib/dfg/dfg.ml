@@ -44,8 +44,6 @@ let op_kind_name = function
   | Write p -> "write:" ^ p
   | Const v -> "const:" ^ string_of_int v
 
-let pp_op_kind ppf k = Format.pp_print_string ppf (op_kind_name k)
-
 let default_fixed = function
   | Read _ | Write _ | Mux -> true
   | Add | Sub | Mul | Div | Modulo | Shl | Shr | Land | Lor | Lxor | Lnot | Cmp _ | Const _
@@ -309,21 +307,6 @@ let compute_spans ?(pin = fun _ -> None) t =
         let b = (Vec.get t.ops_v i).birth in
         { early = b; late = b }
       end)
-
-let pp_op ppf o =
-  Format.fprintf ppf "%s(%a, w%d, e%d%s)" o.name pp_op_kind o.kind o.width
-    (Cfg.Edge_id.to_int o.birth)
-    (if o.fixed then ", fixed" else "")
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>DFG: %d ops, %d deps@," (op_count t) (dep_count t);
-  iter_ops t (fun o ->
-      let ss = succs t o.id in
-      Format.fprintf ppf "  %a ->%a@," pp_op o
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf s ->
-             Format.fprintf ppf " %s" (op t s).name))
-        ss);
-  Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)

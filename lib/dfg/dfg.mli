@@ -44,7 +44,6 @@ type op_kind =
   | Write of string  (** blocking channel/port write; fixed *)
   | Const of int     (** constant; excluded from timing analysis *)
 
-val pp_op_kind : Format.formatter -> op_kind -> unit
 val op_kind_name : op_kind -> string
 
 val default_fixed : op_kind -> bool
@@ -143,9 +142,6 @@ val compute_spans : ?pin:(Op_id.t -> Cfg.Edge_id.t option) -> t -> span array
     their scheduled edge, shrinking the spans of the remaining ones (used
     when budgeting is re-run during scheduling).  Requires a sealed CFG and
     a validated DFG. *)
-
-val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> t -> unit
 
 (** {1 Content digest} *)
 

@@ -7,8 +7,6 @@ type 'a entry = { key : string; area : float; delay : float; tag : 'a }
 type 'a t = 'a entry list
 
 let empty = []
-let size = List.length
-let is_empty t = t = []
 
 let dominates a b =
   a.area <= b.area && a.delay <= b.delay && (a.area < b.area || a.delay < b.delay)

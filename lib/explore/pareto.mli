@@ -19,9 +19,6 @@ type 'a entry = {
 type 'a t
 
 val empty : 'a t
-val size : 'a t -> int
-val is_empty : 'a t -> bool
-
 val dominates : 'a entry -> 'b entry -> bool
 (** [dominates a b]: [a] is no worse on both objectives and strictly
     better on at least one. *)

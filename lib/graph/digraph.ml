@@ -47,30 +47,14 @@ let preds t v =
   check_node t v;
   List.rev t.pred.(v)
 
-let out_degree t v =
-  check_node t v;
-  List.length t.succ.(v)
-
 let in_degree t v =
   check_node t v;
   List.length t.pred.(v)
-
-let iter_nodes t f =
-  for v = 0 to t.n - 1 do
-    f v
-  done
 
 let iter_edges t f =
   for u = 0 to t.n - 1 do
     List.iter (fun v -> f u v) (List.rev t.succ.(u))
   done
-
-let fold_nodes t ~init ~f =
-  let acc = ref init in
-  for v = 0 to t.n - 1 do
-    acc := f !acc v
-  done;
-  !acc
 
 let mem_edge t u v =
   check_node t u;

@@ -17,11 +17,8 @@ val succs : t -> int -> int list
 (** Successors in insertion order. *)
 
 val preds : t -> int -> int list
-val out_degree : t -> int -> int
 val in_degree : t -> int -> int
-val iter_nodes : t -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> unit) -> unit
-val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val mem_edge : t -> int -> int -> bool
 val copy : t -> t
 

@@ -49,12 +49,3 @@ let check ?schedule ?(iterations = 32) ?(seed = 1) (elab : Elaborate.t) =
       cmp 0 expected_trace got_trace)
     reference;
   { iterations; checked_values = !checked; mismatches = List.rev !mismatches }
-
-let check_exn ?schedule ?iterations ?seed elab =
-  let r = check ?schedule ?iterations ?seed elab in
-  match r.mismatches with
-  | [] -> ()
-  | m :: _ ->
-    failwith
-      (Printf.sprintf "cosim mismatch on port %s at write %d: expected %d, got %d" m.mport
-         m.iteration m.expected m.got)

@@ -22,6 +22,3 @@ val check :
   ?schedule:Schedule.t -> ?iterations:int -> ?seed:int -> Elaborate.t -> result
 (** [iterations] defaults to 32, [seed] to 1.  Inputs are uniform random
     words of each input port's width. *)
-
-val check_exn : ?schedule:Schedule.t -> ?iterations:int -> ?seed:int -> Elaborate.t -> unit
-(** Raises [Failure] with a description of the first mismatch. *)

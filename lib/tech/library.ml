@@ -144,8 +144,6 @@ let curve t rk ~width =
 let op_curve t k ~width =
   Option.map (fun rk -> curve t rk ~width) (Resource_kind.of_op_kind k)
 
-let op_delay_range t k ~width = Option.map Curve.delay_range (op_curve t k ~width)
-
 let mux_delay t ~inputs =
   if inputs <= 1 then 0.0
   else t.ov.mux_delay_base +. (t.ov.mux_delay_per_log_input *. log2 (float_of_int inputs))

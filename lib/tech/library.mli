@@ -34,8 +34,6 @@ val curve : t -> Resource_kind.t -> width:int -> Curve.t
 val op_curve : t -> Dfg.op_kind -> width:int -> Curve.t option
 (** Curve of the default resource kind for an op; [None] for constants. *)
 
-val op_delay_range : t -> Dfg.op_kind -> width:int -> Interval.t option
-
 (** {1 Interconnect and control overheads} *)
 
 val mux_delay : t -> inputs:int -> float

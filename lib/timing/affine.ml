@@ -18,8 +18,6 @@ let add a b =
 let scale k a = normalize { c = k *. a.c; terms = Smap.map (fun v -> k *. v) a.terms }
 let neg a = scale (-1.0) a
 let sub a b = add a (neg b)
-let coeff t x = match Smap.find_opt x t.terms with Some v -> v | None -> 0.0
-let const_part t = t.c
 let eval t valu = Smap.fold (fun x v acc -> acc +. (v *. valu x)) t.terms t.c
 
 let equal a b =

@@ -13,8 +13,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val scale : float -> t -> t
-val coeff : t -> string -> float
-val const_part : t -> float
 val eval : t -> (string -> float) -> float
 val equal : t -> t -> bool
 val compare_at : (string -> float) -> t -> t -> int

@@ -193,10 +193,6 @@ let neighbours t c node =
 let preds t node = neighbours t t.pred node
 let succs t node = neighbours t t.succ node
 
-let latency_between t o1 o2 =
-  let early o = t.spans.(Dfg.Op_id.to_int o).Dfg.early in
-  Cfg.latency (Dfg.cfg t.dfg) (early o1) (early o2)
-
 (* Fault-injection hook: a copy of the graph with one edge's latency weight
    replaced.  The result is deliberately allowed to be ill-formed (negative
    weights included) so tests can prove the timed-DFG validator fires. *)

@@ -78,10 +78,6 @@ val preds : t -> node -> (node * int) list
 
 val succs : t -> node -> (node * int) list
 
-val latency_between : t -> Dfg.Op_id.t -> Dfg.Op_id.t -> int option
-(** Latency weight that an edge between these two ops would carry:
-    [Cfg.latency (early o1) (early o2)]. *)
-
 val with_edge_weight : t -> src:node -> dst:node -> weight:int -> t
 (** A copy with the [src -> dst] edge's latency weight replaced; raises
     [Invalid_argument] when no such edge exists.  Fault-injection hook: the

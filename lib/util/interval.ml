@@ -15,11 +15,8 @@ let intersect a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if lo <= hi then Some { lo; hi } else None
 
-let shift t dx = { lo = t.lo +. dx; hi = t.hi +. dx }
-
 let scale t k =
   if k < 0.0 then invalid_arg "Interval.scale: negative factor";
   { lo = t.lo *. k; hi = t.hi *. k }
 
 let equal a b = Float.equal a.lo b.lo && Float.equal a.hi b.hi
-let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi

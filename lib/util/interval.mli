@@ -16,9 +16,7 @@ val clamp : t -> float -> float
 (** [clamp t x] projects [x] into [t]. *)
 
 val intersect : t -> t -> t option
-val shift : t -> float -> t
 val scale : t -> float -> t
 (** [scale t k] multiplies both bounds by [k >= 0]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ let mix64 z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -37,5 +36,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let split t = { state = mix64 (next_int64 t) }

@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator from an integer seed. *)
 
-val copy : t -> t
-
 val next_int64 : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -27,6 +25,3 @@ val choose : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** Derive an independent generator (for parallel substreams). *)

@@ -67,4 +67,3 @@ let render t =
 let print t = print_string (render t)
 
 let cell_float ?(decimals = 1) x = Printf.sprintf "%.*f" decimals x
-let cell_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals x

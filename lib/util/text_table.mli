@@ -18,4 +18,3 @@ val render : t -> string
 val print : t -> unit
 
 val cell_float : ?decimals:int -> float -> string
-val cell_pct : ?decimals:int -> float -> string

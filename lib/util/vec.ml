@@ -48,7 +48,3 @@ let fold_left f init t =
 
 let to_array t = Array.sub t.data 0 t.len
 let to_list t = Array.to_list (to_array t)
-
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0

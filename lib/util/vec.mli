@@ -14,4 +14,3 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
-val exists : ('a -> bool) -> 'a t -> bool
