@@ -61,9 +61,6 @@ let mem_edge t u v =
   check_node t v;
   List.exists (Int.equal v) t.succ.(u)
 
-let copy t =
-  { n = t.n; m = t.m; succ = Array.copy t.succ; pred = Array.copy t.pred }
-
 let reverse t =
   let r = create ~initial_capacity:(max t.n 1) () in
   for _ = 1 to t.n do

@@ -20,7 +20,6 @@ val preds : t -> int -> int list
 val in_degree : t -> int -> int
 val iter_edges : t -> (int -> int -> unit) -> unit
 val mem_edge : t -> int -> int -> bool
-val copy : t -> t
 
 val reverse : t -> t
 (** A fresh graph with every edge flipped. *)

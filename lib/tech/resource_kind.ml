@@ -28,7 +28,6 @@ let name = function
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 let equal = ( = )
-let compare = Stdlib.compare
 
 let of_op_kind : Dfg.op_kind -> t option = function
   | Dfg.Add -> Some Adder

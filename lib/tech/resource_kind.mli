@@ -16,7 +16,6 @@ val all : t list
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val of_op_kind : Dfg.op_kind -> t option
 (** [None] for constants, which consume no resource. *)

@@ -14,9 +14,3 @@ let clamp t x = if x < t.lo then t.lo else if x > t.hi then t.hi else x
 let intersect a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if lo <= hi then Some { lo; hi } else None
-
-let scale t k =
-  if k < 0.0 then invalid_arg "Interval.scale: negative factor";
-  { lo = t.lo *. k; hi = t.hi *. k }
-
-let equal a b = Float.equal a.lo b.lo && Float.equal a.hi b.hi

@@ -16,7 +16,3 @@ val clamp : t -> float -> float
 (** [clamp t x] projects [x] into [t]. *)
 
 val intersect : t -> t -> t option
-val scale : t -> float -> t
-(** [scale t k] multiplies both bounds by [k >= 0]. *)
-
-val equal : t -> t -> bool
