@@ -38,10 +38,9 @@ val of_name : string -> flow option
     violation, [run] escalates through bounded recovery rungs (cumulative,
     in this order): re-budget with a relaxed {!Budget.config}; force every
     delay target to its curve's fast end.  Each rung tried is recorded in
-    the report's
-    [recovery_log] — also attached to the error when the whole ladder
-    fails — and counted by the [flow.recovery.attempts] telemetry
-    counter. *)
+    the report's [recovery_log] — also attached to the error when the
+    whole ladder fails — and counted by the [flow.recovery.attempts]
+    telemetry counter. *)
 
 type recovery_step = Relax_budget | Force_fast_grades
 
