@@ -87,18 +87,24 @@ type error =
 let pp_recovery_log ppf log =
   List.iter (fun a -> Format.fprintf ppf "@.  recovery %a" pp_recovery_attempt a) log
 
-let pp_error ppf = function
+(* An error without its flow name and transcript; a ladder rung records
+   this of a failed attempt. *)
+let cause = function
+  | Invalid m -> m
+  | Validation_failed { violations; _ } -> Check.summary violations
+  | Sched_failed { failure; _ } -> Format.asprintf "%a" Sched_core.pp_failure failure
+  | Timed_out { phase; _ } -> "deadline exceeded (at " ^ phase ^ ")"
+
+let pp_error ppf e =
+  match e with
   | Invalid m -> Format.pp_print_string ppf m
-  | Validation_failed { failed_flow; violations; recovery_log } ->
-    Format.fprintf ppf "%s: pipeline invariants violated:@.%s" (flow_name failed_flow)
-      (Check.summary violations);
-    pp_recovery_log ppf recovery_log
-  | Sched_failed { failed_flow; failure; recovery_log } ->
-    Format.fprintf ppf "%s: %a" (flow_name failed_flow) Sched_core.pp_failure failure;
-    pp_recovery_log ppf recovery_log
-  | Timed_out { failed_flow; phase; recovery_log } ->
-    Format.fprintf ppf "%s: deadline exceeded (at %s)" (flow_name failed_flow) phase;
-    pp_recovery_log ppf recovery_log
+  | Validation_failed { failed_flow; recovery_log; _ } ->
+    Format.fprintf ppf "%s: pipeline invariants violated:@.%s%a" (flow_name failed_flow)
+      (cause e) pp_recovery_log recovery_log
+  | Sched_failed { failed_flow; recovery_log; _ } | Timed_out { failed_flow; recovery_log; _ }
+    ->
+    Format.fprintf ppf "%s: %s%a" (flow_name failed_flow) (cause e) pp_recovery_log
+      recovery_log
 
 let error_message e = Format.asprintf "%a" pp_error e
 
@@ -505,14 +511,6 @@ let apply_rung (config, gamma0) = function
       gamma0 )
   | Force_fast_grades -> (config, 0.0)
 
-(* What a ladder transcript records of a failed attempt: the error
-   without its flow name and transcript. *)
-let attempt_message = function
-  | Invalid m -> m
-  | Validation_failed { violations; _ } -> Check.summary violations
-  | Sched_failed { failure; _ } -> Format.asprintf "%a" Sched_core.pp_failure failure
-  | Timed_out { phase; _ } -> "deadline exceeded (at " ^ phase ^ ")"
-
 let with_recovery_log recovery_log = function
   | Invalid _ as e -> e
   | Validation_failed r -> Validation_failed { r with recovery_log }
@@ -573,7 +571,7 @@ let run ?(config = default_config) ?(cancel = Cancel.never) ?ii flow dfg ~lib ~c
             | Error f ->
               emit_rung "still-failing";
               escalate state f
-                ({ step = rung; outcome = Still_failing (attempt_message f) }
+                ({ step = rung; outcome = Still_failing (cause f) }
                 :: log)
                 rest))
       in
