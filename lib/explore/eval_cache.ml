@@ -104,32 +104,36 @@ let load ~path =
   else
     match open_in path with
     | exception Sys_error m -> Error m
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> Error (path ^ ": empty cache file")
-          | first when first <> magic ->
-            Error (Printf.sprintf "%s: not a %S file" path magic)
-          | _ ->
-            (* Individually corrupt records (a torn write, a partial fsync)
-               are quarantined — counted and skipped — so one bad line
-               costs one evaluation, not the whole file. *)
-            let t = create () in
-            let rec go () =
-              match input_line ic with
-              | exception End_of_file -> Ok t
-              | "" -> go ()
-              | ln ->
-                (match parse_line ln with
-                | Some (k, s) -> Hashtbl.replace t.entries k s
-                | None ->
-                  t.quarantined <- t.quarantined + 1;
-                  Obs.incr c_quarantined);
-                go ()
-            in
-            go ())
+    | ic -> (
+      (* [open_in] on e.g. a directory succeeds on Linux; the Sys_error only
+         surfaces at the first read. *)
+      try
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            match input_line ic with
+            | exception End_of_file -> Error (path ^ ": empty cache file")
+            | first when first <> magic ->
+              Error (Printf.sprintf "%s: not a %S file" path magic)
+            | _ ->
+              (* Individually corrupt records (a torn write, a partial fsync)
+                 are quarantined — counted and skipped — so one bad line
+                 costs one evaluation, not the whole file. *)
+              let t = create () in
+              let rec go () =
+                match input_line ic with
+                | exception End_of_file -> Ok t
+                | "" -> go ()
+                | ln ->
+                  (match parse_line ln with
+                  | Some (k, s) -> Hashtbl.replace t.entries k s
+                  | None ->
+                    t.quarantined <- t.quarantined + 1;
+                    Obs.incr c_quarantined);
+                  go ()
+              in
+              go ())
+      with Sys_error m -> Error (Printf.sprintf "%s: %s" path m))
 
 let save t ~path =
   let entries =

@@ -73,8 +73,9 @@ val parse_line : string -> (string * summary) option
 (** Inverse of {!entry_line}; [None] on any malformation. *)
 
 val load : path:string -> (t, string) result
-(** A missing file is an empty cache ([Ok]); an unreadable file or a bad
-    header is [Error] (the CLI treats that as a usage error).  Malformed
+(** A missing file is an empty cache ([Ok]); an unreadable file (a
+    directory, say) or a bad header is [Error], its message naming [path]
+    (the CLI treats that as a usage error).  Malformed
     entry lines are quarantined, not fatal: the valid records load,
     {!quarantined} reports how many were dropped, and each bumps the
     [cache.quarantined] counter. *)

@@ -349,6 +349,13 @@ let test_cache_corruption_handling () =
         output_string oc s;
         close_out oc
       in
+      (* A directory opens but cannot be read: an error naming the path,
+         not an escaping Sys_error. *)
+      (match Eval_cache.load ~path:(Filename.get_temp_dir_name ()) with
+      | Ok _ -> Alcotest.fail "directory accepted as a cache file"
+      | Error m ->
+        Alcotest.(check bool) "error names the path" true
+          (String.starts_with ~prefix:(Filename.get_temp_dir_name ()) m));
       (* An unreadable header condemns the whole file... *)
       write "not a cache file\n";
       (match Eval_cache.load ~path with
