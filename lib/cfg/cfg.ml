@@ -73,11 +73,6 @@ let out_edges t n =
   Vec.iteri (fun i (s, _) -> if s = ni then acc := Edge_id.of_int i :: !acc) t.edges;
   List.rev !acc
 
-let states t =
-  let acc = ref [] in
-  Vec.iteri (fun i k -> if k = State then acc := Node_id.of_int i :: !acc) t.kinds;
-  List.rev !acc
-
 let iter_edges t f =
   for i = 0 to edge_count t - 1 do
     f (Edge_id.of_int i)

@@ -64,7 +64,6 @@ val node_kind : t -> Node_id.t -> node_kind
 val edge_src : t -> Edge_id.t -> Node_id.t
 val edge_dst : t -> Edge_id.t -> Node_id.t
 val out_edges : t -> Node_id.t -> Edge_id.t list
-val states : t -> Node_id.t list
 val iter_edges : t -> (Edge_id.t -> unit) -> unit
 
 (** {1 Sealed queries} *)

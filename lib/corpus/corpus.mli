@@ -15,7 +15,6 @@ type klass = Tiny | Medium | Large | Mulheavy
 val klass_name : klass -> string
 (** Lowercase stable name ("tiny", "medium", "large", "mulheavy"). *)
 
-val klass_of_name : string -> klass option
 val all_klasses : klass list
 
 val profile_of_klass : klass -> Random_design.profile

@@ -46,9 +46,6 @@ type op_kind =
 
 val op_kind_name : op_kind -> string
 
-val default_fixed : op_kind -> bool
-(** [Read], [Write] and [Mux] default to fixed. *)
-
 type op = {
   id : Op_id.t;
   kind : op_kind;
@@ -75,6 +72,8 @@ val add_op :
   ?name:string ->
   unit ->
   Op_id.t
+(** [fixed] defaults to [true] for [Read], [Write] and [Mux] and to [false]
+    for every other kind. *)
 
 val add_dep : t -> src:Op_id.t -> dst:Op_id.t -> ?loop_carried:bool -> unit -> unit
 (** Adds the data dependency [src -> dst].  Self-dependencies must be

@@ -28,8 +28,6 @@ val status_name : status -> string
 (** [ok], [infeasible], [timed_out] or [crashed] — the CSV/JSON rendering
     and the on-disk tag. *)
 
-val status_of_name : string -> status option
-
 type summary = {
   status : status;
   area : float;       (** total area; [0.] when the point failed *)

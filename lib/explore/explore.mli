@@ -126,13 +126,12 @@ val run :
 
 (** {1 Renderings} *)
 
-val csv_header : string
-(** [key,flow,clock_ps,ii,recover,status,area,steps,delay_ps,relaxations,regrades,recoveries,cached,frontier].
+val to_csv : outcome -> string
+(** A header line, then one row per completed point, in [results] order.
+    Columns:
+    [key,flow,clock_ps,ii,recover,status,area,steps,delay_ps,relaxations,regrades,recoveries,cached,frontier].
     [status] is {!Eval_cache.status_name}; [cached] is 1 only for cache
     hits (resumed points render 0, as they did in the interrupted run). *)
-
-val to_csv : outcome -> string
-(** One row per completed point, in [results] order. *)
 
 val to_json : outcome -> string
 (** Sweep stats (including [timed_out], [crashed], [pending], [partial])

@@ -25,10 +25,7 @@ val make :
   (t, string) result
 (** Validates the axes: every list non-empty after deduplication, clocks
     finite and positive, initiation intervals at least 1, and the grid no
-    larger than {!max_points}. *)
-
-val max_points : int
-(** Upper bound on [size], a guard against runaway range specs. *)
+    larger than 100,000 points (a guard against runaway range specs). *)
 
 val size : t -> int
 

@@ -24,17 +24,12 @@ type writer
 
 val start : path:string -> fresh:bool -> writer
 (** Open [path] for appending ([fresh] truncates first — a new sweep;
-    resume passes [fresh:false] to keep the interrupted run's records,
-    after {!salvage} has dropped any torn final record so the next append
-    cannot splice onto it).  Writes and fsyncs the header when the file is
+    resume passes [fresh:false] to keep the interrupted run's records).
+    Without [fresh], a torn final record (no terminating newline — the
+    signature of a crash mid-append) is first truncated back to the last
+    record boundary, bumping [journal.salvaged], so the next append
+    cannot splice onto it.  Writes and fsyncs the header when the file is
     empty.  Raises [Unix.Unix_error] on I/O failure. *)
-
-val salvage : path:string -> int
-(** Truncate a torn final record (no terminating newline — the signature
-    of a crash mid-append) back to the last record boundary.  Returns the
-    number of bytes dropped (0 when the file is missing, empty, unreadable
-    or cleanly terminated) and bumps [journal.salvaged] when it
-    truncates. *)
 
 val record : writer -> key:string -> Eval_cache.summary -> unit
 (** Append one completed point and fsync.  Thread/domain-safe; a no-op

@@ -37,13 +37,8 @@ type process = {
   body : stmt list;  (** the body of the implicit [while(true)] loop *)
 }
 
-val binop_name : binop -> string
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_process : Format.formatter -> process -> unit
-
-val subst_var : string -> expr -> expr -> expr
-(** [subst_var x v e] replaces free occurrences of [Var x] in [e] by [v]. *)
 
 val stmt_subst_index : string -> int -> stmt -> stmt
 (** Substitute a loop index by a constant throughout a statement (used by

@@ -21,8 +21,6 @@ exception Error of { line : int; col : int; message : string }
 val parse : string -> Ast.process
 (** Raises {!Error} (or {!Lexer.Error}) on malformed input. *)
 
-val parse_file : string -> Ast.process
-
 (** {1 Located diagnostics}
 
     Exception-free variants for callers that must degrade gracefully (the

@@ -121,10 +121,6 @@ val counters_snapshot : unit -> (string * int) list
 val span_stats : unit -> (string * int * float) list
 (** Aggregated spans as [(path, count, total_ns)], sorted by path. *)
 
-val dists_snapshot : unit -> (string * dist_stats) list
-(** Every distribution with at least one sample, sorted by name. *)
-
-
 val report : unit -> string
 (** Human-readable text report: per-phase wall-clock (if stats were
     enabled), counters, distributions. *)
@@ -456,6 +452,7 @@ module Expo : sig
       [_sum], [_count]). *)
 
   val render : unit -> string
-  (** {!render_into} over the live {!counters_snapshot} and
-      {!dists_snapshot} — what [serve --metrics] serves. *)
+  (** {!render_into} over the live {!counters_snapshot} and every
+      distribution with at least one sample — what [serve --metrics]
+      serves. *)
 end

@@ -60,9 +60,6 @@ val lc_step_ok : t -> producer_step:int -> consumer_step:int -> bool
     [producer_step < consumer_step + ii].  Always true when not
     pipelining. *)
 
-val effective_delay : t -> inst:Alloc.inst -> fanin:int -> float
-(** Instance delay plus the library mux penalty at the given fan-in. *)
-
 type violation = {
   culprit : Dfg.Op_id.t option;  (** op that missed its step budget *)
   overshoot : float;             (** ps past the budget (0 for structural errors) *)

@@ -68,7 +68,6 @@ let finish t =
 
 let inflight t = locked t (fun () -> t.inflight)
 let start_drain t = locked t (fun () -> t.draining <- true)
-let draining t = locked t (fun () -> t.draining)
 
 let wait_idle t ~deadline_s =
   let deadline = Unix.gettimeofday () +. deadline_s in

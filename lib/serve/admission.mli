@@ -38,8 +38,6 @@ val high_water : t -> int
 val start_drain : t -> unit
 (** All subsequent {!try_admit} calls return [Draining]. *)
 
-val draining : t -> bool
-
 val wait_idle : t -> deadline_s:float -> bool
 (** Block until every admitted request has finished, or [deadline_s]
     elapses; [true] iff fully drained.  Polling (50ms), which is fine for

@@ -136,8 +136,6 @@ val parse_request : string -> (envelope, string) result
 val request_to_json : envelope -> Obs.Json.t
 (** Inverse of {!parse_request} (for clients and tests). *)
 
-val trace_to_json : trace_ctx -> Obs.Json.t
-
 (** {2 Field helpers}
 
     Exposed for response decoding on the dispatch side: responses are
@@ -145,9 +143,6 @@ val trace_to_json : trace_ctx -> Obs.Json.t
     accessors the request parser uses. *)
 
 val obj_fields : Obs.Json.t -> ((string * Obs.Json.t) list, string) result
-
-val str_field :
-  ?default:string -> (string * Obs.Json.t) list -> string -> (string, string) result
 
 val str_list_field :
   (string * Obs.Json.t) list -> string -> (string list, string) result

@@ -6,20 +6,16 @@
 
 type t
 
-val const : float -> t
 val param : string -> t
 val zero : t
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val scale : float -> t -> t
 val eval : t -> (string -> float) -> float
 val equal : t -> t -> bool
 val compare_at : (string -> float) -> t -> t -> int
 (** Numeric comparison under a valuation. *)
 
-val pp : ?order:string list -> Format.formatter -> t -> unit
+val to_string : ?order:string list -> t -> string
 (** Renders e.g. [2T - 4D - d]; [order] fixes the parameter print order
     (unlisted parameters follow alphabetically). *)
-
-val to_string : ?order:string list -> t -> string

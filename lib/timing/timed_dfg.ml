@@ -15,7 +15,6 @@ type csr = { off : int array; nbr : int array; lat : int array }
    direction, in edge insertion order within each slot. *)
 type t = {
   dfg : Dfg.t;
-  spans : Dfg.span array;
   n : int;
   active : int array;  (* active op indices, ascending *)
   order : int array;  (* active slots, topologically sorted *)
@@ -161,7 +160,6 @@ let build dfg ~spans =
   Obs.add c_edges edges;
   {
     dfg;
-    spans;
     n;
     active;
     order;
@@ -171,8 +169,6 @@ let build dfg ~spans =
   }
 
 let dfg t = t.dfg
-let spans t = t.spans
-let active t o = t.position.(Dfg.Op_id.to_int o) >= 0
 let edge_count t = Array.length t.succ.nbr
 let active_slots t = t.active
 let topo_slots t = t.order

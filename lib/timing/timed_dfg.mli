@@ -28,11 +28,6 @@ val build : Dfg.t -> spans:Dfg.span array -> t
     (one entry per op, indexed by [Op_id.to_int]). *)
 
 val dfg : t -> Dfg.t
-val spans : t -> Dfg.span array
-
-val active : t -> Dfg.Op_id.t -> bool
-(** Whether the op participates in timing (constants do not). *)
-
 val edge_count : t -> int
 
 (** {1 Slot-indexed adjacency}
