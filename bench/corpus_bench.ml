@@ -31,7 +31,7 @@ let run ~quick () =
   in
   Printf.printf "  corpus plan: %d designs, %d ops total, in %s\n"
     (List.length entries) total_ops (pp_ns t_plan);
-  (* The key space `hlsc sweep --corpus --shards N` partitions: every
+  (* The key space `hlsc sweep --corpus --shard i/N` partitions: every
      (design, grid point) pair under one configuration fingerprint. *)
   let grid =
     match Explore_grid.of_specs ~clocks:"2000:2700:100" ~flows:"conv,slack" () with

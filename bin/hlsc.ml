@@ -12,16 +12,15 @@
      explore  parallel design-space exploration: sweep a configuration grid
               (clocks x flows x initiation intervals x recovery policy) on
               a domain pool, fold the results into an area/delay Pareto
-              frontier, optionally memoized in an on-disk evaluation cache;
-              --shard i/N evaluates one key-range shard for multi-process
-              or multi-machine sweeps
+              frontier, optionally memoized in an on-disk evaluation cache
      corpus   generate or verify the seeded ~100-design validation corpus
               manifest (corpus/manifest.tsv); --verify exits non-zero on
               any digest drift
-     sweep    sharded exploration driver over one design or a whole corpus:
-              run N local shard processes and merge their journals, or
-              lease the key ranges to hlsc serve daemons (--workers), then
-              fold the frontier a single process would have produced
+     sweep    sweep the grid over one design or a whole corpus:
+              evaluate in-process or lease key ranges to hlsc serve
+              daemons (--workers), journal the records into DIR/merged.jnl
+              and fold the frontier; --shard i/N --journal FILE evaluates
+              one key-range shard of a manual multi-machine sweep
      merge-journals  validate disjoint shard journals (config-fingerprint
               agreement, no cross-journal key overlap), collapse resume
               duplicates, and write one key-sorted merged journal
@@ -509,16 +508,6 @@ let parse_shard = function
              (Printf.sprintf "--shard: %S is not i/N with 1 <= i <= N" spec)))
     | _ -> Error (Usage (Printf.sprintf "--shard: %S is not of the form i/N" spec)))
 
-(* The membership predicate of shard [rank] (1-based) of the grid's
-   canonically-sorted key ranges — every process computes the same plan
-   from the same grid, so the N predicates partition it exactly. *)
-let shard_select ~rank ~shards grid =
-  let keys = List.map Explore_grid.point_key (Explore_grid.points grid) in
-  let mine = (Shard.plan ~shards keys).(rank - 1) in
-  let tbl = Hashtbl.create (List.length mine) in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) mine;
-  (List.length mine, fun k -> Hashtbl.mem tbl k)
-
 let write_rendering ~what path content =
   match path with
   | "-" ->
@@ -559,7 +548,7 @@ let check_frontier outcome =
 
 let explore_cmd source builtin clock lib validate max_recoveries clocks flows iis
     recover jobs cache_file point_deadline deadline retries strict journal_file
-    resume_file shard csv json obs progress =
+    resume_file csv json obs progress =
   with_obs obs @@ fun () ->
   finish
     (let* lib = lib_of lib in
@@ -576,14 +565,6 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
      let* jobs =
        if jobs < 0 then Error (Usage "--jobs must be non-negative")
        else Ok (if jobs = 0 then None else Some jobs)
-     in
-     let* shard = parse_shard shard in
-     let shard_total, select =
-       match shard with
-       | None -> (Explore_grid.size grid, None)
-       | Some (rank, shards) ->
-         let count, pred = shard_select ~rank ~shards grid in
-         (count, Some pred)
      in
      let* () =
        if retries < 0 then Error (Usage "--retries must be non-negative") else Ok ()
@@ -651,8 +632,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
         under the obs mutex inside worker domains, so it only formats to
         stderr — no Obs calls.  Throttled to one line per second. *)
      (if progress then begin
-        let total = shard_total in
-        let grid_total = Explore_grid.size grid in
+        let total = Explore_grid.size grid in
         let t_start = Obs.now_ns () in
         let last_line = ref Int64.min_int in
         let points_done = ref 0 in
@@ -676,27 +656,10 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
                    let eta =
                      float_of_int (max 0 (total - !points_done)) /. Float.max 1e-9 rate
                    in
-                   match shard with
-                   | None ->
-                     Printf.eprintf
-                       "hlsc: explore: %d/%d points done (worker %d: %d done, %.0f%% \
-                        busy), ETA %.1fs\n%!"
-                       !points_done total domain tasks_done (100.0 *. utilization) eta
-                   | Some (rank, shards) ->
-                     (* Merged ETA: extrapolate the whole grid finishing at
-                        [shards] processes running at this shard's rate —
-                        the multi-process sweep's best local estimate. *)
-                     let merged_done = !points_done * shards in
-                     let merged_eta =
-                       float_of_int (max 0 (grid_total - merged_done))
-                       /. Float.max 1e-9 (rate *. float_of_int shards)
-                     in
-                     Printf.eprintf
-                       "hlsc: explore shard %d/%d: %d/%d points done (worker %d: \
-                        %d done, %.0f%% busy), ETA %.1fs; merged %d points ETA \
-                        ~%.1fs\n%!"
-                       rank shards !points_done total domain tasks_done
-                       (100.0 *. utilization) eta grid_total merged_eta
+                   Printf.eprintf
+                     "hlsc: explore: %d/%d points done (worker %d: %d done, %.0f%% \
+                      busy), ETA %.1fs\n%!"
+                     !points_done total domain tasks_done (100.0 *. utilization) eta
                  end
                | _ -> ()))
       end);
@@ -710,7 +673,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
              Option.iter Journal.close journal)
            (fun () ->
              Explore.run ?jobs ~retries ~strict ?point_deadline ~cancel ?cache
-               ?journal ~resume ?select ~lib ~config ~name ~build grid)
+               ?journal ~resume ~lib ~config ~name ~build grid)
        with
        | outcome -> Ok outcome
        | exception e ->
@@ -1362,8 +1325,8 @@ let request_cmd socket host port op json id design clock flow clocks flows iis
         1))
 
 (* ------------------------------------------------------------------ *)
-(* corpus / sweep / merge-journals: the 100-design corpus and sharded
-   exploration *)
+(* corpus / sweep / merge-journals: the 100-design corpus, sweeps over it
+   and sharded journals *)
 
 let corpus_cmd out seed count verify obs =
   with_obs obs @@ fun () ->
@@ -1458,35 +1421,10 @@ let mkdir_p dir =
   in
   go dir
 
-let spawn_child ~log argv =
-  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin fd fd)
-
-let wait_child pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED c -> c
-  | _, Unix.WSIGNALED s | _, Unix.WSTOPPED s -> 128 + s
-
 (* Remote daemons must see the exact float values the supervisor planned
    with, so a lease's clock axis is serialized as hex floats (%h
    round-trips bit-exactly through the grid parser's [float_of_string]). *)
 let clocks_spec_of clocks = String.concat "," (List.map (Printf.sprintf "%h") clocks)
-
-(* Run the shard children one at a time, then report the first that
-   failed.  A sweep child exits 0 once its journal holds its whole key
-   range. *)
-let run_children children =
-  let results =
-    List.map (fun (i, log, argv) -> (i, log, wait_child (spawn_child ~log argv))) children
-  in
-  List.fold_left
-    (fun acc (i, log, code) ->
-      let* () = acc in
-      if code = 0 then Ok ()
-      else Error (Internal (Printf.sprintf "shard %d exited %d (log: %s)" i code log)))
-    (Ok ()) results
 
 (* [List.map] for a function that may fail: left to right, first error wins. *)
 let rec map_result f = function
@@ -1732,8 +1670,8 @@ let fleet_artifacts ~dir ~workers (o : Dispatch.outcome) =
 
 (* One design of a sweep: its grid, pure builder and corpus class (None in
    single-design mode), and the lease job remote daemons run for it.  The
-   job's full keys are what the shard plan ranges over, identically in the
-   parent and every child. *)
+   job's full keys are what --shard plans over and what DIR/merged.jnl is
+   keyed by. *)
 type sweep_design = {
   name : string;
   klass : Corpus.klass option;
@@ -1742,12 +1680,28 @@ type sweep_design = {
   job : Dispatch.job;
 }
 
-(* Lease the jobs to remote daemons and journal the returned records —
-   one per key, already key-sorted — straight into DIR/merged.jnl.
-   [Ok None] means no worker was reachable and the caller should degrade
-   to local shard children. *)
-let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
+(* Journal a sweep's records, one per full key and key-sorted, into
+   DIR/merged.jnl — the file merge-journals writes from the shard journals
+   of the same sweep.  In-process and --workers sweeps both write here. *)
+let write_merged ~dir records =
   mkdir_p dir;
+  let path = Filename.concat dir "merged.jnl" in
+  match
+    let w = Journal.start ~path ~fresh:true in
+    Fun.protect
+      ~finally:(fun () -> Journal.close w)
+      (fun () ->
+        List.iter
+          (fun (key, s) -> Journal.record w ~key s)
+          (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) records))
+  with
+  | () -> Ok path
+  | exception Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
+
+(* Lease the jobs to remote daemons and journal the returned records into
+   DIR/merged.jnl.  [Ok None] means no worker was reachable and the caller
+   should evaluate in-process instead. *)
+let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
   let total_points =
     List.fold_left (fun a (j : Dispatch.job) -> a + List.length j.Dispatch.keys) 0 jobs
   in
@@ -1785,7 +1739,7 @@ let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
   in
   match result with
   | Error m ->
-    Printf.eprintf "hlsc: sweep: %s; falling back to local shard processes\n%!" m;
+    Printf.eprintf "hlsc: sweep: %s; falling back to in-process evaluation\n%!" m;
     Dispatch.note_fallback_local ();
     Ok None
   | Ok o ->
@@ -1798,17 +1752,7 @@ let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
       o.Dispatch.leases o.Dispatch.reassigned o.Dispatch.stolen
       o.Dispatch.salvaged_points o.Dispatch.workers_lost
       (if o.Dispatch.workers_lost = 1 then "" else "s");
-    let merged_path = Filename.concat dir "merged.jnl" in
-    let* () =
-      try
-        let w = Journal.start ~path:merged_path ~fresh:true in
-        Fun.protect
-          ~finally:(fun () -> Journal.close w)
-          (fun () ->
-            List.iter (fun (key, s) -> Journal.record w ~key s) o.Dispatch.records);
-        Ok ()
-      with Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
-    in
+    let* merged_path = write_merged ~dir o.Dispatch.records in
     let* () = fleet_artifacts ~dir ~workers:wl o in
     if o.Dispatch.complete then Ok (Some o.Dispatch.records)
     else
@@ -1880,7 +1824,7 @@ let render_corpus ~csv ~json outcomes =
   | None -> Ok ()
 
 let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows iis
-    recover corpus take shards shard journal_file dir jobs workers lease_points
+    recover corpus take shard journal_file dir jobs workers lease_points
     lease_deadline heartbeat steal progress csv json obs =
   with_obs obs @@ fun () ->
   finish
@@ -1889,9 +1833,6 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
      let* flows_l = grid_axis "--flows" Explore_grid.parse_flows flows in
      let* iis_l = grid_axis "--ii" Explore_grid.parse_iis iis in
      let* recover_l = grid_axis "--recover" Explore_grid.parse_recover recover in
-     let* () =
-       if shards < 1 then Error (Usage "--shards must be at least 1") else Ok ()
-     in
      let* () =
        if jobs < 0 then Error (Usage "--jobs must be non-negative") else Ok ()
      in
@@ -1903,7 +1844,20 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
        if lease_deadline <= 0.0 then Error (Usage "--lease-deadline must be positive")
        else Ok ()
      in
-     let* shard = parse_shard shard in
+     let* shard =
+       let* rank = parse_shard shard in
+       match (rank, journal_file) with
+       | Some (i, n), Some path -> Ok (Some (i, n, path))
+       | None, None -> Ok None
+       | Some _, None -> Error (Usage "--shard needs --journal FILE")
+       | None, Some _ ->
+         Error (Usage "--journal needs --shard I/N; a sweep journals into DIR/merged.jnl")
+     in
+     let* () =
+       if corpus <> None && (source <> None || builtin <> None) then
+         Error (Usage "pass either --corpus or a design, not both")
+       else Ok ()
+     in
      let* workers_l =
        match workers with
        | None -> Ok None
@@ -1973,15 +1927,11 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
                (fun () -> (Corpus.design e).Random_design.dfg))
            entries
      in
+     let jobs = if jobs = 0 then None else Some jobs in
      match shard with
-     | Some (rank, n) ->
-       (* Child mode: evaluate this shard's key range across every design
-          it touches, all into one journal. *)
-       let* jpath =
-         match journal_file with
-         | Some p -> Ok p
-         | None -> Error (Usage "--shard needs --journal FILE")
-       in
+     | Some (rank, n, jpath) ->
+       (* One shard: evaluate this key range across every design it
+          touches, all into one journal. *)
        let all_keys =
          List.concat_map
            (fun d -> List.map d.job.Dispatch.key_of d.job.Dispatch.keys)
@@ -2005,9 +1955,8 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
                let select pk = Hashtbl.mem mine (d.job.Dispatch.key_of pk) in
                if List.exists select d.job.Dispatch.keys then begin
                  let o =
-                   Explore.run
-                     ?jobs:(if jobs = 0 then None else Some jobs)
-                     ~select ~journal:w ~lib ~config ~name:d.name ~build:d.build d.grid
+                   Explore.run ?jobs ~select ~journal:w ~lib ~config ~name:d.name
+                     ~build:d.build d.grid
                  in
                  Printf.printf "shard %d/%d %s: %d points, %d ok\n" rank n d.name
                    o.Explore.total (ok_points o)
@@ -2015,47 +1964,34 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
              designs;
            Ok ())
      | None ->
-       (* Local children: N [hlsc sweep --shard i/N] processes over the same
-          design list, their journals merged into DIR/merged.jnl. *)
-       let local () =
-         mkdir_p dir;
-         let merged_path = Filename.concat dir "merged.jnl" in
-         let jnl i = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
-         let opt flag = function Some v -> [ flag; v ] | None -> [] in
-         let child i =
-           let argv =
-             [ Sys.executable_name; "sweep" ]
-             @ Option.to_list source @ opt "--design" builtin
-             @ opt "--clock" (Option.map (Printf.sprintf "%h") clock)
-             @ opt "--corpus" corpus
-             @ opt "--take" (Option.map string_of_int take)
-             @ [
-                 "--library"; lib_s; "--validate"; validate; "--max-recoveries";
-                 string_of_int max_recoveries; "--clocks"; clocks; "--flows"; flows;
-                 "--ii"; iis; "--recover"; recover; "--jobs"; string_of_int jobs;
-                 "--shard"; Printf.sprintf "%d/%d" i shards; "--journal"; jnl i;
-               ]
-           in
-           (i, Filename.concat dir (Printf.sprintf "shard-%d.log" i), argv)
-         in
-         let* () = run_children (List.init shards (fun k -> child (k + 1))) in
-         let* m =
-           Result.map_error
-             (fun m -> Usage m)
-             (Shard.merge_journals
-                ~inputs:(List.init shards (fun k -> jnl (k + 1)))
-                ~output:merged_path)
-         in
-         Printf.printf "sweep: %d shards -> %s: %d entries (%d duplicates)\n"
-           m.Shard.journals merged_path m.Shard.entries m.Shard.duplicates;
-         Result.fold
-           ~ok:(fun (entries, _) -> Ok entries)
-           ~error:(fun m -> Error (Internal m))
-           (Journal.load ~path:merged_path)
+       let run_design ?resume ?jobs d =
+         match
+           Explore.run ?jobs ?resume ~lib ~config ~name:d.name ~build:d.build d.grid
+         with
+         | o -> Ok (d, o)
+         | exception e ->
+           Error
+             (Internal
+                (Printf.sprintf "sweep of %s crashed: %s" d.name (Printexc.to_string e)))
        in
-       let* resume =
+       (* In-process: each design on --jobs domains of this process, then
+          every record journaled once into DIR/merged.jnl. *)
+       let in_process () =
+         let* outcomes = map_result (run_design ?jobs) designs in
+         let* _ =
+           write_merged ~dir
+             (List.concat_map
+                (fun (d, o) ->
+                  List.map
+                    (fun r -> (d.job.Dispatch.key_of r.Explore.pkey, r.Explore.summary))
+                    o.Explore.results)
+                outcomes)
+         in
+         Ok outcomes
+       in
+       let* outcomes =
          match workers_l with
-         | None -> local ()
+         | None -> in_process ()
          | Some wl -> (
            let dcfg =
              {
@@ -2075,23 +2011,13 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
            let* dispatched =
              dispatch_sweep ~dir ~progress dcfg (List.map (fun d -> d.job) designs)
            in
-           match dispatched with Some records -> Ok records | None -> local ())
-       in
-       (* The fold: every point is answered by the merged records, so this
-          renders — byte-identically — what one process would have. *)
-       let* outcomes =
-         map_result
-           (fun d ->
-             match
-               Explore.run ~jobs:1 ~resume ~lib ~config ~name:d.name ~build:d.build d.grid
-             with
-             | o -> Ok (d, o)
-             | exception e ->
-               Error
-                 (Internal
-                    (Printf.sprintf "fold of %s crashed: %s" d.name
-                       (Printexc.to_string e))))
-           designs
+           match dispatched with
+           | None -> in_process ()
+           | Some resume ->
+             (* The fold: every point is answered by the returned records,
+                so this renders — byte-identically — what one process
+                would have. *)
+             map_result (run_design ~resume ~jobs:1) designs)
        in
        match outcomes with
        | [ ({ klass = None; _ }, o) ] ->
@@ -2201,17 +2127,7 @@ let progress_arg =
   Arg.(value & flag & info [ "progress" ]
          ~doc:"Print periodic progress lines (completed/total points, per-worker \
                utilization, ETA) to stderr while the sweep runs, fed by \
-               Worker_sample provenance events.  With --shard the lines carry \
-               the shard identity and a merged-sweep ETA estimate.")
-
-let shard_arg =
-  Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N"
-         ~doc:"Evaluate only shard I of N (1-based): the grid's canonically \
-               sorted point keys are split into N contiguous disjoint ranges, \
-               and this process takes range I.  Run all N shards (any mix of \
-               machines), each with its own --journal, then reassemble with \
-               $(b,hlsc merge-journals) — the merged frontier is byte-identical \
-               to a single-process sweep.")
+               Worker_sample provenance events.")
 
 let explore_t =
   Cmd.v
@@ -2221,7 +2137,7 @@ let explore_t =
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
           $ iis_arg $ recover_arg $ jobs_arg $ cache_arg $ point_deadline_arg
           $ deadline_arg $ retries_arg $ strict_arg $ journal_arg $ resume_arg
-          $ shard_arg $ csv_arg $ json_arg $ obs_args $ progress_arg)
+          $ csv_arg $ json_arg $ obs_args $ progress_arg)
 
 let corpus_out_arg =
   Arg.(value & opt string "corpus/manifest.tsv" & info [ "out"; "o" ] ~docv:"FILE"
@@ -2272,26 +2188,31 @@ let sweep_take_arg =
   Arg.(value & opt (some int) None & info [ "take" ] ~docv:"K"
          ~doc:"Only sweep the first K corpus designs (smoke tests).")
 
-let shards_arg =
-  Arg.(value & opt int 3 & info [ "shards" ] ~docv:"N"
-         ~doc:"Number of shard processes to spawn (default 3).")
+let shard_arg =
+  Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"I/N"
+         ~doc:"Evaluate only shard I of N (1-based) into --journal FILE: the \
+               sweep's canonically sorted full keys, over every selected \
+               design, are split into N contiguous disjoint ranges, and this \
+               process takes range I.  Run all N shards (any mix of \
+               machines), then reassemble with $(b,hlsc merge-journals): the \
+               merged journal equals a whole sweep's DIR/merged.jnl, and \
+               $(b,hlsc explore --resume) folds a single design's frontier \
+               from it byte-identically.")
 
 let sweep_dir_arg =
   Arg.(value & opt string "sweep-out" & info [ "dir" ] ~docv:"DIR"
-         ~doc:"Directory for shard journals, logs, the merged journal and \
-               the fleet telemetry files of a --workers sweep (default \
-               sweep-out).")
+         ~doc:"Directory for the merged journal DIR/merged.jnl and the fleet \
+               telemetry files of a --workers sweep (default sweep-out).")
 
 let workers_arg =
   Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"LIST"
          ~doc:"Comma-separated hlsc serve daemons (HOST:PORT or unix:PATH) to \
-               lease shard key-ranges to instead of spawning local shard \
-               processes.  Dead, partitioned or stalled workers are detected, \
-               their durable progress salvaged, and their leases reassigned. \
-               The returned records are journaled once, key-sorted, straight \
-               into DIR/merged.jnl; no shard journals are written.  If no \
-               worker is reachable at all the sweep degrades to local shard \
-               processes.")
+               lease key ranges to instead of evaluating in this process. \
+               Dead, partitioned or stalled workers are detected, their \
+               durable progress salvaged, and their leases reassigned.  The \
+               returned records are journaled once, key-sorted, into \
+               DIR/merged.jnl.  If no worker is reachable at all the sweep \
+               evaluates in-process instead.")
 
 let lease_points_arg =
   Arg.(value & opt int 8 & info [ "lease-points" ] ~docv:"N"
@@ -2327,34 +2248,33 @@ let sweep_progress_arg =
 let sweep_t =
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Sharded exploration driver: run N shard processes or lease to \
-             daemons, merge the records, fold the frontier"
+       ~doc:"Sweep one design or a corpus: evaluate in-process or lease to \
+             daemons, journal the records, fold the frontier"
        ~man:
          [
            `S Manpage.s_description;
            `P
              "Resolves the sweep into a list of designs — one built-in or \
               source design, or every selected design of a corpus manifest \
-              (--corpus) — each with its own grid, and partitions their \
-              canonical keys by range into N disjoint shards.  Locally, each \
-              shard runs as a child process (hlsc sweep ... --shard i/N \
-              --journal DIR/shard-i.jnl), and the shard journals are merged \
-              into DIR/merged.jnl with the merge-journals semantics.  With \
-              --workers, the key ranges are leased to hlsc serve daemons and \
-              the returned records are journaled once into DIR/merged.jnl.  \
-              Either way the merged records are folded into the frontier (one \
-              design) or the per-class summary (--corpus) that a single \
-              process would have produced — byte-identically.";
+              (--corpus) — each with its own grid.  By default every design \
+              is evaluated in this process on --jobs domains.  With \
+              --workers, key ranges are leased to hlsc serve daemons \
+              instead; if none is reachable the sweep evaluates in-process.  \
+              Either way every record is journaled once, key-sorted, into \
+              DIR/merged.jnl, and the records fold into the frontier (one \
+              design) or the per-class summary (--corpus) — byte-identically \
+              whichever way they were evaluated.";
            `P
-             "The same partition can be run across machines instead: hlsc \
-              explore --shard i/N --journal shard-i.jnl on each (hlsc sweep \
-              --corpus MANIFEST --shard i/N --journal shard-i.jnl for a \
-              corpus), then hlsc merge-journals.";
+             "The same sweep can be split across machines by hand: hlsc \
+              sweep ... --shard i/N --journal shard-i.jnl on each, then hlsc \
+              merge-journals -o merged.jnl shard-*.jnl, whose output equals \
+              DIR/merged.jnl; for one design, hlsc explore ... --resume \
+              merged.jnl folds its frontier.";
          ])
     Term.(const sweep_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
           $ iis_arg $ recover_arg $ sweep_corpus_arg $ sweep_take_arg
-          $ shards_arg $ shard_arg $ journal_arg $ sweep_dir_arg $ jobs_arg
+          $ shard_arg $ journal_arg $ sweep_dir_arg $ jobs_arg
           $ workers_arg $ lease_points_arg $ lease_deadline_arg $ heartbeat_arg
           $ steal_arg $ sweep_progress_arg $ csv_arg $ json_arg $ obs_args)
 

@@ -40,7 +40,7 @@
     [dispatch.stolen], [dispatch.salvaged_points],
     [dispatch.duplicate_replies], [dispatch.workers_lost],
     [dispatch.fallback_local] (bumped by {!note_fallback_local} when the
-    CLI falls back to local child processes).  Progress is sampled as
+    CLI falls back to in-process evaluation).  Progress is sampled as
     [Obs.Events.Dispatch_sample] roughly every 200ms while running. *)
 
 type job = {
@@ -107,9 +107,11 @@ type outcome = {
 val run : config -> job list -> (outcome, string) result
 (** Drive the jobs to completion across the configured workers.  [Error]
     only when no worker is reachable at startup — the caller falls back
-    to a local sweep ({!note_fallback_local}).  Otherwise always [Ok]:
-    worker deaths mid-sweep are contained, and total loss surfaces as
-    [complete = false] with the salvageable records present. *)
+    to evaluating in its own process ({!note_fallback_local}).  Otherwise
+    always [Ok]: worker deaths mid-sweep are contained, and total loss
+    surfaces as [complete = false] with the salvageable records
+    present. *)
 
 val note_fallback_local : unit -> unit
-(** Count a degraded local-children fallback on [dispatch.fallback_local]. *)
+(** Count a fallback to in-process evaluation, when no worker was
+    reachable, on [dispatch.fallback_local]. *)

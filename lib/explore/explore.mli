@@ -109,10 +109,10 @@ val run :
       policy re-enters [run] with this set).
     - [select] filters the canonically-sorted point keys before anything
       else happens; [total] counts only selected points.  This is the
-      sharding hook: [hlsc explore --shard i/N] passes the membership
-      predicate of shard [i] of a {!Shard.plan}-style range partition, so
-      N processes cover the grid disjointly and their journals merge back
-      into the single-process result.
+      sharding hook: [hlsc sweep --shard i/N] passes, for each design, the
+      membership predicate of shard [i] of a {!Shard.plan} over the whole
+      sweep's full keys, so N processes cover the sweep disjointly and
+      their journals merge back into the single-process result.
     - [on_point] is called with the full cache key and summary at every
       site that durably records a point (cache hits at partition time,
       fresh results inside workers, crash summaries) — the serve daemon's

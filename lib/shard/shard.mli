@@ -6,10 +6,12 @@
     fold is key-sorted, and resume replays journals byte-identically.
     That contract makes distribution trivial — split the {e sorted} key
     list into [N] contiguous ranges, run each range as an independent
-    [hlsc explore --shard i/N --journal shard-i.jnl] process (any mix of
-    machines), then {!merge_journals}.  The merged journal folds to a
-    frontier byte-identical to the single-process run; dune rules and CI
-    [cmp] that end to end.
+    [hlsc sweep --shard i/N --journal shard-i.jnl] process (any mix of
+    machines), then {!merge_journals}.  The merged journal equals the
+    [merged.jnl] of an in-process [hlsc sweep], and [hlsc explore
+    --resume] folds it to a frontier byte-identical to the single-process
+    run; dune rules and CI [cmp] both end to end.  {!plan} also cuts the
+    leases of a distributed sweep ({!Dispatch}).
 
     Telemetry: [shard.planned] per planned key, [shard.merged] per record
     written by a merge, [shard.duplicates] per within-journal duplicate

@@ -5,8 +5,8 @@
 #            point — a deterministic mid-lease cut.  The sweep must
 #            salvage the journaled point, reassign the tail to the
 #            survivor, exit 0, and produce a CSV byte-identical to the
-#            single-process run and a merged journal byte-identical to a
-#            local two-shard sweep's.
+#            single-process run and a merged journal byte-identical to an
+#            in-process sweep's.
 #   phase 2: a lone self-draining daemon, so the whole worker pool is
 #            lost mid-sweep.  The sweep must exit 5 (resumable) with the
 #            salvaged prefix merged, and `explore --resume` must finish
@@ -55,7 +55,7 @@ wait_sock "$DIR/w2.sock"
 
 cmp "$DIR/ref.csv" "$DIR/dist.csv"
 # shellcheck disable=SC2086
-"$HLSC" sweep $GRID --shards 2 --dir "$DIR/local1" >"$DIR/local1.out"
+"$HLSC" sweep $GRID --dir "$DIR/local1" >"$DIR/local1.out"
 cmp "$DIR/local1/merged.jnl" "$DIR/out1/merged.jnl"
 # The stats report only prints non-zero counters, so presence asserts >= 1.
 grep -q "dispatch.reassigned" "$DIR/sweep1.stats"

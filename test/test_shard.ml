@@ -49,7 +49,8 @@ let test_plan_validates () =
 
 let test_plan_on_grid () =
   (* The real surface: partitioning the canonical keys of an explore
-     grid, as `hlsc explore --shard` does. *)
+     grid, as `hlsc sweep --shard` does for one design (its full keys
+     share one prefix, so they sort like the point keys). *)
   let grid =
     match
       Explore_grid.of_specs ~clocks:"2000:3000:250" ~flows:"all" ~iis:"none,2,4"
