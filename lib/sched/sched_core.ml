@@ -435,10 +435,13 @@ let run dfg ~alloc params =
                });
         if params.respan then begin
           Obs.incr c_respans;
-          spans := Dfg.compute_spans ~pin dfg;
-          refresh_late_idx ()
+          Obs.span "sched.respan" (fun () ->
+              spans := Dfg.compute_spans ~pin dfg;
+              refresh_late_idx ())
         end;
-        match params.rebudget with Some f -> f sched !spans | None -> ())
+        match params.rebudget with
+        | Some f -> Obs.span "sched.rebudget" (fun () -> f sched !spans)
+        | None -> ())
       (Cfg.forward_edges_topo cfg);
     (* Everything must be placed by now. *)
     Array.iter
