@@ -226,87 +226,241 @@ let span_edges t { early; late } =
 
 let is_const o = match o.kind with Const _ -> true | _ -> false
 
-(* Spans are computed in two sweeps over the forward-topological order of
-   operations: earlies forward, lates backward.  Candidate edges are scanned
-   in CFG edge-topological order; graphs are small enough that the O(ops *
-   edges) scan with O(1) reachability queries is cheap. *)
-let compute_spans ?(pin = fun _ -> None) t =
+(* Span state.  Edges are named by index: the forward edges in the CFG's
+   topological order, then the backward ones.  A forward edge that
+   dominates, sink-reaches or reaches another never lies after it in that
+   order, so each candidate scan below runs over an index range; the
+   candidates it skips would all fail the rule.  The raw earlies and lates
+   are kept before the inverted-window fallback, which only [publish]
+   applies: the rule reads raw values. *)
+type span_state = {
+  cfg : Cfg.t;
+  edges : Cfg.Edge_id.t array;  (* index -> edge *)
+  index : int array;  (* edge -> index *)
+  n_forward : int;
+  order : int array;  (* ops, topological order *)
+  position : int array;  (* op -> index in [order] *)
+  birth : int array;
+  early_from : int array array;
+      (* the ops an early is derived from (non-constant forward
+         predecessors); empty when the early is the birth edge *)
+  late_free : bool array;  (* the late is derived from the successors *)
+  succs : int array array;  (* forward successors *)
+  preds : int array array;  (* forward predecessors *)
+  pinned : int array;  (* op -> pinned edge, or -1 *)
+  early : int array;  (* raw *)
+  late : int array;  (* raw *)
+  spans : span array;  (* published *)
+  dirty : Bytes.t;  (* by position: bit 1 early, bit 2 late *)
+  moved : Bytes.t;  (* by op: raw early or late changed since publishing *)
+  moved_ops : int array;
+  mutable n_moved : int;
+}
+
+(* Earlies: the first edge that dominates the birth edge and that every
+   producer's early reaches; the birth edge when there is none. *)
+let derive_early st i =
+  if st.pinned.(i) >= 0 then st.pinned.(i)
+  else begin
+    let ps = st.early_from.(i) and b = st.birth.(i) in
+    let cfg = st.cfg and edges = st.edges in
+    let ok k =
+      let e = edges.(k) in
+      Cfg.edge_dominates cfg e edges.(b)
+      && Array.for_all (fun p -> Cfg.reaches cfg edges.(st.early.(p)) e) ps
+    in
+    let rec scan k = if k > b then b else if ok k then k else scan (k + 1) in
+    if Array.length ps = 0 then b
+    else scan (Array.fold_left (fun acc p -> max acc st.early.(p)) 0 ps)
+  end
+
+(* Lates: the last edge join-free-reachable from the birth edge that
+   reaches every consumer's late; the birth edge when there is none. *)
+let derive_late st i =
+  if st.pinned.(i) >= 0 then st.pinned.(i)
+  else if not st.late_free.(i) then st.birth.(i)
+  else begin
+    let ss = st.succs.(i) and b = st.birth.(i) in
+    let cfg = st.cfg and edges = st.edges in
+    let ok k =
+      let e = edges.(k) in
+      Cfg.sink_reaches cfg edges.(b) e
+      && Array.for_all (fun s -> Cfg.reaches cfg e edges.(st.late.(s))) ss
+    in
+    let rec scan k = if k < b then b else if ok k then k else scan (k - 1) in
+    scan (Array.fold_left (fun acc s -> min acc st.late.(s)) (st.n_forward - 1) ss)
+  end
+
+let mark st bits i =
+  let k = st.position.(i) in
+  Bytes.unsafe_set st.dirty k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get st.dirty k) lor bits))
+
+let take st bit k =
+  let c = Char.code (Bytes.unsafe_get st.dirty k) in
+  c land bit <> 0
+  && begin
+    Bytes.unsafe_set st.dirty k (Char.unsafe_chr (c land lnot bit));
+    true
+  end
+
+let note_moved st i =
+  if Bytes.get st.moved i = '\000' then begin
+    Bytes.set st.moved i '\001';
+    st.moved_ops.(st.n_moved) <- i;
+    st.n_moved <- st.n_moved + 1
+  end
+
+(* Re-derives the dirty earlies forward from position [first] and the
+   dirty lates backward from [last].  A value that changed marks the ops
+   derived from it, which lie later in its sweep's direction; one that did
+   not stops the sweep there.  Every op whose inputs changed is re-derived
+   after them, so the raw values equal a full sweep's. *)
+let propagate st ~first ~last =
+  let upto = ref last and k = ref first in
+  while !k <= !upto do
+    if take st 1 !k then begin
+      let i = st.order.(!k) in
+      let e = derive_early st i in
+      if e <> st.early.(i) then begin
+        st.early.(i) <- e;
+        note_moved st i;
+        Array.iter
+          (fun s ->
+            mark st 1 s;
+            upto := max !upto st.position.(s))
+          st.succs.(i)
+      end
+    end;
+    incr k
+  done;
+  let from = ref first and k = ref last in
+  while !k >= !from do
+    if take st 2 !k then begin
+      let i = st.order.(!k) in
+      let l = derive_late st i in
+      if l <> st.late.(i) then begin
+        st.late.(i) <- l;
+        note_moved st i;
+        Array.iter
+          (fun p ->
+            mark st 2 p;
+            from := min !from st.position.(p))
+          st.preds.(i)
+      end
+    end;
+    decr k
+  done
+
+(* A span must be internally consistent; fall back to the birth edge if
+   pinning produced an inverted window. *)
+let publish st i =
+  let e = st.edges.(st.early.(i)) and l = st.edges.(st.late.(i)) in
+  st.spans.(i) <-
+    (if Cfg.reaches st.cfg e l then { early = e; late = l }
+     else begin
+       let b = st.edges.(st.birth.(i)) in
+       { early = b; late = b }
+     end)
+
+let publish_moved st =
+  for k = 0 to st.n_moved - 1 do
+    let i = st.moved_ops.(k) in
+    Bytes.set st.moved i '\000';
+    publish st i
+  done;
+  st.n_moved <- 0
+
+(* A state with the given pins and every value yet to be derived. *)
+let new_state ~pin (t : t) =
   let cfg = t.cfg in
   if not (Cfg.is_sealed cfg) then invalid_arg "Dfg.compute_spans: CFG not sealed";
   let n = op_count t in
-  let order = topo_order t in
-  let edges_topo = Cfg.forward_edges_topo cfg in
-  let early = Array.make n None and late = Array.make n None in
-  let get_early i = match early.(i) with Some e -> e | None -> assert false in
-  let get_late i = match late.(i) with Some e -> e | None -> assert false in
   let a = adjacency t in
-  (* Earlies, forward. *)
-  List.iter
-    (fun id ->
-      let i = Op_id.to_int id in
-      let o = Vec.get t.ops_v i in
-      let e =
-        match pin id with
-        | Some pinned -> pinned
-        | None ->
-          if o.fixed || is_const o then o.birth
-          else begin
-            let ps =
-              List.filter
-                (fun p -> not (is_const (Vec.get t.ops_v (Op_id.to_int p))))
-                a.fwd_pred.(i)
-            in
-            if ps = [] then o.birth
-            else begin
-              let ok e =
-                Cfg.edge_dominates cfg e o.birth
-                && List.for_all (fun p -> Cfg.reaches cfg (get_early (Op_id.to_int p)) e) ps
-              in
-              match List.find_opt ok edges_topo with
-              | Some e -> e
-              | None -> o.birth
-            end
-          end
-      in
-      early.(i) <- Some e)
+  let fwd = Cfg.forward_edges_topo cfg in
+  let back = ref [] in
+  Cfg.iter_edges cfg (fun e -> if Cfg.is_backward cfg e then back := e :: !back);
+  let edges = Array.of_list (fwd @ List.rev !back) in
+  let index = Array.make (Cfg.edge_count cfg) 0 in
+  Array.iteri (fun k e -> index.(Cfg.Edge_id.to_int e) <- k) edges;
+  let at e = index.(Cfg.Edge_id.to_int e) in
+  let n_forward = List.length fwd in
+  let order = Array.of_list (List.map Op_id.to_int (topo_order t)) in
+  let position = Array.make n 0 in
+  Array.iteri (fun k i -> position.(i) <- k) order;
+  let op i = Vec.get t.ops_v i in
+  let birth = Array.init n (fun i -> at (op i).birth) in
+  (* An op born on a backward edge keeps it, as the rule finds no forward
+     edge for it. *)
+  let born_fixed i =
+    let o = op i in
+    o.fixed || is_const o || birth.(i) >= n_forward
+  in
+  let ids l = Array.of_list (List.map Op_id.to_int l) in
+  {
+    cfg;
+    edges;
+    index;
+    n_forward;
     order;
-  (* Lates, backward. *)
+    position;
+    birth;
+    early_from =
+      Array.init n (fun i ->
+          if born_fixed i then [||]
+          else ids (List.filter (fun p -> not (is_const (op (Op_id.to_int p)))) a.fwd_pred.(i)));
+    late_free =
+      Array.init n (fun i -> not (born_fixed i || List.exists snd a.all_succ.(i)));
+    succs = Array.map ids a.fwd_succ;
+    preds = Array.map ids a.fwd_pred;
+    pinned =
+      Array.init n (fun i ->
+          match pin (Op_id.of_int i) with Some e -> at e | None -> -1);
+    early = Array.copy birth;
+    late = Array.copy birth;
+    spans =
+      Array.init n (fun i ->
+          let b = (op i).birth in
+          { early = b; late = b });
+    dirty = Bytes.make n '\003';
+    moved = Bytes.make n '\000';
+    moved_ops = Array.make n 0;
+    n_moved = 0;
+  }
+
+(* The full sweep: every op dirty, then every span published. *)
+let sweep st =
+  propagate st ~first:0 ~last:(Array.length st.order - 1);
+  publish_moved st;
+  Array.iteri (fun i _ -> publish st i) st.spans
+
+let span_state t =
+  let st = new_state ~pin:(fun _ -> None) t in
+  sweep st;
+  st
+
+let spans st = st.spans
+
+let pin st ops e =
+  let k = st.index.(Cfg.Edge_id.to_int e) in
+  let first = ref max_int and last = ref (-1) in
   List.iter
-    (fun id ->
-      let i = Op_id.to_int id in
-      let o = Vec.get t.ops_v i in
-      let e =
-        match pin id with
-        | Some pinned -> pinned
-        | None ->
-          if o.fixed || is_const o then o.birth
-          else if List.exists (fun (_, lc) -> lc) a.all_succ.(i) then
-            (* Loop-carried producers must execute on every iteration path:
-               sinking them into a conditional branch would skip the update
-               on the other branch.  Keep them on their birth edge. *)
-            o.birth
-          else begin
-            let ss = a.fwd_succ.(i) in
-            let ok e =
-              Cfg.sink_reaches cfg o.birth e
-              && List.for_all (fun s -> Cfg.reaches cfg e (get_late (Op_id.to_int s))) ss
-            in
-            match List.find_opt ok (List.rev edges_topo) with
-            | Some e -> e
-            | None -> o.birth
-          end
-      in
-      late.(i) <- Some e)
-    (List.rev order);
-  Array.init n (fun i ->
-      let e = get_early i and l = get_late i in
-      (* A span must be internally consistent; fall back to the birth edge
-         if pinning produced an inverted window. *)
-      if Cfg.reaches cfg e l then { early = e; late = l }
-      else begin
-        let b = (Vec.get t.ops_v i).birth in
-        { early = b; late = b }
-      end)
+    (fun o ->
+      let i = Op_id.to_int o in
+      st.pinned.(i) <- k;
+      mark st 3 i;
+      first := min !first st.position.(i);
+      last := max !last st.position.(i))
+    ops;
+  if !last >= 0 then begin
+    propagate st ~first:!first ~last:!last;
+    publish_moved st
+  end
+
+let compute_spans ?(pin = fun _ -> None) t =
+  let st = new_state ~pin t in
+  sweep st;
+  st.spans
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
@@ -319,7 +473,7 @@ let rec add_nat buf n =
 (* The dump is written with [Buffer] adds, not [Printf]: the serve daemon
    digests on every cache hit.  The initial buffer stays below the minor
    heap's 256-word allocation limit. *)
-let digest t =
+let digest (t : t) =
   let buf = Buffer.create 1024 in
   let str s = Buffer.add_string buf s and chr c = Buffer.add_char buf c in
   let nat n = add_nat buf n in

@@ -138,9 +138,28 @@ val span_edges : t -> span -> Cfg.Edge_id.t list
 
 val compute_spans : ?pin:(Op_id.t -> Cfg.Edge_id.t option) -> t -> span array
 (** Indexed by [Op_id.to_int].  [pin] fixes already-scheduled operations on
-    their scheduled edge, shrinking the spans of the remaining ones (used
-    when budgeting is re-run during scheduling).  Requires a sealed CFG and
-    a validated DFG. *)
+    their scheduled edge, shrinking the spans of the remaining ones.  One
+    full sweep of a fresh {!span_state}.  Requires a sealed CFG and a
+    validated DFG. *)
+
+type span_state
+(** The spans of every operation under a growing set of pins (the
+    scheduler pins each operation to the edge it was placed on), kept so
+    that a pin re-derives only the spans it moves. *)
+
+val span_state : t -> span_state
+(** No operation pinned: its spans are [compute_spans t].  Same
+    requirements as {!compute_spans}. *)
+
+val spans : span_state -> span array
+(** The current spans, indexed by [Op_id.to_int].  The array belongs to the
+    state and {!pin} updates it in place. *)
+
+val pin : span_state -> Op_id.t list -> Cfg.Edge_id.t -> unit
+(** [pin st ops e] fixes each of [ops] on edge [e], then re-derives earlies
+    forward and lates backward from them, stopping wherever a value comes
+    out unchanged.  Afterwards [spans st] equals what {!compute_spans}
+    returns with every pin made so far. *)
 
 (** {1 Content digest} *)
 

@@ -121,9 +121,9 @@ let c_rebudget_infeasible = Obs.counter "sched.rebudget.infeasible"
    with undefined latency.  An unplaced consumer's early edge is searched
    only among edges dominating its birth edge; once its producer is placed
    below that birth edge no such edge is reachable from the producer, the
-   span falls back to the birth edge, and the timed DFG cannot be built.
-   A divergence from the paper's Fig. 8, which re-budgets after every
-   edge. *)
+   span falls back to the birth edge, and re-weighting the timed DFG
+   leaves that edge undefined.  A divergence from the paper's Fig. 8,
+   which re-budgets after every edge. *)
 let c_rebudget_unrealizable = Obs.counter "sched.rebudget.unrealizable"
 
 let c_recoveries = Obs.counter "flow.recovery.attempts"
@@ -282,6 +282,10 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
     in
     let spans0 = Dfg.compute_spans dfg in
+    (* The slack flow's one timed DFG: built from [spans0] for the initial
+       budget, then re-weighted in place by the per-edge hook.  Each slack
+       engine over it is created and read between two re-weightings. *)
+    let tdfg = lazy (Timed_dfg.build dfg ~spans:spans0) in
     (* Targets from [del]; ops ordered by mobility. *)
     let by_mobility del =
       List.iter
@@ -299,7 +303,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
     | Fastest -> by_mobility fastest
     | Slowest -> by_mobility (fun o -> Interval.hi (ranges o))
     | Budgeted -> (
-      let tdfg = Timed_dfg.build dfg ~spans:spans0 in
+      let tdfg = Lazy.force tdfg in
       guard ~at:Check.Boundary (Check.timed_dfg tdfg);
       match
         Obs.span "flow.budget" (fun () ->
@@ -364,11 +368,11 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           (fun sched spans' ->
             if List.exists (fun o -> not (Schedule.is_placed sched o)) ops then begin
               poll "rebudget";
-              match Timed_dfg.build dfg ~spans:spans' with
-              | exception Timed_dfg.Unrealizable _ ->
+              let tdfg = Lazy.force tdfg in
+              if not (Timed_dfg.reweight tdfg ~spans:spans') then
                 (* Skipped: see [c_rebudget_unrealizable]. *)
                 Obs.incr c_rebudget_unrealizable
-              | tdfg' ->
+              else begin
                 let ranges' o =
                   match Schedule.placement sched o with
                   | Some p -> Interval.point p.Schedule.eff_delay
@@ -384,18 +388,19 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                 in
                 Obs.incr c_rebudget_runs;
                 match
-                  Budget.run ~config:bcfg ~event_phase:"rebudget" tdfg'
+                  Budget.run ~config:bcfg ~event_phase:"rebudget" tdfg
                     ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
                 with
                 | Budget.Feasible delays ->
                   retarget (fun o -> delays.(Dfg.Op_id.to_int o));
-                  set_priorities_slack tdfg'
+                  set_priorities_slack tdfg
                 | Budget.Infeasible _ ->
                   (* Sharing created violations: demand the fastest grades
                      for what remains (paper: "fixed by decreasing the
                      delays of operations"). *)
                   Obs.incr c_rebudget_infeasible;
                   retarget fastest
+              end
             end)
       | (Fastest | Slowest | Budgeted), _ -> None
     in

@@ -53,10 +53,12 @@ let run dfg ~alloc params =
   let cfg = Dfg.cfg dfg in
   let sched = Schedule.create ?ii:params.ii dfg ~clock:params.clock ~alloc in
   let budget = Schedule.step_budget sched in
-  let pin o =
-    Option.map (fun p -> p.Schedule.edge) (Schedule.placement sched o)
-  in
-  let spans = ref params.spans in
+  (* With [respan] the pass owns a span state and pins what it places;
+     [params.spans], which every relaxation attempt shares, stay as they
+     are. *)
+  let span_state = if params.respan then Some (Dfg.span_state dfg) else None in
+  let spans = match span_state with Some st -> Dfg.spans st | None -> params.spans in
+  let placed_on_edge = ref [] in
   let n = Dfg.op_count dfg in
   let is_active =
     Array.init n (fun i ->
@@ -147,11 +149,11 @@ let run dfg ~alloc params =
     Array.iter
       (fun o ->
         let i = Dfg.Op_id.to_int o in
-        late_idx.(i) <- Cfg.edge_topo_index cfg (!spans).(i).Dfg.late)
+        late_idx.(i) <- Cfg.edge_topo_index cfg spans.(i).Dfg.late)
       active_ops
   in
   refresh_late_idx ();
-  let span_of o = (!spans).(Dfg.Op_id.to_int o) in
+  let span_of o = spans.(Dfg.Op_id.to_int o) in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
   (* When an operation starves (its producers finish too late for any
      window to remain), the actionable bottleneck is usually a resource
@@ -258,6 +260,7 @@ let run dfg ~alloc params =
         bookings.(k).(slot) <- Option.get (Schedule.placement sched o) :: bookings.(k).(slot);
         fanin.(k) <- fanin.(k) + 1;
         on_placed o;
+        placed_on_edge := o :: !placed_on_edge;
         Placed
       in
       (* Among the free instances whose effective delay fits the window,
@@ -433,14 +436,16 @@ let run dfg ~alloc params =
                  placed = !placed_here;
                  deferred = !deferred_here;
                });
-        if params.respan then begin
+        (match span_state with
+        | Some st ->
           Obs.incr c_respans;
           Obs.span "sched.respan" (fun () ->
-              spans := Dfg.compute_spans ~pin dfg;
+              Dfg.pin st !placed_on_edge e;
               refresh_late_idx ())
-        end;
+        | None -> ());
+        placed_on_edge := [];
         match params.rebudget with
-        | Some f -> Obs.span "sched.rebudget" (fun () -> f sched !spans)
+        | Some f -> Obs.span "sched.rebudget" (fun () -> f sched spans)
         | None -> ())
       (Cfg.forward_edges_topo cfg);
     (* Everything must be placed by now. *)

@@ -41,7 +41,7 @@ type params = {
           resource booking modulo [ii] *)
   spans : Dfg.span array;
       (** the unpinned spans ({!Dfg.compute_spans} without [pin]); the
-          pass reads them until its first respan and never mutates them *)
+          pass never mutates them *)
   priority : Dfg.Op_id.t -> float;
       (** lower schedules first (criticality) *)
   target : Dfg.Op_id.t -> float;
@@ -51,10 +51,13 @@ type params = {
       (** speed up an existing instance when nothing fits (slowest-first
           and slack-based flows) *)
   respan : bool;
-      (** recompute spans with pinned placements after every edge *)
+      (** keep a {!Dfg.span_state} of the pass's own, starting equal to
+          [spans], and after every edge pin the operations placed on it *)
   rebudget : (Schedule.t -> Dfg.span array -> unit) option;
       (** after-edge hook: re-run budgeting over the spans the pass now
-          uses — pinned to the placements so far when [respan] is set *)
+          uses — pinned to the placements so far when [respan] is set.
+          The array is the pass's; the hook must not keep it past the
+          call or mutate it *)
 }
 
 val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result

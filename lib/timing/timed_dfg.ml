@@ -12,7 +12,10 @@ let pp_node ppf = function
 type csr = { off : int array; nbr : int array; lat : int array }
 
 (* Node slots: op i at i, its sink at n + i.  Edges are stored once per
-   direction, in edge insertion order within each slot. *)
+   direction, in edge insertion order within each slot; [pred_of] and
+   [succ_of] map each edge's index in one direction to the other.  The
+   latencies follow [spans], which [reweight] moves; an undefined one is
+   stored as [undefined] and counted in [n_undefined]. *)
 type t = {
   dfg : Dfg.t;
   n : int;
@@ -21,7 +24,13 @@ type t = {
   position : int array;  (* slot -> index in [order]; -1 when inactive *)
   pred : csr;
   succ : csr;
+  pred_of : int array;
+  succ_of : int array;
+  spans : Dfg.span array;
+  mutable n_undefined : int;
 }
+
+let undefined = min_int
 
 exception Unrealizable of string
 
@@ -121,12 +130,15 @@ let build dfg ~spans =
     pred_off.(s + 1) <- pred_off.(s + 1) + pred_off.(s)
   done;
   let pred_nbr = Array.make edges 0 and pred_lat = Array.make edges 0 in
+  let pred_of = Array.make edges 0 and succ_of = Array.make edges 0 in
   for src = n - 1 downto 0 do
     for e = succ_off.(src + 1) - 1 downto succ_off.(src) do
       let d = succ_nbr.(e) in
       let k = pred_off.(d + 1) - 1 in
       pred_nbr.(k) <- src;
       pred_lat.(k) <- succ_lat.(e);
+      pred_of.(e) <- k;
+      succ_of.(k) <- e;
       pred_off.(d + 1) <- k
     done
   done;
@@ -166,7 +178,54 @@ let build dfg ~spans =
     position;
     pred = { off = pred_off; nbr = pred_nbr; lat = pred_lat };
     succ = { off = succ_off; nbr = succ_nbr; lat = succ_lat };
+    pred_of;
+    succ_of;
+    spans = Array.copy spans;
+    n_undefined = 0;
   }
+
+(* Successor edge [e] now weighs [w], in both directions. *)
+let set_weight t e w =
+  let old = t.succ.lat.(e) in
+  if old <> w then begin
+    if old = undefined then t.n_undefined <- t.n_undefined - 1;
+    if w = undefined then t.n_undefined <- t.n_undefined + 1;
+    t.succ.lat.(e) <- w;
+    t.pred.lat.(t.pred_of.(e)) <- w
+  end
+
+(* Every edge in or out of op [i], from the current spans: the same
+   latencies [build] computes. *)
+let reweight_op t cfg i =
+  let latency a b = match Cfg.latency cfg a b with Some w -> w | None -> undefined in
+  let early j = t.spans.(j).Dfg.early in
+  let s = t.succ and p = t.pred in
+  for e = s.off.(i) to s.off.(i + 1) - 1 do
+    let d = s.nbr.(e) in
+    set_weight t e
+      (if d < t.n then latency (early i) (early d) else latency (early i) t.spans.(i).Dfg.late)
+  done;
+  for k = p.off.(i) to p.off.(i + 1) - 1 do
+    set_weight t t.succ_of.(k) (latency (early p.nbr.(k)) (early i))
+  done
+
+let reweight t ~spans =
+  if Array.length spans <> t.n then invalid_arg "Timed_dfg.reweight: span array size mismatch";
+  (* Record every moved span first, so that an edge between two moved ops
+     reads both new ends. *)
+  let moved = ref [] in
+  Array.iter
+    (fun i ->
+      let s = spans.(i) and old = t.spans.(i) in
+      if s != old then begin
+        t.spans.(i) <- s;
+        if not (Cfg.Edge_id.equal s.Dfg.early old.Dfg.early && Cfg.Edge_id.equal s.Dfg.late old.Dfg.late)
+        then moved := i :: !moved
+      end)
+    t.active;
+  let cfg = Dfg.cfg t.dfg in
+  List.iter (reweight_op t cfg) !moved;
+  t.n_undefined = 0
 
 let dfg t = t.dfg
 let edge_count t = Array.length t.succ.nbr
@@ -207,4 +266,4 @@ let with_edge_weight t ~src ~dst ~weight =
   let succ, found = replace t.succ s d in
   if not found then invalid_arg "Timed_dfg.with_edge_weight: no such edge";
   let pred, _ = replace t.pred d s in
-  { t with succ; pred }
+  { t with succ; pred; spans = Array.copy t.spans }

@@ -27,6 +27,17 @@ val build : Dfg.t -> spans:Dfg.span array -> t
 (** Requires a sealed CFG and spans as produced by {!Dfg.compute_spans}
     (one entry per op, indexed by [Op_id.to_int]). *)
 
+val reweight : t -> spans:Dfg.span array -> bool
+(** Re-weights [t] in place for new spans of the same DFG: recomputes the
+    dependency and sink edges in or out of each op whose span differs from
+    the spans [t] was last weighted for, and no other.  Returns [false]
+    when some latency is undefined, where {!build} would raise
+    {!Unrealizable}; [t] must then not be analysed until a later
+    re-weighting returns [true], after which it equals a fresh build over
+    those spans.  A {!Slack} engine over [t] reads its arrays but keeps
+    values derived from the old weights, so none may outlive a
+    re-weighting. *)
+
 val dfg : t -> Dfg.t
 val edge_count : t -> int
 
