@@ -31,8 +31,8 @@ let test_figure5_spans () =
 
 let test_spans_with_pin () =
   let r = Resizer.table3 () in
-  (* Pinning div on e4 shrinks nothing else here, but pinning it on e1
-     constrains nothing upstream; pin sub on e4 and div's late stays e4. *)
+  (* Pin div on e2: its span collapses to that edge, and sub, which
+     consumes div, can start no earlier. *)
   let pin o =
     if Dfg.Op_id.equal o r.Resizer.div then Some r.Resizer.e2 else None
   in

@@ -298,6 +298,116 @@ let prop_engine_matches_full_pass =
             Corpus.all_klasses)
         Random_design.all_shapes)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental spans and in-place re-weighting against their oracles *)
+
+let kernel_designs () =
+  let d ?ii name clock dfg = Hls.design ?ii ~name ~clock dfg in
+  [
+    d "fir8" 2500.0 (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg;
+    d "idct" 2500.0 (Idct.build ~latency:12 ~passes:1 ()).Idct.dfg;
+    d "interpolation" Interpolation.clock (Interpolation.unrolled ()).Interpolation.dfg;
+    d "resizer" 4000.0 (Resizer.full ()).Resizer.dfg;
+  ]
+  @ List.map
+      (fun (p : Idct.design_point) ->
+        d ?ii:p.Idct.ii p.Idct.id p.Idct.clock (Idct.instantiate p).Idct.dfg)
+      Idct.table4_points
+  @ List.map
+      (fun passes ->
+        d (Printf.sprintf "idct-x%d" passes) 2500.0
+          (Idct.build ~latency:(8 * passes) ~passes ()).Idct.dfg)
+      [ 2; 4 ]
+
+(* The first 40 manifest designs cover every CFG shape and class. *)
+let manifest_designs () =
+  List.filteri (fun i _ -> i < 40) (Corpus.plan ~seed:42 ())
+  |> List.map (fun (e : Corpus.entry) ->
+         let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
+         Hls.design ?ii ~name:e.Corpus.name ~clock:e.Corpus.clock_ps
+           (Corpus.design e).Random_design.dfg)
+
+type tally = { mutable batches : int; mutable weighed : int; mutable unrealizable : int }
+
+let same_span (a : Dfg.span) (b : Dfg.span) =
+  Cfg.Edge_id.equal a.Dfg.early b.Dfg.early && Cfg.Edge_id.equal a.Dfg.late b.Dfg.late
+
+(* Pins the placements of [sched] on a fresh span state, one batch per
+   forward CFG edge in topological order, as the schedule pass does.
+   After every batch the spans must equal a full sweep's, and re-weighting
+   [tdfg] must fail exactly when a fresh build raises [Unrealizable] and
+   otherwise leave a fresh build's latencies. *)
+let replay tally what dfg sched tdfg =
+  let st = Dfg.span_state dfg in
+  let pins = Array.make (Dfg.op_count dfg) None in
+  List.iter
+    (fun e ->
+      let batch =
+        List.filter
+          (fun o ->
+            match Schedule.placement sched o with
+            | Some p -> Cfg.Edge_id.equal p.Schedule.edge e
+            | None -> false)
+          (Dfg.ops dfg)
+      in
+      List.iter (fun o -> pins.(Dfg.Op_id.to_int o) <- Some e) batch;
+      Dfg.pin st batch e;
+      tally.batches <- tally.batches + 1;
+      let spans = Dfg.spans st in
+      let full = Dfg.compute_spans ~pin:(fun o -> pins.(Dfg.Op_id.to_int o)) dfg in
+      Array.iteri
+        (fun i s ->
+          if not (same_span s full.(i)) then
+            Alcotest.failf "%s: edge %d: op %d's span differs from a full sweep" what
+              (Cfg.Edge_id.to_int e) i)
+        spans;
+      let realizable = Timed_dfg.reweight tdfg ~spans in
+      match Timed_dfg.build dfg ~spans with
+      | exception Timed_dfg.Unrealizable _ ->
+        if realizable then
+          Alcotest.failf "%s: edge %d: re-weighted an unrealizable graph" what
+            (Cfg.Edge_id.to_int e);
+        tally.unrealizable <- tally.unrealizable + 1
+      | fresh ->
+        if not realizable then
+          Alcotest.failf "%s: edge %d: re-weighting found an undefined latency" what
+            (Cfg.Edge_id.to_int e);
+        let lat c = c.Timed_dfg.lat in
+        Alcotest.(check (array int))
+          (what ^ ": pred latencies")
+          (lat (Timed_dfg.pred_csr fresh))
+          (lat (Timed_dfg.pred_csr tdfg));
+        Alcotest.(check (array int))
+          (what ^ ": succ latencies")
+          (lat (Timed_dfg.succ_csr fresh))
+          (lat (Timed_dfg.succ_csr tdfg));
+        tally.weighed <- tally.weighed + 1)
+    (Cfg.forward_edges_topo (Dfg.cfg dfg))
+
+(* Every final schedule of both flows, replayed twice on one timed DFG
+   built from the unpinned spans: the second replay starts over from
+   them, as the next relaxation attempt does. *)
+let test_incremental_against_oracles () =
+  let tally = { batches = 0; weighed = 0; unrealizable = 0 } in
+  List.iter
+    (fun (d : Hls.design) ->
+      List.iter
+        (fun flow ->
+          match Hls.run flow d with
+          | Error _ -> ()
+          | Ok r ->
+            let dfg = d.Hls.dfg in
+            let sched = r.Hls.report.Flows.schedule in
+            let tdfg = Timed_dfg.build dfg ~spans:(Dfg.compute_spans dfg) in
+            let what = d.Hls.design_name ^ "/" ^ Flows.short_name flow in
+            replay tally what dfg sched tdfg;
+            replay tally (what ^ " again") dfg sched tdfg)
+        [ Flows.Conventional; Flows.Slack_based ])
+    (kernel_designs () @ manifest_designs ());
+  (* Both verdicts must occur, or one of the paths went unchecked. *)
+  Alcotest.(check bool) "some batches re-weighted" true (tally.weighed > 0);
+  Alcotest.(check bool) "some batches unrealizable" true (tally.unrealizable > 0)
+
 let suite =
   [
     Alcotest.test_case "timed DFG weights (fig 5b)" `Quick test_timed_dfg_weights;
@@ -308,6 +418,8 @@ let suite =
     Alcotest.test_case "alignment primitives" `Quick test_alignment_primitives;
     Alcotest.test_case "aligned slack conservative" `Quick test_aligned_slack_is_conservative;
     Alcotest.test_case "interpolation aligned chain" `Quick test_interpolation_aligned_chain;
+    Alcotest.test_case "incremental spans and re-weighting match their oracles" `Quick
+      test_incremental_against_oracles;
     QCheck_alcotest.to_alcotest prop_critical_path_equal_slack;
     QCheck_alcotest.to_alcotest prop_slack_antimonotone_in_delay;
     QCheck_alcotest.to_alcotest prop_engine_matches_full_pass;
