@@ -103,20 +103,43 @@ let draining t = Cancel.reason t.drain_tok <> None
 (* ------------------------------------------------------------------ *)
 (* Startup *)
 
-let bind_listener = function
-  | Unix_sock path ->
-    (* A stale socket file from a killed daemon would make bind fail;
-       removing it is safe because a live daemon holds the fd, not the
-       name. *)
-    if Sys.file_exists path then Sys.remove path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    fd
-  | Tcp port ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Closes a bound listener and removes its socket file. *)
+let unbind address fd =
+  close_quietly fd;
+  match address with
+  | Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
+  | Tcp _ -> ()
+
+(* A listening socket; nothing is left open or on disk when it fails. *)
+let listener ~backlog address =
+  let fd, bind =
+    match address with
+    | Unix_sock path ->
+      (* A stale socket file from a killed daemon would make bind fail;
+         removing it is safe because a live daemon holds the fd, not the
+         name. *)
+      if Sys.file_exists path then Sys.remove path;
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (fd, fun () -> Unix.bind fd (Unix.ADDR_UNIX path))
+    | Tcp port ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      ( fd,
+        fun () ->
+          Unix.setsockopt fd Unix.SO_REUSEADDR true;
+          Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) )
+  in
+  (match bind () with
+  | () -> ()
+  | exception e ->
+    close_quietly fd;
+    raise e);
+  match Unix.listen fd backlog with
+  | () -> fd
+  | exception e ->
+    unbind address fd;
+    raise e
 
 let ( let* ) = Result.bind
 
@@ -136,22 +159,22 @@ let start cfg =
         Error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
   in
   let* listen_fd =
-    match bind_listener cfg.address with
+    match listener ~backlog:64 cfg.address with
     | fd -> Ok fd
     | exception Unix.Unix_error (e, _, _) ->
       Error ("cannot bind socket: " ^ Unix.error_message e)
     | exception Sys_error m -> Error m
   in
-  Unix.listen listen_fd 64;
   let* metrics_fd =
     match cfg.metrics_port with
     | None -> Ok None
     | Some port -> (
-      match bind_listener (Tcp port) with
-      | fd ->
-        Unix.listen fd 16;
-        Ok (Some fd)
+      match listener ~backlog:16 (Tcp port) with
+      | fd -> Ok (Some fd)
       | exception Unix.Unix_error (e, _, _) ->
+        (* A failed start must not leave its socket file behind: scripts
+           that wait for the file would talk to a dead daemon. *)
+        unbind cfg.address listen_fd;
         Error
           (Printf.sprintf "cannot bind metrics port %d: %s" port
              (Unix.error_message e)))
@@ -612,7 +635,7 @@ let handle_conn t fd =
     with Unix.Unix_error _ -> alive := false
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> close_quietly fd)
   @@ fun () ->
   let rec loop () =
     if !alive then
@@ -753,7 +776,7 @@ let metrics_loop t fd =
              in
              w 0
            with Unix.Unix_error _ -> ());
-          (try Unix.close cfd with Unix.Unix_error _ -> ())));
+          close_quietly cfd));
       go ()
     end
   in
@@ -784,17 +807,12 @@ let serve t =
   accept_loop t;
   Admission.start_drain t.admission;
   Option.iter Thread.join metrics_th;
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.metrics_fd;
+  Option.iter close_quietly t.metrics_fd;
   let reason = Option.value ~default:"drain" (Cancel.reason t.drain_tok) in
   Printf.eprintf "hlsc serve: draining (%s), %d request(s) in flight\n%!"
     reason
     (Admission.inflight t.admission);
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-  | Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
-  | Tcp _ -> ());
+  unbind t.cfg.address t.listen_fd;
   let drained =
     Admission.wait_idle t.admission ~deadline_s:t.cfg.drain_deadline
   in

@@ -620,6 +620,25 @@ let test_telemetry_op () =
   in
   ()
 
+(* A start that fails on a taken metrics port must not leave the socket
+   file it bound: scripts that wait for the file would talk to a dead
+   daemon. *)
+let test_failed_start_leaves_no_socket () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "s.sock" in
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
+  in
+  match Server.start { (server_config ~sock ()) with Server.metrics_port = Some port } with
+  | Ok _ -> Alcotest.fail "started on a taken metrics port"
+  | Error m ->
+    Alcotest.(check bool) "error names the port" true (contains m (string_of_int port));
+    Alcotest.(check bool) "no socket file" false (Sys.file_exists sock)
+
 (* ------------------------------------------------------------------ *)
 (* Journal.load robustness (the drain path's other half) *)
 
@@ -709,6 +728,8 @@ let () =
             test_trace_parents_worker_span;
           Alcotest.test_case "telemetry op ships snapshot + exposition" `Quick
             test_telemetry_op;
+          Alcotest.test_case "failed start leaves no socket file" `Quick
+            test_failed_start_leaves_no_socket;
         ] );
       ( "journal",
         [
