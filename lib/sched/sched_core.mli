@@ -9,10 +9,10 @@
     if the current edge is the {e last} of its span, the pass fails with a
     diagnosis that drives the relaxation loop.
 
-    After every edge, optional hooks recompute operation spans with the
-    placements pinned and re-run slack budgeting (paper Schedule_pass
-    steps c-d) — sharing merges critical paths, so criticality must be
-    refreshed. *)
+    After every edge, the pass can pin that edge's placements into its
+    spans and call a hook that re-runs slack budgeting (paper
+    Schedule_pass steps c-d) — sharing merges critical paths, so
+    criticality must be refreshed. *)
 
 type failure_reason =
   | No_resource of { op : Dfg.Op_id.t; rk : Resource_kind.t; width : int }
@@ -56,8 +56,8 @@ type params = {
   rebudget : (Schedule.t -> Dfg.span array -> unit) option;
       (** after-edge hook: re-run budgeting over the spans the pass now
           uses — pinned to the placements so far when [respan] is set.
-          The array is the pass's; the hook must not keep it past the
-          call or mutate it *)
+          With [respan] the array is the pass's own and changes in place
+          after every edge; the hook must not mutate it *)
 }
 
 val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result
