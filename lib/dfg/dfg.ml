@@ -60,6 +60,24 @@ type op = {
 
 type dep = { src : int; dst : int; loop_carried : bool }
 
+(* What the span rule reads of the graph, by index.  Edges are named by
+   index: the forward edges in the CFG's topological order, then the
+   backward ones. *)
+type span_rule = {
+  edges : Cfg.Edge_id.t array;  (* index -> edge *)
+  index : int array;  (* edge -> index *)
+  n_forward : int;
+  order : int array;  (* ops, topological order *)
+  position : int array;  (* op -> index in [order] *)
+  birth : int array;
+  early_from : int array array;
+      (* the ops an early is derived from (non-constant forward
+         predecessors); empty when the early is the birth edge *)
+  late_free : bool array;  (* the late is derived from the successors *)
+  succs : int array array;  (* forward successors *)
+  preds : int array array;  (* forward predecessors *)
+}
+
 type t = {
   cfg : Cfg.t;
   ops_v : op Vec.t;
@@ -68,13 +86,15 @@ type t = {
 }
 
 (* Built once per mutation epoch and handed out without copying; the
-   topological order is memoised beside it, on success only. *)
+   topological order and the span rule's inputs are memoised beside it,
+   on success only. *)
 and adj = {
   fwd_succ : Op_id.t list array;
   fwd_pred : Op_id.t list array;
   all_succ : (Op_id.t * bool) list array;
   all_pred : (Op_id.t * bool) list array;
   mutable topo : Op_id.t list option;
+  mutable rule : span_rule option;
 }
 
 exception Malformed of string
@@ -99,7 +119,8 @@ let op t id = Vec.get t.ops_v (Op_id.to_int id)
 let fix_op t id =
   let i = Op_id.to_int id in
   let o = Vec.get t.ops_v i in
-  Vec.set t.ops_v i { o with fixed = true }
+  Vec.set t.ops_v i { o with fixed = true };
+  t.adj <- None
 let op_count t = Vec.length t.ops_v
 let dep_count t = Vec.length t.deps
 
@@ -134,7 +155,7 @@ let adjacency t =
         fwd_pred.(dst) <- s :: fwd_pred.(dst)
       end
     done;
-    let a = { fwd_succ; fwd_pred; all_succ; all_pred; topo = None } in
+    let a = { fwd_succ; fwd_pred; all_succ; all_pred; topo = None; rule = None } in
     t.adj <- Some a;
     a
 
@@ -226,30 +247,67 @@ let span_edges t { early; late } =
 
 let is_const o = match o.kind with Const _ -> true | _ -> false
 
-(* Span state.  Edges are named by index: the forward edges in the CFG's
-   topological order, then the backward ones.  A forward edge that
-   dominates, sink-reaches or reaches another never lies after it in that
-   order, so each candidate scan below runs over an index range; the
-   candidates it skips would all fail the rule.  The raw earlies and lates
-   are kept before the inverted-window fallback, which only [publish]
-   applies: the rule reads raw values. *)
+(* A forward edge that dominates, sink-reaches or reaches another never
+   lies after it in the span rule's edge order, so each candidate scan
+   below runs over an index range: the edges outside it would fail the
+   rule anyway. *)
+let span_rule t =
+  let a = adjacency t in
+  match a.rule with
+  | Some r -> r
+  | None ->
+    let cfg = t.cfg in
+    if not (Cfg.is_sealed cfg) then invalid_arg "Dfg.compute_spans: CFG not sealed";
+    let n = op_count t in
+    let fwd = Cfg.forward_edges_topo cfg in
+    let back = ref [] in
+    Cfg.iter_edges cfg (fun e -> if Cfg.is_backward cfg e then back := e :: !back);
+    let edges = Array.of_list (fwd @ List.rev !back) in
+    let index = Array.make (Array.length edges) 0 in
+    Array.iteri (fun k e -> index.(Cfg.Edge_id.to_int e) <- k) edges;
+    let n_forward = List.length fwd in
+    let order = Array.of_list (List.map Op_id.to_int (topo_order t)) in
+    let position = Array.make n 0 in
+    Array.iteri (fun k i -> position.(i) <- k) order;
+    let op i = Vec.get t.ops_v i in
+    let birth = Array.init n (fun i -> index.(Cfg.Edge_id.to_int (op i).birth)) in
+    (* An op born on a backward edge keeps it: the rule finds no forward
+       edge for it. *)
+    let born_fixed i =
+      let o = op i in
+      o.fixed || is_const o || birth.(i) >= n_forward
+    in
+    let ids l = Array.of_list (List.map Op_id.to_int l) in
+    let r =
+      {
+        edges;
+        index;
+        n_forward;
+        order;
+        position;
+        birth;
+        early_from =
+          Array.init n (fun i ->
+              if born_fixed i then [||]
+              else ids (List.filter (fun p -> not (is_const (op (Op_id.to_int p)))) a.fwd_pred.(i)));
+        late_free =
+          Array.init n (fun i -> not (born_fixed i || List.exists snd a.all_succ.(i)));
+        succs = Array.map ids a.fwd_succ;
+        preds = Array.map ids a.fwd_pred;
+      }
+    in
+    a.rule <- Some r;
+    r
+
+(* Span state: the pins and the raw earlies and lates, kept before the
+   inverted-window fallback, which only [publish] applies: the rule reads
+   raw values. *)
 type span_state = {
   cfg : Cfg.t;
-  edges : Cfg.Edge_id.t array;  (* index -> edge *)
-  index : int array;  (* edge -> index *)
-  n_forward : int;
-  order : int array;  (* ops, topological order *)
-  position : int array;  (* op -> index in [order] *)
-  birth : int array;
-  early_from : int array array;
-      (* the ops an early is derived from (non-constant forward
-         predecessors); empty when the early is the birth edge *)
-  late_free : bool array;  (* the late is derived from the successors *)
-  succs : int array array;  (* forward successors *)
-  preds : int array array;  (* forward predecessors *)
+  rule : span_rule;
   pinned : int array;  (* op -> pinned edge, or -1 *)
-  early : int array;  (* raw *)
-  late : int array;  (* raw *)
+  early : int array;
+  late : int array;
   spans : span array;  (* published *)
   dirty : Bytes.t;  (* by position: bit 1 early, bit 2 late *)
   moved : Bytes.t;  (* by op: raw early or late changed since publishing *)
@@ -260,39 +318,53 @@ type span_state = {
 (* Earlies: the first edge that dominates the birth edge and that every
    producer's early reaches; the birth edge when there is none. *)
 let derive_early st i =
+  let r = st.rule in
+  let ps = r.early_from.(i) and b = r.birth.(i) in
   if st.pinned.(i) >= 0 then st.pinned.(i)
+  else if Array.length ps = 0 then b
   else begin
-    let ps = st.early_from.(i) and b = st.birth.(i) in
-    let cfg = st.cfg and edges = st.edges in
-    let ok k =
-      let e = edges.(k) in
-      Cfg.edge_dominates cfg e edges.(b)
-      && Array.for_all (fun p -> Cfg.reaches cfg edges.(st.early.(p)) e) ps
+    let cfg = st.cfg and edges = r.edges in
+    let rec reached e j =
+      j = Array.length ps || (Cfg.reaches cfg edges.(st.early.(ps.(j))) e && reached e (j + 1))
     in
-    let rec scan k = if k > b then b else if ok k then k else scan (k + 1) in
-    if Array.length ps = 0 then b
-    else scan (Array.fold_left (fun acc p -> max acc st.early.(p)) 0 ps)
+    let rec scan k =
+      if k > b then b
+      else if Cfg.edge_dominates cfg edges.(k) edges.(b) && reached edges.(k) 0 then k
+      else scan (k + 1)
+    in
+    let lo = ref 0 in
+    for j = 0 to Array.length ps - 1 do
+      lo := max !lo st.early.(ps.(j))
+    done;
+    scan !lo
   end
 
 (* Lates: the last edge join-free-reachable from the birth edge that
    reaches every consumer's late; the birth edge when there is none. *)
 let derive_late st i =
+  let r = st.rule in
+  let ss = r.succs.(i) and b = r.birth.(i) in
   if st.pinned.(i) >= 0 then st.pinned.(i)
-  else if not st.late_free.(i) then st.birth.(i)
+  else if not r.late_free.(i) then b
   else begin
-    let ss = st.succs.(i) and b = st.birth.(i) in
-    let cfg = st.cfg and edges = st.edges in
-    let ok k =
-      let e = edges.(k) in
-      Cfg.sink_reaches cfg edges.(b) e
-      && Array.for_all (fun s -> Cfg.reaches cfg e edges.(st.late.(s))) ss
+    let cfg = st.cfg and edges = r.edges in
+    let rec reaches_all e j =
+      j = Array.length ss || (Cfg.reaches cfg e edges.(st.late.(ss.(j))) && reaches_all e (j + 1))
     in
-    let rec scan k = if k < b then b else if ok k then k else scan (k - 1) in
-    scan (Array.fold_left (fun acc s -> min acc st.late.(s)) (st.n_forward - 1) ss)
+    let rec scan k =
+      if k < b then b
+      else if Cfg.sink_reaches cfg edges.(b) edges.(k) && reaches_all edges.(k) 0 then k
+      else scan (k - 1)
+    in
+    let hi = ref (r.n_forward - 1) in
+    for j = 0 to Array.length ss - 1 do
+      hi := min !hi st.late.(ss.(j))
+    done;
+    scan !hi
   end
 
 let mark st bits i =
-  let k = st.position.(i) in
+  let k = st.rule.position.(i) in
   Bytes.unsafe_set st.dirty k
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get st.dirty k) lor bits))
 
@@ -317,10 +389,11 @@ let note_moved st i =
    not stops the sweep there.  Every op whose inputs changed is re-derived
    after them, so the raw values equal a full sweep's. *)
 let propagate st ~first ~last =
+  let r = st.rule in
   let upto = ref last and k = ref first in
   while !k <= !upto do
     if take st 1 !k then begin
-      let i = st.order.(!k) in
+      let i = r.order.(!k) in
       let e = derive_early st i in
       if e <> st.early.(i) then begin
         st.early.(i) <- e;
@@ -328,8 +401,8 @@ let propagate st ~first ~last =
         Array.iter
           (fun s ->
             mark st 1 s;
-            upto := max !upto st.position.(s))
-          st.succs.(i)
+            upto := max !upto r.position.(s))
+          r.succs.(i)
       end
     end;
     incr k
@@ -337,7 +410,7 @@ let propagate st ~first ~last =
   let from = ref first and k = ref last in
   while !k >= !from do
     if take st 2 !k then begin
-      let i = st.order.(!k) in
+      let i = r.order.(!k) in
       let l = derive_late st i in
       if l <> st.late.(i) then begin
         st.late.(i) <- l;
@@ -345,8 +418,8 @@ let propagate st ~first ~last =
         Array.iter
           (fun p ->
             mark st 2 p;
-            from := min !from st.position.(p))
-          st.preds.(i)
+            from := min !from r.position.(p))
+          r.preds.(i)
       end
     end;
     decr k
@@ -355,11 +428,12 @@ let propagate st ~first ~last =
 (* A span must be internally consistent; fall back to the birth edge if
    pinning produced an inverted window. *)
 let publish st i =
-  let e = st.edges.(st.early.(i)) and l = st.edges.(st.late.(i)) in
+  let edges = st.rule.edges in
+  let e = edges.(st.early.(i)) and l = edges.(st.late.(i)) in
   st.spans.(i) <-
     (if Cfg.reaches st.cfg e l then { early = e; late = l }
      else begin
-       let b = st.edges.(st.birth.(i)) in
+       let b = edges.(st.rule.birth.(i)) in
        { early = b; late = b }
      end)
 
@@ -371,96 +445,56 @@ let publish_moved st =
   done;
   st.n_moved <- 0
 
-(* A state with the given pins and every value yet to be derived. *)
-let new_state ~pin (t : t) =
-  let cfg = t.cfg in
-  if not (Cfg.is_sealed cfg) then invalid_arg "Dfg.compute_spans: CFG not sealed";
-  let n = op_count t in
-  let a = adjacency t in
-  let fwd = Cfg.forward_edges_topo cfg in
-  let back = ref [] in
-  Cfg.iter_edges cfg (fun e -> if Cfg.is_backward cfg e then back := e :: !back);
-  let edges = Array.of_list (fwd @ List.rev !back) in
-  let index = Array.make (Cfg.edge_count cfg) 0 in
-  Array.iteri (fun k e -> index.(Cfg.Edge_id.to_int e) <- k) edges;
-  let at e = index.(Cfg.Edge_id.to_int e) in
-  let n_forward = List.length fwd in
-  let order = Array.of_list (List.map Op_id.to_int (topo_order t)) in
-  let position = Array.make n 0 in
-  Array.iteri (fun k i -> position.(i) <- k) order;
-  let op i = Vec.get t.ops_v i in
-  let birth = Array.init n (fun i -> at (op i).birth) in
-  (* An op born on a backward edge keeps it, as the rule finds no forward
-     edge for it. *)
-  let born_fixed i =
-    let o = op i in
-    o.fixed || is_const o || birth.(i) >= n_forward
-  in
-  let ids l = Array.of_list (List.map Op_id.to_int l) in
-  {
-    cfg;
-    edges;
-    index;
-    n_forward;
-    order;
-    position;
-    birth;
-    early_from =
-      Array.init n (fun i ->
-          if born_fixed i then [||]
-          else ids (List.filter (fun p -> not (is_const (op (Op_id.to_int p)))) a.fwd_pred.(i)));
-    late_free =
-      Array.init n (fun i -> not (born_fixed i || List.exists snd a.all_succ.(i)));
-    succs = Array.map ids a.fwd_succ;
-    preds = Array.map ids a.fwd_pred;
-    pinned =
-      Array.init n (fun i ->
-          match pin (Op_id.of_int i) with Some e -> at e | None -> -1);
-    early = Array.copy birth;
-    late = Array.copy birth;
-    spans =
-      Array.init n (fun i ->
-          let b = (op i).birth in
-          { early = b; late = b });
-    dirty = Bytes.make n '\003';
-    moved = Bytes.make n '\000';
-    moved_ops = Array.make n 0;
-    n_moved = 0;
-  }
+let unset = { early = Cfg.Edge_id.of_int 0; late = Cfg.Edge_id.of_int 0 }
 
 (* The full sweep: every op dirty, then every span published. *)
-let sweep st =
-  propagate st ~first:0 ~last:(Array.length st.order - 1);
+let sweep ~pin t =
+  let r = span_rule t in
+  let n = Array.length r.order in
+  let st =
+    {
+      cfg = t.cfg;
+      rule = r;
+      pinned =
+        Array.init n (fun i ->
+            match pin (Op_id.of_int i) with
+            | Some e -> r.index.(Cfg.Edge_id.to_int e)
+            | None -> -1);
+      early = Array.copy r.birth;
+      late = Array.copy r.birth;
+      spans = Array.make n unset;
+      dirty = Bytes.make n '\003';
+      moved = Bytes.make n '\000';
+      moved_ops = Array.make n 0;
+      n_moved = 0;
+    }
+  in
+  propagate st ~first:0 ~last:(n - 1);
   publish_moved st;
-  Array.iteri (fun i _ -> publish st i) st.spans
-
-let span_state t =
-  let st = new_state ~pin:(fun _ -> None) t in
-  sweep st;
+  (* The ops whose raw values stayed on the birth edge never moved. *)
+  Array.iteri (fun i s -> if s == unset then publish st i) st.spans;
   st
 
+let compute_spans ?(pin = fun _ -> None) t = (sweep ~pin t).spans
+let span_state t = sweep ~pin:(fun _ -> None) t
 let spans st = st.spans
 
 let pin st ops e =
-  let k = st.index.(Cfg.Edge_id.to_int e) in
+  let k = st.rule.index.(Cfg.Edge_id.to_int e) in
   let first = ref max_int and last = ref (-1) in
   List.iter
     (fun o ->
       let i = Op_id.to_int o in
+      let p = st.rule.position.(i) in
       st.pinned.(i) <- k;
       mark st 3 i;
-      first := min !first st.position.(i);
-      last := max !last st.position.(i))
+      first := min !first p;
+      last := max !last p)
     ops;
   if !last >= 0 then begin
     propagate st ~first:!first ~last:!last;
     publish_moved st
   end
-
-let compute_spans ?(pin = fun _ -> None) t =
-  let st = new_state ~pin t in
-  sweep st;
-  st.spans
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
