@@ -289,7 +289,11 @@ let span_rule t =
         early_from =
           Array.init n (fun i ->
               if born_fixed i then [||]
-              else ids (List.filter (fun p -> not (is_const (op (Op_id.to_int p)))) a.fwd_pred.(i)));
+              else
+                ids (List.filter (fun p -> not (is_const (op (Op_id.to_int p)))) a.fwd_pred.(i)));
+        (* Loop-carried producers must execute on every iteration path:
+           sinking them into a conditional branch would skip the update on
+           the other branch.  Keep them on their birth edge. *)
         late_free =
           Array.init n (fun i -> not (born_fixed i || List.exists snd a.all_succ.(i)));
         succs = Array.map ids a.fwd_succ;
@@ -325,7 +329,8 @@ let derive_early st i =
   else begin
     let cfg = st.cfg and edges = r.edges in
     let rec reached e j =
-      j = Array.length ps || (Cfg.reaches cfg edges.(st.early.(ps.(j))) e && reached e (j + 1))
+      j = Array.length ps
+      || (Cfg.reaches cfg edges.(st.early.(ps.(j))) e && reached e (j + 1))
     in
     let rec scan k =
       if k > b then b
@@ -349,7 +354,8 @@ let derive_late st i =
   else begin
     let cfg = st.cfg and edges = r.edges in
     let rec reaches_all e j =
-      j = Array.length ss || (Cfg.reaches cfg e edges.(st.late.(ss.(j))) && reaches_all e (j + 1))
+      j = Array.length ss
+      || (Cfg.reaches cfg e edges.(st.late.(ss.(j))) && reaches_all e (j + 1))
     in
     let rec scan k =
       if k < b then b

@@ -219,7 +219,10 @@ let reweight t ~spans =
       let s = spans.(i) and old = t.spans.(i) in
       if s != old then begin
         t.spans.(i) <- s;
-        if not (Cfg.Edge_id.equal s.Dfg.early old.Dfg.early && Cfg.Edge_id.equal s.Dfg.late old.Dfg.late)
+        if
+          not
+            (Cfg.Edge_id.equal s.Dfg.early old.Dfg.early
+            && Cfg.Edge_id.equal s.Dfg.late old.Dfg.late)
         then moved := i :: !moved
       end)
     t.active;
