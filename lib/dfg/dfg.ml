@@ -314,9 +314,6 @@ type span_state = {
   late : int array;
   spans : span array;  (* published *)
   dirty : Bytes.t;  (* by position: bit 1 early, bit 2 late *)
-  moved : Bytes.t;  (* by op: raw early or late changed since publishing *)
-  moved_ops : int array;
-  mutable n_moved : int;
 }
 
 (* Earlies: the first edge that dominates the birth edge and that every
@@ -382,18 +379,24 @@ let take st bit k =
     true
   end
 
-let note_moved st i =
-  if Bytes.get st.moved i = '\000' then begin
-    Bytes.set st.moved i '\001';
-    st.moved_ops.(st.n_moved) <- i;
-    st.n_moved <- st.n_moved + 1
-  end
+(* A span must be internally consistent; fall back to the birth edge if
+   pinning produced an inverted window. *)
+let publish st i =
+  let edges = st.rule.edges in
+  let e = edges.(st.early.(i)) and l = edges.(st.late.(i)) in
+  st.spans.(i) <-
+    (if Cfg.reaches st.cfg e l then { early = e; late = l }
+     else begin
+       let b = edges.(st.rule.birth.(i)) in
+       { early = b; late = b }
+     end)
 
 (* Re-derives the dirty earlies forward from position [first] and the
-   dirty lates backward from [last].  A value that changed marks the ops
-   derived from it, which lie later in its sweep's direction; one that did
-   not stops the sweep there.  Every op whose inputs changed is re-derived
-   after them, so the raw values equal a full sweep's. *)
+   dirty lates backward from [last].  A value that changed is published
+   and marks the ops derived from it, which lie later in its sweep's
+   direction; one that did not stops the sweep there.  Every op whose
+   inputs changed is re-derived after them, so the raw values equal a full
+   sweep's. *)
 let propagate st ~first ~last =
   let r = st.rule in
   let upto = ref last and k = ref first in
@@ -403,7 +406,7 @@ let propagate st ~first ~last =
       let e = derive_early st i in
       if e <> st.early.(i) then begin
         st.early.(i) <- e;
-        note_moved st i;
+        publish st i;
         Array.iter
           (fun s ->
             mark st 1 s;
@@ -420,7 +423,7 @@ let propagate st ~first ~last =
       let l = derive_late st i in
       if l <> st.late.(i) then begin
         st.late.(i) <- l;
-        note_moved st i;
+        publish st i;
         Array.iter
           (fun p ->
             mark st 2 p;
@@ -430,26 +433,6 @@ let propagate st ~first ~last =
     end;
     decr k
   done
-
-(* A span must be internally consistent; fall back to the birth edge if
-   pinning produced an inverted window. *)
-let publish st i =
-  let edges = st.rule.edges in
-  let e = edges.(st.early.(i)) and l = edges.(st.late.(i)) in
-  st.spans.(i) <-
-    (if Cfg.reaches st.cfg e l then { early = e; late = l }
-     else begin
-       let b = edges.(st.rule.birth.(i)) in
-       { early = b; late = b }
-     end)
-
-let publish_moved st =
-  for k = 0 to st.n_moved - 1 do
-    let i = st.moved_ops.(k) in
-    Bytes.set st.moved i '\000';
-    publish st i
-  done;
-  st.n_moved <- 0
 
 let unset = { early = Cfg.Edge_id.of_int 0; late = Cfg.Edge_id.of_int 0 }
 
@@ -470,14 +453,10 @@ let sweep ~pin t =
       late = Array.copy r.birth;
       spans = Array.make n unset;
       dirty = Bytes.make n '\003';
-      moved = Bytes.make n '\000';
-      moved_ops = Array.make n 0;
-      n_moved = 0;
     }
   in
   propagate st ~first:0 ~last:(n - 1);
-  publish_moved st;
-  (* The ops whose raw values stayed on the birth edge never moved. *)
+  (* The ops whose raw values stayed on the birth edge never changed. *)
   Array.iteri (fun i s -> if s == unset then publish st i) st.spans;
   st
 
@@ -497,10 +476,7 @@ let pin st ops e =
       first := min !first p;
       last := max !last p)
     ops;
-  if !last >= 0 then begin
-    propagate st ~first:!first ~last:!last;
-    publish_moved st
-  end
+  if !last >= 0 then propagate st ~first:!first ~last:!last
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
