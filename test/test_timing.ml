@@ -327,7 +327,7 @@ let manifest_designs () =
          Hls.design ?ii ~name:e.Corpus.name ~clock:e.Corpus.clock_ps
            (Corpus.design e).Random_design.dfg)
 
-type tally = { mutable batches : int; mutable weighed : int; mutable unrealizable : int }
+type tally = { mutable weighed : int; mutable unrealizable : int }
 
 let same_span (a : Dfg.span) (b : Dfg.span) =
   Cfg.Edge_id.equal a.Dfg.early b.Dfg.early && Cfg.Edge_id.equal a.Dfg.late b.Dfg.late
@@ -352,7 +352,6 @@ let replay tally what dfg sched tdfg =
       in
       List.iter (fun o -> pins.(Dfg.Op_id.to_int o) <- Some e) batch;
       Dfg.pin st batch e;
-      tally.batches <- tally.batches + 1;
       let spans = Dfg.spans st in
       let full = Dfg.compute_spans ~pin:(fun o -> pins.(Dfg.Op_id.to_int o)) dfg in
       Array.iteri
@@ -388,7 +387,7 @@ let replay tally what dfg sched tdfg =
    built from the unpinned spans: the second replay starts over from
    them, as the next relaxation attempt does. *)
 let test_incremental_against_oracles () =
-  let tally = { batches = 0; weighed = 0; unrealizable = 0 } in
+  let tally = { weighed = 0; unrealizable = 0 } in
   List.iter
     (fun (d : Hls.design) ->
       List.iter
