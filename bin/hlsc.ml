@@ -109,6 +109,8 @@ let builtin_designs =
 
 let load_design ~source ~builtin ~clock =
   match (source, builtin) with
+  | _ when Option.fold ~none:false ~some:(fun c -> not (Float.is_finite c) || c <= 0.0) clock ->
+    Error (Usage "clock periods must be finite and positive")
   | Some path, None -> (
     match Parser.parse_file_result path with
     | Error d ->
