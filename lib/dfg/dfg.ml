@@ -392,12 +392,12 @@ let publish st i =
      end)
 
 (* Re-derives the dirty earlies forward from position [first] and the
-   dirty lates backward from [last].  A value that changed is published
-   and marks the ops derived from it, which lie later in its sweep's
-   direction; one that did not stops the sweep there.  Every op whose
-   inputs changed is re-derived after them, so the raw values equal a full
-   sweep's. *)
-let propagate st ~first ~last =
+   dirty lates backward from [last].  A value that changed is published,
+   passed to [moved], and marks the ops derived from it, which lie later
+   in its sweep's direction; one that did not stops the sweep there.
+   Every op whose inputs changed is re-derived after them, so the raw
+   values equal a full sweep's. *)
+let propagate st ~first ~last ~moved =
   let r = st.rule in
   let upto = ref last and k = ref first in
   while !k <= !upto do
@@ -407,6 +407,7 @@ let propagate st ~first ~last =
       if e <> st.early.(i) then begin
         st.early.(i) <- e;
         publish st i;
+        moved i;
         Array.iter
           (fun s ->
             mark st 1 s;
@@ -424,6 +425,7 @@ let propagate st ~first ~last =
       if l <> st.late.(i) then begin
         st.late.(i) <- l;
         publish st i;
+        moved i;
         Array.iter
           (fun p ->
             mark st 2 p;
@@ -455,7 +457,7 @@ let sweep ~pin t =
       dirty = Bytes.make n '\003';
     }
   in
-  propagate st ~first:0 ~last:(n - 1);
+  propagate st ~first:0 ~last:(n - 1) ~moved:ignore;
   (* The ops whose raw values stayed on the birth edge never changed. *)
   Array.iteri (fun i s -> if s == unset then publish st i) st.spans;
   st
@@ -476,7 +478,14 @@ let pin st ops e =
       first := min !first p;
       last := max !last p)
     ops;
-  if !last >= 0 then propagate st ~first:!first ~last:!last
+  let moved = ref [] in
+  if !last >= 0 then
+    propagate st ~first:!first ~last:!last ~moved:(fun i -> moved := Op_id.of_int i :: !moved);
+  !moved
+
+let topo_array t = (span_rule t).order
+let topo_position t = (span_rule t).position
+let pred_array t = (span_rule t).preds
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)

@@ -155,11 +155,28 @@ val spans : span_state -> span array
 (** The current spans, indexed by [Op_id.to_int].  The array belongs to the
     state and {!pin} updates it in place. *)
 
-val pin : span_state -> Op_id.t list -> Cfg.Edge_id.t -> unit
+val pin : span_state -> Op_id.t list -> Cfg.Edge_id.t -> Op_id.t list
 (** [pin st ops e] fixes each of [ops] on edge [e], then re-derives earlies
     forward and lates backward from them, stopping wherever a value comes
     out unchanged.  Afterwards [spans st] equals what {!compute_spans}
-    returns with every pin made so far. *)
+    returns with every pin made so far.  Returns the ops whose span it
+    republished, in no particular order and possibly twice: every op whose
+    span changed is among them. *)
+
+(** {1 Integer views}
+
+    The span rule's graph-only inputs, cached with the adjacency and
+    handed out without copying: callers must not mutate them.  Ops are
+    named by [Op_id.to_int].  Same requirements as {!compute_spans}. *)
+
+val topo_array : t -> int array
+(** {!topo_order} as op indices. *)
+
+val topo_position : t -> int array
+(** Each op's index in {!topo_array}. *)
+
+val pred_array : t -> int array array
+(** {!preds} as op indices, in the same order. *)
 
 (** {1 Content digest} *)
 

@@ -404,11 +404,12 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
             end)
       | (Fastest | Slowest | Budgeted), _ -> None
     in
+    (* One plan for every attempt of this run. *)
+    let plan = Sched_core.plan dfg ~spans:spans0 in
     let params =
       {
         Sched_core.clock;
         ii;
-        spans = spans0;
         priority = (fun o -> priorities.(Dfg.Op_id.to_int o));
         target = eff_target;
         upgrade_on_miss = policy.upgrade_on_miss;
@@ -423,7 +424,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       poll "schedule";
       Obs.incr c_attempts;
       let alloc = build_alloc () in
-      match Obs.span "flow.schedule" (fun () -> Sched_core.run dfg ~alloc params) with
+      match Obs.span "flow.schedule" (fun () -> Sched_core.run plan ~alloc params) with
       | Ok sched -> Ok (sched, relaxations)
       | Error f when relaxations < config.max_relaxations -> (
         Obs.incr c_relaxations;

@@ -11,7 +11,6 @@ let pp_failure ppf f = Format.pp_print_string ppf f.message
 type params = {
   clock : float;
   ii : int option;
-  spans : Dfg.span array;
   priority : Dfg.Op_id.t -> float;
   target : Dfg.Op_id.t -> float;
   upgrade_on_miss : bool;
@@ -24,6 +23,113 @@ exception Fail of failure
 let eps = 1e-6
 
 type attempt = Placed | Defer of failure_reason
+
+(* What every pass of a run re-derived from the graph and the unpinned
+   spans, by op index.  The pass scratch below the split is reset by each
+   pass before it is read, so the passes of one run, which are sequential,
+   can share it; nothing above the split is written after [plan]. *)
+type plan = {
+  dfg : Dfg.t;
+  spans : Dfg.span array;  (* unpinned, shared with the caller *)
+  active : int array;  (* the non-constant ops, in index order *)
+  is_active : bool array;
+  preds : int array array;  (* Dfg's forward predecessors *)
+  position : int array;  (* Dfg's topological positions *)
+  lc_preds : int array array;  (* loop-carried predecessors *)
+  lc_succs : int array array;  (* loop-carried successors *)
+  keys : (Dfg.op_kind * int) array;  (* each (kind, width) once *)
+  key_of : int array;  (* op -> index in [keys] *)
+  waiting0 : int array;  (* unplaced predecessor entries at pass start *)
+  frontier0 : int array;  (* the active ops with none *)
+  late_idx0 : int array;  (* topological index of the span-end edge *)
+  ends : int array array;
+      (* forward edge index -> the active ops whose unpinned span ends
+         there, in topological order *)
+  (* Pass scratch. *)
+  step_of : int array;  (* -1 while unplaced *)
+  edge_of : Cfg.Edge_id.t array;
+  finish : float array;  (* start + effective delay *)
+  waiting : int array;
+  frontier : int array;
+  frontier_pos : int array;
+  late_idx : int array;  (* the respanned [late_idx0] *)
+  final : failure_reason option array;  (* a final deferral on the current edge *)
+  new_ends : int list array;  (* respanned ops, by their new span-end edge *)
+}
+
+let plan dfg ~spans =
+  let cfg = Dfg.cfg dfg in
+  let n = Dfg.op_count dfg in
+  let op i = Dfg.op dfg (Dfg.Op_id.of_int i) in
+  let is_active =
+    Array.init n (fun i -> match (op i).Dfg.kind with Dfg.Const _ -> false | _ -> true)
+  in
+  let active = Array.of_list (List.filter (fun i -> is_active.(i)) (List.init n Fun.id)) in
+  let preds = Dfg.pred_array dfg in
+  let loop_carried adj =
+    Array.init n (fun i ->
+        Array.of_list
+          (List.filter_map
+             (fun (p, lc) -> if lc then Some (Dfg.Op_id.to_int p) else None)
+             (adj dfg (Dfg.Op_id.of_int i))))
+  in
+  let index = Hashtbl.create 8 and keys = ref [] in
+  let key_of = Array.make n (-1) in
+  Array.iter
+    (fun i ->
+      let key = ((op i).Dfg.kind, (op i).Dfg.width) in
+      key_of.(i) <-
+        (match Hashtbl.find_opt index key with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length index in
+          Hashtbl.add index key k;
+          keys := key :: !keys;
+          k))
+    active;
+  (* Constants are placed before a pass starts; a repeated dependency
+     counts twice, as it appears twice in [Dfg.succs]. *)
+  let waiting0 =
+    Array.map
+      (fun ps -> Array.fold_left (fun c p -> if is_active.(p) then c + 1 else c) 0 ps)
+      preds
+  in
+  let late_idx0 = Array.make n 0 in
+  Array.iter (fun i -> late_idx0.(i) <- Cfg.edge_topo_index cfg spans.(i).Dfg.late) active;
+  let ends = Array.make (List.length (Cfg.forward_edges_topo cfg)) [] in
+  let order = Dfg.topo_array dfg in
+  for k = Array.length order - 1 downto 0 do
+    let i = order.(k) in
+    if is_active.(i) then ends.(late_idx0.(i)) <- i :: ends.(late_idx0.(i))
+  done;
+  {
+    dfg;
+    spans;
+    active;
+    is_active;
+    preds;
+    position = Dfg.topo_position dfg;
+    lc_preds = loop_carried Dfg.all_preds;
+    lc_succs = loop_carried Dfg.all_succs;
+    keys = Array.of_list (List.rev !keys);
+    key_of;
+    waiting0;
+    frontier0 =
+      Array.of_list (List.filter (fun i -> waiting0.(i) = 0) (Array.to_list active));
+    late_idx0;
+    ends = Array.map Array.of_list ends;
+    step_of =
+      Array.init n (fun i ->
+          if is_active.(i) then -1 else Cfg.state_of_edge cfg (op i).Dfg.birth);
+    edge_of = Array.init n (fun i -> (op i).Dfg.birth);
+    finish = Array.make n 0.0;
+    waiting = Array.make n 0;
+    frontier = Array.make n 0;
+    frontier_pos = Array.make n (-1);
+    late_idx = Array.make n 0;
+    final = Array.make n None;
+    new_ends = Array.make (Array.length ends) [];
+  }
 
 (* Telemetry (paper §VI, Fig. 8): per-CFG-edge scheduler events.  Deferral
    counters split by reason so a failing run's event stream shows whether
@@ -48,24 +154,35 @@ let count_defer = function
   | No_time _ -> Obs.incr c_defer_time
   | Retime_failed _ -> ()
 
-let run dfg ~alloc params =
+let run plan ~alloc params =
   Obs.incr c_runs;
+  let dfg = plan.dfg in
   let cfg = Dfg.cfg dfg in
   let sched = Schedule.create ?ii:params.ii dfg ~clock:params.clock ~alloc in
   let budget = Schedule.step_budget sched in
-  (* With [respan] the pass owns a span state and pins what it places;
-     [params.spans], which every relaxation attempt shares, stay as they
-     are. *)
-  let span_state = if params.respan then Some (Dfg.span_state dfg) else None in
-  let spans = match span_state with Some st -> Dfg.spans st | None -> params.spans in
-  let placed_on_edge = ref [] in
   let n = Dfg.op_count dfg in
-  let is_active =
-    Array.init n (fun i ->
-        match (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.kind with Dfg.Const _ -> false | _ -> true)
+  let { preds; step_of; edge_of; finish; waiting; frontier; frontier_pos; final; new_ends; _ } =
+    plan
   in
-  let active o = is_active.(Dfg.Op_id.to_int o) in
-  let active_ops = Array.of_list (List.filter active (Dfg.ops dfg)) in
+  Array.iter (fun i -> step_of.(i) <- -1) plan.active;
+  Array.blit plan.waiting0 0 waiting 0 n;
+  Array.fill final 0 n None;
+  Array.fill new_ends 0 (Array.length new_ends) [];
+  (* With [respan] the pass owns a span state and pins what it places;
+     the plan's spans, which every relaxation attempt shares, stay as
+     they are. *)
+  let span_state = if params.respan then Some (Dfg.span_state dfg) else None in
+  let spans = match span_state with Some st -> Dfg.spans st | None -> plan.spans in
+  (* Topological index of each unplaced op's span-end edge, the first key
+     of the ready order; a respan updates the ops it moved. *)
+  let late_idx =
+    if params.respan then begin
+      Array.blit plan.late_idx0 0 plan.late_idx 0 n;
+      plan.late_idx
+    end
+    else plan.late_idx0
+  in
+  let placed_on_edge = ref [] in
   (* Per-pass indexes over state that [sched] and [alloc] own.  No instance
      is added during a pass, so they are sized once; [Schedule.placements]
      stays the source of truth, and these die with the pass.
@@ -80,38 +197,20 @@ let run dfg ~alloc params =
   let bookings = Array.init n_inst (fun _ -> Array.make n_slots []) in
   let fanin = Array.make n_inst 0 in
   let fanin_of c = fanin.(Alloc.Inst_id.to_int c.Alloc.id) in
-  (* Compatible instances of each op, in instance order; ops of one
-     (kind, width) share one array. *)
-  let compatible = Array.make n [||] in
-  let by_kind = ref [] in
+  (* Compatible instances of each (kind, width), in instance order. *)
   let all_insts = Alloc.instances alloc in
-  Array.iter
-    (fun o ->
-      let op = Dfg.op dfg o in
-      let key = (op.Dfg.kind, op.Dfg.width) in
-      compatible.(Dfg.Op_id.to_int o) <-
-        (match List.assoc_opt key !by_kind with
-        | Some insts -> insts
-        | None ->
-          let insts =
-            Array.of_list
-              (List.filter
-                 (fun i -> Alloc.compatible i ~op_kind:op.Dfg.kind ~width:op.Dfg.width)
-                 all_insts)
-          in
-          by_kind := (key, insts) :: !by_kind;
-          insts))
-    active_ops;
+  let compatible =
+    Array.map
+      (fun (op_kind, width) ->
+        Array.of_list (List.filter (fun c -> Alloc.compatible c ~op_kind ~width) all_insts))
+      plan.keys
+  in
   (* The dependency frontier: the unplaced active ops whose forward
      predecessors are all placed, which every ready op is.  [waiting]
-     counts each op's unplaced predecessor-list entries (a repeated
-     dependency counts twice, as it appears twice in [Dfg.succs]); the
-     frontier is an unordered array with O(1) insert and remove through
+     counts each op's unplaced predecessor-list entries; the frontier is
+     an unordered array with O(1) insert and remove through
      [frontier_pos]. *)
-  let waiting = Array.make n 0 in
-  let frontier = Array.make n 0 in
   let frontier_size = ref 0 in
-  let frontier_pos = Array.make n (-1) in
   let enter i =
     frontier_pos.(i) <- !frontier_size;
     frontier.(!frontier_size) <- i;
@@ -125,108 +224,87 @@ let run dfg ~alloc params =
     frontier_pos.(last) <- k;
     frontier_pos.(i) <- -1
   in
-  Array.iter
-    (fun o ->
-      let i = Dfg.Op_id.to_int o in
-      List.iter
-        (fun p -> if not (Schedule.is_placed sched p) then waiting.(i) <- waiting.(i) + 1)
-        (Dfg.preds dfg o);
-      if waiting.(i) = 0 then enter i)
-    active_ops;
-  let on_placed o =
-    leave (Dfg.Op_id.to_int o);
+  Array.iter enter plan.frontier0;
+  let on_placed i =
+    leave i;
     List.iter
       (fun s ->
         let j = Dfg.Op_id.to_int s in
         waiting.(j) <- waiting.(j) - 1;
-        if waiting.(j) = 0 && is_active.(j) then enter j)
-      (Dfg.succs dfg o)
+        if waiting.(j) = 0 && plan.is_active.(j) then enter j)
+      (Dfg.succs dfg (Dfg.Op_id.of_int i))
   in
-  (* Topological index of each active op's span-end edge, the first key of
-     the ready order; refreshed after every respan. *)
-  let late_idx = Array.make n 0 in
-  let refresh_late_idx () =
-    Array.iter
-      (fun o ->
-        let i = Dfg.Op_id.to_int o in
-        late_idx.(i) <- Cfg.edge_topo_index cfg spans.(i).Dfg.late)
-      active_ops
-  in
-  refresh_late_idx ();
-  let span_of o = spans.(Dfg.Op_id.to_int o) in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
   (* When an operation starves (its producers finish too late for any
      window to remain), the actionable bottleneck is usually a resource
      group several chain links upstream.  Walk the latest-finishing
      producer chain: move to the latest pred while it shares the failing
      step or finishes late in its own step; blame where the walk stops. *)
-  let blame_for o fail_step =
-    let latest_pred o =
-      List.fold_left
-        (fun acc p ->
-          match Schedule.placement sched p with
-          | None -> acc
-          | Some pp -> (
-            let fin = pp.Schedule.start +. pp.Schedule.eff_delay in
-            match acc with
-            | Some (_, bs, bf) when (bs, bf) >= (pp.Schedule.step, fin) -> acc
-            | Some _ | None -> Some (p, pp.Schedule.step, fin)))
-        None (Dfg.preds dfg o)
+  let blame_for i fail_step =
+    (* The placed pred of greatest (step, finish), the first of equals. *)
+    let latest_pred i =
+      Array.fold_left
+        (fun best p ->
+          if
+            step_of.(p) >= 0
+            && (best < 0
+               || step_of.(p) > step_of.(best)
+               || (step_of.(p) = step_of.(best) && finish.(p) > finish.(best)))
+          then p
+          else best)
+        (-1) preds.(i)
     in
     let budget_late = 0.7 *. budget in
-    let rec walk o step =
-      match latest_pred o with
-      | Some (p, ps, fin) when ps = step || fin > budget_late -> walk p ps
-      | Some _ | None -> o
+    let rec walk i step =
+      let p = latest_pred i in
+      if p >= 0 && (step_of.(p) = step || finish.(p) > budget_late) then walk p step_of.(p)
+      else i
     in
-    let culprit = walk o fail_step in
-    let op = Dfg.op dfg culprit in
+    let op = Dfg.op dfg (Dfg.Op_id.of_int (walk i fail_step)) in
     match Resource_kind.of_op_kind op.Dfg.kind with
     | Some rk -> Some (rk, op.Dfg.width)
     | None -> None
   in
-  (* Readiness of [o] on edge [e]: the edge lies in o's span, every
+  (* Readiness of [i] on edge [e]: the edge lies in i's span, every
      forward predecessor is placed with its value available here, and
      under pipelining no already-placed loop-carried partner's recurrence
      window is violated by this step. *)
-  let lc_ok o step =
-    List.for_all
-      (fun (p, lc) ->
-        (not lc)
-        ||
-        match Schedule.placement sched p with
-        | Some pp -> Schedule.lc_step_ok sched ~producer_step:pp.Schedule.step ~consumer_step:step
-        | None -> true)
-      (Dfg.all_preds dfg o)
-    && List.for_all
-         (fun (c, lc) ->
-           (not lc)
-           ||
-           match Schedule.placement sched c with
-           | Some pc -> Schedule.lc_step_ok sched ~producer_step:step ~consumer_step:pc.Schedule.step
-           | None -> true)
-         (Dfg.all_succs dfg o)
+  let lc_ok i step =
+    match params.ii with
+    | None -> true
+    | Some _ ->
+      Array.for_all
+        (fun p ->
+          step_of.(p) < 0
+          || Schedule.lc_step_ok sched ~producer_step:step_of.(p) ~consumer_step:step)
+        plan.lc_preds.(i)
+      && Array.for_all
+           (fun c ->
+             step_of.(c) < 0
+             || Schedule.lc_step_ok sched ~producer_step:step ~consumer_step:step_of.(c))
+           plan.lc_succs.(i)
   in
-  let ready_on o e step =
-    let s = span_of o in
-    Cfg.reaches cfg s.Dfg.early e
-    && Cfg.reaches cfg e s.Dfg.late
-    && List.for_all
-         (fun p ->
-           match Schedule.placement sched p with
-           | None -> false
-           | Some pp -> pp.Schedule.step < step || Cfg.reaches cfg pp.Schedule.edge e)
-         (Dfg.preds dfg o)
-    && lc_ok o step
+  let ready_on i e step =
+    let s = spans.(i) in
+    let ps = preds.(i) in
+    let rec preds_ready j =
+      j = Array.length ps
+      ||
+      let p = ps.(j) in
+      step_of.(p) >= 0
+      && (step_of.(p) < step || Cfg.reaches cfg edge_of.(p) e)
+      && preds_ready (j + 1)
+    in
+    Cfg.reaches cfg s.Dfg.early e && Cfg.reaches cfg e s.Dfg.late && preds_ready 0
+    && lc_ok i step
   in
-  let ready_time o step =
-    List.fold_left
-      (fun acc p ->
-        match Schedule.placement sched p with
-        | Some pp when pp.Schedule.step = step ->
-          Float.max acc (pp.Schedule.start +. pp.Schedule.eff_delay)
-        | Some _ | None -> acc)
-      0.0 (Dfg.preds dfg o)
+  let ready_time i step =
+    let ps = preds.(i) in
+    let t = ref 0.0 in
+    for j = 0 to Array.length ps - 1 do
+      if step_of.(ps.(j)) = step then t := Float.max !t finish.(ps.(j))
+    done;
+    !t
   in
   let rec booked here = function
     | [] -> false
@@ -243,23 +321,37 @@ let run dfg ~alloc params =
     | c -> c < 0
   in
   let eff_of c = c.Alloc.point.Curve.delay +. mux_pen (fanin_of c + 1) in
-  let try_place_raw o e step =
+  (* A deferral for no free instance, or for a ready time past the step
+     budget, is final on its edge: bookings only grow within an edge, and
+     a ready op's predecessors, hence its ready time and blame, are fixed.
+     Later tries on the edge reuse the recorded reason. *)
+  let finals = ref [] in
+  let defer_for_good i reason =
+    final.(i) <- Some reason;
+    finals := i :: !finals;
+    Defer reason
+  in
+  let try_place_raw i e step =
+    let o = Dfg.Op_id.of_int i in
     let op = Dfg.op dfg o in
-    let rt = ready_time o step in
+    let rt = ready_time i step in
     let window = budget -. rt in
-    if window < -.eps then Defer (No_time { op = o; blame = blame_for o step })
+    if window < -.eps then defer_for_good i (No_time { op = o; blame = blame_for i step })
     else begin
       let here = { Schedule.edge = e; step; start = rt; eff_delay = 0.0; inst = None } in
       let slot = slot_of step in
       let slot_bookings c = bookings.(Alloc.Inst_id.to_int c.Alloc.id).(slot) in
-      let cands = compatible.(Dfg.Op_id.to_int o) in
+      let cands = compatible.(plan.key_of.(i)) in
       let do_place c =
         let eff = eff_of c in
         Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
         let k = Alloc.Inst_id.to_int c.Alloc.id in
         bookings.(k).(slot) <- Option.get (Schedule.placement sched o) :: bookings.(k).(slot);
         fanin.(k) <- fanin.(k) + 1;
-        on_placed o;
+        step_of.(i) <- step;
+        edge_of.(i) <- e;
+        finish.(i) <- rt +. eff;
+        on_placed i;
         placed_on_edge := o :: !placed_on_edge;
         Placed
       in
@@ -287,12 +379,14 @@ let run dfg ~alloc params =
       else if !last >= 0 then do_place cands.(!last)
       else if not !any_free then begin
         match Resource_kind.of_op_kind op.Dfg.kind with
-        | Some rk -> Defer (No_resource { op = o; rk; width = op.Dfg.width })
+        | Some rk -> defer_for_good i (No_resource { op = o; rk; width = op.Dfg.width })
         | None -> assert false (* constants never reach try_place *)
       end
       else begin
         (* Nothing fits: optionally upgrade the free instance whose area
-           damage is smallest, ties to the earlier in by-grade order. *)
+           damage is smallest, ties to the earlier in by-grade order.  A
+           free instance can be booked before the next try, so these
+           deferrals are tried again. *)
         let best = ref (-1) and best_cost = ref 0.0 in
         if params.upgrade_on_miss then
           for k = 0 to Array.length cands - 1 do
@@ -319,23 +413,29 @@ let run dfg ~alloc params =
             Obs.incr c_upgrades;
             do_place c
           end
-          else Defer (Too_slow { op = o; window; blame = blame_for o step })
+          else Defer (Too_slow { op = o; window; blame = blame_for i step })
         end
-        else if window <= eps then Defer (No_time { op = o; blame = blame_for o step })
-        else Defer (Too_slow { op = o; window; blame = blame_for o step })
+        else if window <= eps then Defer (No_time { op = o; blame = blame_for i step })
+        else Defer (Too_slow { op = o; window; blame = blame_for i step })
       end
     end
   in
-  let try_place o e step =
-    match try_place_raw o e step with
-    | Placed ->
-      Obs.incr c_placements;
-      Placed
-    | Defer reason as d ->
+  let try_place i e step =
+    match final.(i) with
+    | Some reason ->
       count_defer reason;
-      d
+      Defer reason
+    | None -> (
+      match try_place_raw i e step with
+      | Placed ->
+        Obs.incr c_placements;
+        Placed
+      | Defer reason as d ->
+        count_defer reason;
+        d)
   in
-  let fail op_name reason =
+  let fail i reason =
+    let op_name = (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.name in
     let message =
       match reason with
       | No_resource { rk; width; _ } ->
@@ -354,15 +454,20 @@ let run dfg ~alloc params =
   in
   (* Ops whose span ends here go first, then by priority, then by id. *)
   let ready_order a b =
-    match Int.compare late_idx.(Dfg.Op_id.to_int a) late_idx.(Dfg.Op_id.to_int b) with
+    match Int.compare late_idx.(a) late_idx.(b) with
     | 0 -> (
-      match Float.compare (params.priority a) (params.priority b) with
-      | 0 -> Dfg.Op_id.compare a b
+      match
+        Float.compare
+          (params.priority (Dfg.Op_id.of_int a))
+          (params.priority (Dfg.Op_id.of_int b))
+      with
+      | 0 -> Int.compare a b
       | c -> c)
     | c -> c
   in
   let ev_on () = Obs.Events.enabled () in
-  let emit_pick o e step ~ready_set_size =
+  let emit_pick i e step ~ready_set_size =
+    let o = Dfg.Op_id.of_int i in
     Obs.Events.emit
       (Obs.Events.Op_picked
          {
@@ -373,11 +478,13 @@ let run dfg ~alloc params =
            ready_set_size;
          })
   in
+  let by_position a b = Int.compare plan.position.(a) plan.position.(b) in
   try
     List.iter
       (fun e ->
         Obs.incr c_edges;
         let step = Cfg.state_of_edge cfg e in
+        let edge_idx = Cfg.edge_topo_index cfg e in
         let placed_here = ref 0 in
         let deferred_here = ref 0 in
         let progress = ref true in
@@ -389,44 +496,58 @@ let run dfg ~alloc params =
           Obs.add c_ready_checks !frontier_size;
           let ready = ref [] in
           for k = 0 to !frontier_size - 1 do
-            let o = Dfg.Op_id.of_int frontier.(k) in
-            if ready_on o e step then ready := o :: !ready
+            let i = frontier.(k) in
+            if ready_on i e step then ready := i :: !ready
           done;
           let ready = List.sort ready_order !ready in
           let nready = List.length ready in
           Obs.add c_ready nready;
           List.iter
-            (fun o ->
-              match try_place o e step with
+            (fun i ->
+              match try_place i e step with
               | Placed ->
                 progress := true;
                 incr placed_here;
-                if ev_on () then emit_pick o e step ~ready_set_size:nready
+                if ev_on () then emit_pick i e step ~ready_set_size:nready
               | Defer _ -> incr deferred_here)
             ready
         done;
         (* Paper step (b): an op whose span ends here must be placed.  The
-           sweep follows dependency order so that when a chain is stuck the
+           check follows dependency order so that when a chain is stuck the
            blocking producer reports its own (actionable) failure before a
-           merely-waiting consumer reports a misleading one. *)
-        List.iter
-          (fun o ->
-            if
-              active o
-              && (not (Schedule.is_placed sched o))
-              && Cfg.Edge_id.equal (span_of o).Dfg.late e
-            then begin
-              match
-                if ready_on o e step then try_place o e step
-                else Defer (No_time { op = o; blame = blame_for o step })
-              with
-              | Placed ->
-                incr placed_here;
-                (* Span-end forced placement: the op was the only candidate. *)
-                if ev_on () then emit_pick o e step ~ready_set_size:1
-              | Defer reason -> fail (Dfg.op dfg o).Dfg.name reason
-            end)
-          (Dfg.topo_order dfg);
+           merely-waiting consumer reports a misleading one.  The candidates
+           are the plan's bucket for this edge merged with the ops a respan
+           moved here; an entry whose span has since moved elsewhere, or
+           that is already placed, is skipped. *)
+        let span_end i =
+          if late_idx.(i) = edge_idx && step_of.(i) < 0 then begin
+            match
+              if ready_on i e step then try_place i e step
+              else Defer (No_time { op = Dfg.Op_id.of_int i; blame = blame_for i step })
+            with
+            | Placed ->
+              incr placed_here;
+              (* Span-end forced placement: the op was the only candidate. *)
+              if ev_on () then emit_pick i e step ~ready_set_size:1
+            | Defer reason -> fail i reason
+          end
+        in
+        let bucket = plan.ends.(edge_idx) in
+        let rec merge j moved =
+          match moved with
+          | i :: rest
+            when j = Array.length bucket || plan.position.(i) < plan.position.(bucket.(j)) ->
+            span_end i;
+            merge j rest
+          | _ :: _ | [] ->
+            if j < Array.length bucket then begin
+              span_end bucket.(j);
+              merge (j + 1) moved
+            end
+        in
+        merge 0 (List.sort by_position new_ends.(edge_idx));
+        List.iter (fun i -> final.(i) <- None) !finals;
+        finals := [];
         if ev_on () then
           Obs.Events.emit
             (Obs.Events.Edge_scheduled
@@ -439,9 +560,20 @@ let run dfg ~alloc params =
         (match span_state with
         | Some st ->
           Obs.incr c_respans;
+          (* An unplaced op whose span end moved joins its new edge's
+             candidates; its plan bucket entry goes stale. *)
           Obs.span "sched.respan" (fun () ->
-              Dfg.pin st !placed_on_edge e;
-              refresh_late_idx ())
+              List.iter
+                (fun o ->
+                  let i = Dfg.Op_id.to_int o in
+                  if step_of.(i) < 0 then begin
+                    let k = Cfg.edge_topo_index cfg spans.(i).Dfg.late in
+                    if k <> late_idx.(i) then begin
+                      late_idx.(i) <- k;
+                      new_ends.(k) <- i :: new_ends.(k)
+                    end
+                  end)
+                (Dfg.pin st !placed_on_edge e))
         | None -> ());
         placed_on_edge := [];
         match params.rebudget with
@@ -450,10 +582,9 @@ let run dfg ~alloc params =
       (Cfg.forward_edges_topo cfg);
     (* Everything must be placed by now. *)
     Array.iter
-      (fun o ->
-        if not (Schedule.is_placed sched o) then
-          fail (Dfg.op dfg o).Dfg.name (No_time { op = o; blame = None }))
-      active_ops;
+      (fun i ->
+        if step_of.(i) < 0 then fail i (No_time { op = Dfg.Op_id.of_int i; blame = None }))
+      plan.active;
     (* Final retiming with exact mux fan-ins.  Binding charged each op a
        fan-in-at-bind-time penalty; later arrivals on the same instance can
        push earlier chains past the budget.  Repair by speeding up the

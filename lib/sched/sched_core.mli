@@ -32,6 +32,20 @@ type failure = { reason : failure_reason; message : string }
 
 val pp_failure : Format.formatter -> failure -> unit
 
+type plan
+(** What every schedule pass over one graph and its unpinned spans needs
+    and would otherwise re-derive: the active ops, the dependency
+    frontier's starting counts, loop-carried partners, each op's
+    (kind, width) group and the ops whose span ends on each CFG edge, plus
+    scratch arrays that each pass resets before use.  A run's relaxation
+    attempts share one plan; a pass leaves it as it found it, so passes
+    over one plan must be sequential. *)
+
+val plan : Dfg.t -> spans:Dfg.span array -> plan
+(** [spans] are the unpinned spans ({!Dfg.compute_spans} without [pin]);
+    the plan keeps them without copying, and neither it nor the caller may
+    mutate them.  Requires a validated DFG over a sealed CFG. *)
+
 type params = {
   clock : float;
   ii : int option;
@@ -39,9 +53,6 @@ type params = {
           pipelining adds the recurrence constraint that a loop-carried
           producer lands within [ii] steps of its consumer, and folds
           resource booking modulo [ii] *)
-  spans : Dfg.span array;
-      (** the unpinned spans ({!Dfg.compute_spans} without [pin]); the
-          pass never mutates them *)
   priority : Dfg.Op_id.t -> float;
       (** lower schedules first (criticality) *)
   target : Dfg.Op_id.t -> float;
@@ -52,7 +63,8 @@ type params = {
           and slack-based flows) *)
   respan : bool;
       (** keep a {!Dfg.span_state} of the pass's own, starting equal to
-          [spans], and after every edge pin the operations placed on it *)
+          the plan's spans, and after every edge pin the operations placed
+          on it *)
   rebudget : (Schedule.t -> Dfg.span array -> unit) option;
       (** after-edge hook: re-run budgeting over the spans the pass now
           uses — pinned to the placements so far when [respan] is set.
@@ -60,6 +72,6 @@ type params = {
           after every edge; the hook must not mutate it *)
 }
 
-val run : Dfg.t -> alloc:Alloc.t -> params -> (Schedule.t, failure) result
-(** Requires a validated DFG over a sealed CFG.  On success the returned
-    schedule has passed {!Schedule.retime} with final fan-ins. *)
+val run : plan -> alloc:Alloc.t -> params -> (Schedule.t, failure) result
+(** One pass over the plan's graph.  On success the returned schedule has
+    passed {!Schedule.retime} with final fan-ins. *)

@@ -213,6 +213,111 @@ let prop_flows_valid_across_clocks =
       | Ok r -> (
         match Schedule.validate r.Flows.schedule with Ok () -> true | Error _ -> false))
 
+(* A run's relaxation attempts share one schedule-pass plan, so a pass
+   must leave it as it found it.  Each design goes through a
+   relaxation-like sequence of allocations: one fastest instance per
+   (kind, width) group, then one more in the group each failure names,
+   until a pass succeeds (or 40 passes failed).  At every allocation one
+   shared plan runs a
+   plain pass and a respan pass (with upgrades), and each outcome must
+   equal a pass over a fresh plan: the same placements, or the same
+   failure. *)
+let test_plan_shared_across_passes () =
+  let lib = Library.default in
+  let failures = ref 0 in
+  (* Whether the sequence ended in a schedule. *)
+  let check (name, ii, clock, dfg) =
+    let spans = Dfg.compute_spans dfg in
+    let cfg = Dfg.cfg dfg in
+    let shared = Sched_core.plan dfg ~spans in
+    let kind o =
+      let op = Dfg.op dfg o in
+      Option.map (fun rk -> (rk, op.Dfg.width)) (Resource_kind.of_op_kind op.Dfg.kind)
+    in
+    let counts = Hashtbl.create 8 in
+    List.iter
+      (fun o -> Option.iter (fun k -> Hashtbl.replace counts k 1) (kind o))
+      (Dfg.ops dfg);
+    let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) counts []) in
+    let build_alloc () =
+      let alloc = Alloc.create lib in
+      List.iter
+        (fun ((rk, width) as k) ->
+          for _ = 1 to Hashtbl.find counts k do
+            ignore (Alloc.add_instance alloc ~rk ~width ~delay:0.0)
+          done)
+        keys;
+      alloc
+    in
+    let params respan =
+      {
+        Sched_core.clock;
+        ii;
+        priority =
+          (fun o ->
+            let s = spans.(Dfg.Op_id.to_int o) in
+            float_of_int (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early));
+        target = (fun _ -> 0.0);
+        upgrade_on_miss = respan;
+        respan;
+        rebudget = None;
+      }
+    in
+    let outcome = function
+      | Ok s -> Ok s.Schedule.placements
+      | Error f -> Error f.Sched_core.message
+    in
+    let pass plan respan = Sched_core.run plan ~alloc:(build_alloc ()) (params respan) in
+    let rec relax attempt =
+      let result = pass shared false in
+      List.iter
+        (fun (respan, r) ->
+          if outcome r <> outcome (pass (Sched_core.plan dfg ~spans) respan) then
+            Alcotest.failf "%s, attempt %d%s: the shared plan decided differently" name
+              attempt
+              (if respan then ", respan" else ""))
+        [ (false, result); (true, pass shared true) ];
+      let widen k =
+        Hashtbl.replace counts k (Hashtbl.find counts k + 1);
+        relax (attempt + 1)
+      in
+      match result with
+      | Ok _ -> true
+      | Error _ when attempt >= 40 -> false
+      | Error f -> (
+        incr failures;
+        match f.Sched_core.reason with
+        | Sched_core.No_resource { rk; width; _ } -> widen (rk, width)
+        | Sched_core.Too_slow { op; blame; _ } | Sched_core.No_time { op; blame } -> (
+          match if blame = None then kind op else blame with
+          | Some k -> widen k
+          | None -> Alcotest.failf "%s: a timing failure blames no group" name)
+        | Sched_core.Retime_failed _ ->
+          List.iter (fun k -> Hashtbl.replace counts k (Hashtbl.find counts k + 1)) keys;
+          relax (attempt + 1))
+    in
+    relax 0
+  in
+  let fir8 = (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg in
+  Alcotest.(check bool)
+    "fir8 has loop-carried partners" true
+    (List.exists (fun o -> List.exists snd (Dfg.all_preds fir8 o)) (Dfg.ops fir8));
+  let d9 = List.find (fun p -> p.Idct.ii <> None) Idct.table4_points in
+  List.iter
+    (fun ((name, _, _, _) as d) -> Alcotest.(check bool) (name ^ " scheduled") true (check d))
+    [
+      ("fir8", None, 2500.0, fir8);
+      ("fir8 at II 4", Some 4, 2500.0, fir8);
+      ("resizer", None, 4000.0, (Resizer.full ()).Resizer.dfg);
+      (d9.Idct.id, d9.Idct.ii, d9.Idct.clock, (Idct.instantiate d9).Idct.dfg);
+    ];
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
+      ignore (check (e.Corpus.name, ii, e.Corpus.clock_ps, (Corpus.design e).Random_design.dfg)))
+    (Corpus.plan ~count:8 ~seed:42 ());
+  Alcotest.(check bool) "some passes failed" true (!failures > 0)
+
 let suite =
   [
     Alcotest.test_case "table 2 reproduction" `Quick test_table2_reproduction;
@@ -225,6 +330,8 @@ let suite =
     Alcotest.test_case "latest starts bound starts" `Quick test_latest_starts_bounds;
     Alcotest.test_case "infeasible clock errors" `Quick test_infeasible_clock_errors;
     Alcotest.test_case "generous clock, all flows" `Quick test_generous_clock_all_flows;
+    Alcotest.test_case "a pass leaves its plan as it found it" `Quick
+      test_plan_shared_across_passes;
     QCheck_alcotest.to_alcotest prop_flows_valid_across_clocks;
   ]
 

@@ -327,16 +327,17 @@ let manifest_designs () =
          Hls.design ?ii ~name:e.Corpus.name ~clock:e.Corpus.clock_ps
            (Corpus.design e).Random_design.dfg)
 
-type tally = { mutable weighed : int; mutable unrealizable : int }
+type tally = { mutable weighed : int; mutable unrealizable : int; mutable moved : int }
 
 let same_span (a : Dfg.span) (b : Dfg.span) =
   Cfg.Edge_id.equal a.Dfg.early b.Dfg.early && Cfg.Edge_id.equal a.Dfg.late b.Dfg.late
 
 (* Pins the placements of [sched] on a fresh span state, one batch per
    forward CFG edge in topological order, as the schedule pass does.
-   After every batch the spans must equal a full sweep's, and re-weighting
-   [tdfg] must fail exactly when a fresh build raises [Unrealizable] and
-   otherwise leave a fresh build's latencies. *)
+   After every batch the spans must equal a full sweep's, every op whose
+   span the batch changed must be among the ops [Dfg.pin] reports, and
+   re-weighting [tdfg] must fail exactly when a fresh build raises
+   [Unrealizable] and otherwise leave a fresh build's latencies. *)
 let replay tally what dfg sched tdfg =
   let st = Dfg.span_state dfg in
   let pins = Array.make (Dfg.op_count dfg) None in
@@ -351,14 +352,21 @@ let replay tally what dfg sched tdfg =
           (Dfg.ops dfg)
       in
       List.iter (fun o -> pins.(Dfg.Op_id.to_int o) <- Some e) batch;
-      Dfg.pin st batch e;
+      let before = Array.copy (Dfg.spans st) in
+      let moved = Dfg.pin st batch e in
       let spans = Dfg.spans st in
       let full = Dfg.compute_spans ~pin:(fun o -> pins.(Dfg.Op_id.to_int o)) dfg in
       Array.iteri
         (fun i s ->
           if not (same_span s full.(i)) then
             Alcotest.failf "%s: edge %d: op %d's span differs from a full sweep" what
-              (Cfg.Edge_id.to_int e) i)
+              (Cfg.Edge_id.to_int e) i;
+          if not (same_span s before.(i)) then begin
+            tally.moved <- tally.moved + 1;
+            if not (List.exists (fun o -> Dfg.Op_id.to_int o = i) moved) then
+              Alcotest.failf "%s: edge %d: op %d's span moved but was not reported" what
+                (Cfg.Edge_id.to_int e) i
+          end)
         spans;
       let realizable = Timed_dfg.reweight tdfg ~spans in
       match Timed_dfg.build dfg ~spans with
@@ -387,7 +395,7 @@ let replay tally what dfg sched tdfg =
    built from the unpinned spans: the second replay starts over from
    them, as the next relaxation attempt does. *)
 let test_incremental_against_oracles () =
-  let tally = { weighed = 0; unrealizable = 0 } in
+  let tally = { weighed = 0; unrealizable = 0; moved = 0 } in
   List.iter
     (fun (d : Hls.design) ->
       List.iter
@@ -405,7 +413,8 @@ let test_incremental_against_oracles () =
     (kernel_designs () @ manifest_designs ());
   (* Both verdicts must occur, or one of the paths went unchecked. *)
   Alcotest.(check bool) "some batches re-weighted" true (tally.weighed > 0);
-  Alcotest.(check bool) "some batches unrealizable" true (tally.unrealizable > 0)
+  Alcotest.(check bool) "some batches unrealizable" true (tally.unrealizable > 0);
+  Alcotest.(check bool) "some spans moved" true (tally.moved > 0)
 
 let suite =
   [
