@@ -40,6 +40,16 @@ let run ?(max_iters = 20) sched =
   let dfg = sched.Schedule.dfg in
   let regrades = ref 0 in
   let frozen = Hashtbl.create 8 in
+  (* Each instance's ops, in op order: recovery re-grades instances but
+     never moves a placement. *)
+  let ops_of = Array.make (Alloc.count alloc) [] in
+  for i = Array.length sched.Schedule.placements - 1 downto 0 do
+    match sched.Schedule.placements.(i) with
+    | Some { Schedule.inst = Some id; _ } ->
+      let k = Alloc.Inst_id.to_int id in
+      ops_of.(k) <- Dfg.Op_id.of_int i :: ops_of.(k)
+    | Some _ | None -> ()
+  done;
   let sweep_no = ref 0 in
   let rec sweep k =
     if k <= 0 then ()
@@ -56,7 +66,7 @@ let run ?(max_iters = 20) sched =
         (fun inst ->
           let id = inst.Alloc.id in
           if not (Hashtbl.mem frozen id) then begin
-            let ops = Schedule.ops_of_inst sched id in
+            let ops = ops_of.(Alloc.Inst_id.to_int id) in
             if ops <> [] then begin
               let headroom =
                 List.fold_left

@@ -89,11 +89,12 @@ let retime t =
   let cfg = Dfg.cfg t.dfg in
   let budget = step_budget t in
   let order = Dfg.topo_order t.dfg in
-  let fanin = Hashtbl.create 16 in
+  let fanin = Array.make (Alloc.count t.alloc) 0 in
   Array.iter
     (function
       | Some { inst = Some id; _ } ->
-        Hashtbl.replace fanin id (1 + Option.value ~default:0 (Hashtbl.find_opt fanin id))
+        let k = Alloc.Inst_id.to_int id in
+        fanin.(k) <- fanin.(k) + 1
       | Some { inst = None; _ } | None -> ())
     t.placements;
   let result = ref (Ok ()) in
@@ -112,8 +113,7 @@ let retime t =
             | None -> 0.0
             | Some id ->
               let inst = Alloc.instance t.alloc id in
-              effective_delay t ~inst
-                ~fanin:(Option.value ~default:1 (Hashtbl.find_opt fanin id))
+              effective_delay t ~inst ~fanin:fanin.(Alloc.Inst_id.to_int id)
           in
           let ready = ref 0.0 in
           List.iter
