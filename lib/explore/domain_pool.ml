@@ -39,10 +39,11 @@ let attempt_task ~retries f x =
 
 let no_stop () = false
 
-(* Per-worker provenance context: one [Worker_sample] per completed task,
-   carrying the worker's index (stable across runs, unlike domain ids) and
+(* Per-drainer provenance context: one [Worker_sample] per completed task,
+   carrying the drainer's index (stable across runs, unlike domain ids) and
    its busy/elapsed utilization.  A persistent pool's workers keep one
-   context across batches, so their utilization spans the pool's life. *)
+   context across batches, so their utilization spans the pool's life; a
+   shared batch gives each of its drainers a fresh one. *)
 type wctx = { w : int; t0 : int64; busy : float ref; tasks_done : int ref }
 
 let new_wctx w = { w; t0 = Obs.now_ns (); busy = ref 0.0; tasks_done = ref 0 }
@@ -76,26 +77,28 @@ let exec_task ctx ~retries f x =
   else attempt_task ~retries f x
 
 (* ------------------------------------------------------------------ *)
-(* Persistent pools
+(* Worker sets
 
-   A fixed set of worker domains pulling jobs off one shared queue.  Batch
-   submitters ({!run} with [?pool]) enqueue their tasks and block until
-   every one has been executed; concurrent batches interleave in FIFO
-   order, which is what lets the serve daemon multiplex many requests onto
-   one set of domains instead of spawning per request. *)
+   Worker domains pulling jobs off one shared FIFO queue.  The serve
+   daemon creates one at startup ({!create}) and submits one job per task
+   ({!run} with [?pool]); concurrent batches interleave in FIFO order,
+   which is what lets it multiplex many requests onto one set of domains.
+   {!run} without [?pool] posts its drain jobs to [shared], one
+   process-wide set that starts empty and grows on demand.  A job must
+   never raise: the worker loop does not guard it. *)
 
 type job = wctx -> unit
 
 type pool = {
-  pool_jobs : int;
   q : job Queue.t;
   m : Mutex.t;
   work_cv : Condition.t;
   mutable stopping : bool;
-  mutable domains : unit Domain.t array;
+  mutable size : int;
+  mutable domains : unit Domain.t list;
 }
 
-let pool_jobs p = p.pool_jobs
+let pool_jobs p = p.size
 
 let pending p =
   Mutex.lock p.m;
@@ -103,39 +106,58 @@ let pending p =
   Mutex.unlock p.m;
   n
 
+let empty_pool () =
+  {
+    q = Queue.create ();
+    m = Mutex.create ();
+    work_cv = Condition.create ();
+    stopping = false;
+    size = 0;
+    domains = [];
+  }
+
+let worker p w () =
+  let ctx = new_wctx w in
+  let rec loop () =
+    Mutex.lock p.m;
+    while Queue.is_empty p.q && not p.stopping do
+      Condition.wait p.work_cv p.m
+    done;
+    (* Shutdown drains: a worker only exits once the queue is empty, so
+       no submitted batch can be left waiting forever. *)
+    if Queue.is_empty p.q then Mutex.unlock p.m
+    else begin
+      let job = Queue.pop p.q in
+      Mutex.unlock p.m;
+      job ctx;
+      loop ()
+    end
+  in
+  loop ()
+
+(* Spawn workers until [p] has at least [n]. *)
+let grow p n =
+  Mutex.lock p.m;
+  while p.size < n do
+    p.domains <- Domain.spawn (worker p p.size) :: p.domains;
+    p.size <- p.size + 1;
+    Obs.incr c_spawns
+  done;
+  Mutex.unlock p.m
+
+let submit p jobs =
+  Mutex.lock p.m;
+  if p.stopping then begin
+    Mutex.unlock p.m;
+    invalid_arg "Domain_pool.run: pool is shut down"
+  end;
+  List.iter (fun j -> Queue.add j p.q) jobs;
+  Condition.broadcast p.work_cv;
+  Mutex.unlock p.m
+
 let create ~jobs =
-  let jobs = max 1 jobs in
-  let p =
-    {
-      pool_jobs = jobs;
-      q = Queue.create ();
-      m = Mutex.create ();
-      work_cv = Condition.create ();
-      stopping = false;
-      domains = [||];
-    }
-  in
-  Obs.add c_spawns jobs;
-  let worker w () =
-    let ctx = new_wctx w in
-    let rec loop () =
-      Mutex.lock p.m;
-      while Queue.is_empty p.q && not p.stopping do
-        Condition.wait p.work_cv p.m
-      done;
-      (* Shutdown drains: a worker only exits once the queue is empty, so
-         no submitted batch can be left waiting forever. *)
-      if Queue.is_empty p.q then Mutex.unlock p.m
-      else begin
-        let job = Queue.pop p.q in
-        Mutex.unlock p.m;
-        job ctx;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  p.domains <- Array.init jobs (fun w -> Domain.spawn (worker w));
+  let p = empty_pool () in
+  grow p (max 1 jobs);
   p
 
 let shutdown p =
@@ -145,8 +167,8 @@ let shutdown p =
     p.stopping <- true;
     Condition.broadcast p.work_cv;
     Mutex.unlock p.m;
-    Array.iter Domain.join p.domains;
-    p.domains <- [||]
+    List.iter Domain.join p.domains;
+    p.domains <- []
   end
 
 (* Submit a batch and wait for it.  [results] writes happen in worker
@@ -170,16 +192,7 @@ let run_on_pool p ~retries ~should_stop f tasks =
       if !remaining = 0 then Condition.broadcast bcv;
       Mutex.unlock bm
     in
-    Mutex.lock p.m;
-    if p.stopping then begin
-      Mutex.unlock p.m;
-      invalid_arg "Domain_pool.run: pool is shut down"
-    end;
-    for i = 0 to n - 1 do
-      Queue.add (job i) p.q
-    done;
-    Condition.broadcast p.work_cv;
-    Mutex.unlock p.m;
+    submit p (List.init n job);
     Mutex.lock bm;
     while !remaining > 0 do
       Condition.wait bcv bm
@@ -189,53 +202,108 @@ let run_on_pool p ~retries ~should_stop f tasks =
   results
 
 (* ------------------------------------------------------------------ *)
+(* Shared batches
+
+   A batch without [?pool] runs on [k = min jobs n] drainers: the caller
+   (drainer 0) and [k - 1] drain jobs posted to [shared], all claiming
+   task indices from one atomic cursor.  The caller never waits for a
+   drain job that has not started: when its own drain ends it closes the
+   batch and waits only for the drainers already running, and a drain job
+   that starts after the close returns at once.  So concurrent (or
+   nested) batches never wait on each other's queued jobs, and at most
+   [k] tasks of a batch run at once. *)
+
+let shared = empty_pool ()
+
+type batch = {
+  bm : Mutex.t;
+  idle : Condition.t;
+  mutable closed : bool;
+  mutable joined : int;  (* drain jobs that started before the close *)
+  mutable running : int;
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+}
+
+let run_shared ~k ~retries ~should_stop f tasks =
+  let n = Array.length tasks in
+  let results = Array.make n Skipped in
+  let next = Atomic.make 0 in
+  let b =
+    {
+      bm = Mutex.create ();
+      idle = Condition.create ();
+      closed = false;
+      joined = 0;
+      running = 0;
+      failure = None;
+    }
+  in
+  (* An exception that escapes a task's bookkeeping (an event hook, say)
+     ends only this drainer; it is kept for the caller to re-raise after
+     the batch, and a worker domain survives it. *)
+  let drain d =
+    let ctx = new_wctx d in
+    let rec loop () =
+      (* The stop poll gates task claiming only: in-flight tasks drain to
+         completion (bounded by their own point deadlines), so a cancelled
+         sweep still journals everything it finished. *)
+      if not (should_stop ()) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- exec_task ctx ~retries f tasks.(i);
+          loop ()
+        end
+      end
+    in
+    match loop () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  let keep_failure r = if Option.is_none b.failure then b.failure <- r in
+  let drain_job _ =
+    Mutex.lock b.bm;
+    if b.closed then Mutex.unlock b.bm
+    else begin
+      b.joined <- b.joined + 1;
+      b.running <- b.running + 1;
+      let d = b.joined in
+      Mutex.unlock b.bm;
+      let r = drain d in
+      Mutex.lock b.bm;
+      keep_failure r;
+      b.running <- b.running - 1;
+      if b.running = 0 then Condition.broadcast b.idle;
+      Mutex.unlock b.bm
+    end
+  in
+  if k >= 2 then begin
+    grow shared (k - 1);
+    submit shared (List.init (k - 1) (fun _ -> drain_job))
+  end;
+  let r = drain 0 in
+  (* Worker writes to [results] happen before their drainer's last
+     unlock of [b.bm], so they are visible once [running] reads 0. *)
+  Mutex.lock b.bm;
+  b.closed <- true;
+  keep_failure r;
+  while b.running > 0 do
+    Condition.wait b.idle b.bm
+  done;
+  Mutex.unlock b.bm;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) b.failure;
+  results
+
+(* ------------------------------------------------------------------ *)
 (* Batch runs *)
 
 let run ?jobs ?pool ?(retries = 0) ?(should_stop = no_stop) f tasks =
-  let n = Array.length tasks in
-  Obs.add c_tasks n;
+  Obs.add c_tasks (Array.length tasks);
   let results =
     match pool with
     | Some p -> run_on_pool p ~retries ~should_stop f tasks
     | None ->
-      let jobs =
-        min (match jobs with Some j -> max 1 j | None -> default_jobs ()) n
-      in
-      if jobs <= 1 || n <= 1 then begin
-        let ctx = new_wctx 0 in
-        Array.map
-          (fun x ->
-            if should_stop () then Skipped else exec_task ctx ~retries f x)
-          tasks
-      end
-      else begin
-        let next = Atomic.make 0 in
-        let worker w () =
-          let ctx = new_wctx w in
-          let buf = ref [] in
-          let rec loop () =
-            (* The stop poll gates task claiming only: in-flight tasks drain
-               to completion (bounded by their own point deadlines), so a
-               cancelled sweep still journals everything it finished. *)
-            if not (should_stop ()) then begin
-              let i = Atomic.fetch_and_add next 1 in
-              if i < n then begin
-                buf := (i, exec_task ctx ~retries f tasks.(i)) :: !buf;
-                loop ()
-              end
-            end
-          in
-          loop ();
-          !buf
-        in
-        Obs.add c_spawns jobs;
-        let domains = Array.init jobs (fun w -> Domain.spawn (worker w)) in
-        let merged = Array.make n Skipped in
-        Array.iter
-          (fun d -> List.iter (fun (i, r) -> merged.(i) <- r) (Domain.join d))
-          domains;
-        merged
-      end
+      let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+      run_shared ~k:(min jobs (Array.length tasks)) ~retries ~should_stop f tasks
   in
   Array.iter (function Skipped -> Obs.incr c_skipped | Done _ | Crashed _ -> ()) results;
   results

@@ -1,12 +1,12 @@
-(** A small fixed-size worker pool over OCaml 5 domains, with crash
-    containment.
+(** Batch evaluation over OCaml 5 domains, with crash containment.
 
-    Work distribution is a shared atomic cursor over the task array; each
-    domain drains tasks into a private result buffer, and buffers are
-    merged after every domain has joined, so no two domains ever write the
-    same location.  The pool is oblivious to task semantics — the explore
-    engine gives it pure evaluation closures (each worker rebuilds its own
-    design, so no graph state is shared).
+    Work distribution is a shared atomic cursor over the task array: the
+    calling domain and the batch's worker domains each claim the next
+    unclaimed index and write that task's outcome to its own slot, so no
+    two domains ever write the same location, and the caller reads the
+    array only once every drainer has finished.  The pool is oblivious to
+    task semantics — the explore engine gives it pure evaluation closures
+    (each task rebuilds its own design, so no graph state is shared).
 
     A raising task never takes the pool down: {!run} retries it up to
     [retries] times in the same worker, then quarantines it as a
@@ -31,10 +31,12 @@ type 'b outcome =
 (** {1 Persistent pools}
 
     A fixed set of worker domains pulling jobs off one shared FIFO queue.
-    Spawn-per-batch ({!run} without [?pool]) is right for a CLI sweep;
-    a long-running daemon instead creates one pool at startup and
-    multiplexes every request's batches onto it — concurrent batches
-    interleave in the queue, and no request ever spawns a domain. *)
+    A long-running daemon creates one pool at startup and multiplexes
+    every request's batches onto it: each task is one queued job,
+    concurrent batches interleave in the queue, the submitting thread
+    blocks until its batch is done, and {!pending} is the backlog.  A CLI
+    sweep needs none of this: {!run} without [?pool] runs on the calling
+    domain plus worker domains shared by the whole process. *)
 
 type pool
 
@@ -62,18 +64,36 @@ val run :
   'b outcome array
 (** [run ~jobs ~retries ~should_stop f tasks] applies [f] to every task
     and returns outcomes in task order.  [jobs] defaults to
-    {!default_jobs}; values [<= 1] (or a single task) run sequentially in
-    the calling domain with no spawns.  When [pool] is given, [jobs] is
-    ignored: the tasks are enqueued on the shared pool and the call blocks
-    until every one has executed (tasks of a stopped batch drain as
-    [Skipped] no-ops).  [run] with a pool may be called concurrently from
-    many threads.
+    {!default_jobs}.  Without [pool], the batch runs on
+    [k = min jobs (Array.length tasks)] drainers: the calling domain and
+    [k - 1] worker domains, which claim tasks from one cursor, so at most
+    [k] tasks run at once.  The workers belong to one process-wide set
+    that is created by the first batch with [k >= 2], grows only when a
+    batch needs more, and lives as long as the process; with [k <= 1]
+    (one task, or [jobs <= 1]) the caller runs every task and no domain
+    is spawned.  A batch never waits for a worker that is busy with
+    another batch: the caller drains whatever the workers have not
+    claimed.  When [pool] is given, [jobs] is ignored: the tasks are
+    enqueued on that pool and the call blocks until every one has
+    executed (tasks of a stopped batch drain as [Skipped] no-ops).  [run]
+    may be called concurrently from many threads, with or without a
+    pool.
+
+    With {!Obs.Events} on, every finished task emits a [Worker_sample].
+    Without [pool], its [domain] is the drainer's index in the batch (0
+    the caller, 1 to [k - 1] the workers), and [tasks_done] and
+    [utilization] count from the start of that drainer's share of the
+    batch; with [pool], they are the pool worker's, over the pool's life.
 
     A task that raises is retried immediately, in the same worker, up to
     [retries] (default 0) more times; each retry bumps
     [explore.pool.retries].  When every attempt raised the task's outcome
     is [Crashed] with the {e final} exception and backtrace — the pool
-    keeps running.
+    keeps running.  An exception raised outside [f] while a task is
+    accounted for (e.g. by an {!Obs.Events} hook on its [Worker_sample])
+    stops only the drainer that raised it from claiming more tasks: the
+    other drainers run on, a worker domain survives it, and [run]
+    re-raises the first such exception once they are done.
 
     [should_stop] (default: never) is polled before {e claiming} each
     task: once it returns [true], workers stop taking new work and drain
@@ -85,5 +105,5 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f tasks] applies [f] to every task and returns results in
     task order — [run] with no retries and no stop predicate.  If any
     task raises, the exception of the lowest-indexed failing task is
-    re-raised (with its backtrace) after all domains have joined —
+    re-raised (with its backtrace) once the whole batch is done —
     deterministic regardless of worker interleaving. *)

@@ -100,7 +100,8 @@ val run :
     - [resume] (the entries of {!Journal.load}) answers matching points
       without re-evaluating them; they return as origin [Resumed].
     - [pool]: evaluate on a shared persistent {!Domain_pool.pool} instead
-      of spawning domains for this sweep.  [run] is re-entrant: many
+      of the calling domain plus the process's own worker domains
+      ({!Domain_pool.run}).  [run] is re-entrant: many
       threads may sweep concurrently against one pool and one (mutex-
       guarded) cache — the serve daemon's warm-state path.
     - [recheck_crashes]: a [Crash] recorded in the cache or resume journal

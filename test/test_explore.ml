@@ -174,6 +174,133 @@ let test_grid_enumeration () =
 (* --------------------------------------------------------------- *)
 (* Domain pool *)
 
+(* Run [f] on a systhread and fail if it has not returned within [seconds]:
+   a batch that loses a drainer must fail the test, not hang it. *)
+let within ?(seconds = 30.0) what f =
+  let result = Atomic.make None in
+  let _ : Thread.t =
+    Thread.create
+      (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "%s: no result within %.0f s" what seconds;
+      Thread.delay 0.002;
+      wait ()
+  in
+  wait ()
+
+(* A task that tracks how many tasks are in flight at once.  With
+   [rendezvous], a task waits (up to 5 s) until two have overlapped, so a
+   batch with two drainers must show [peak = 2]. *)
+let inflight_probe ~rendezvous =
+  let inflight = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak c =
+    let p = Atomic.get peak in
+    if c > p && not (Atomic.compare_and_set peak p c) then raise_peak c
+  in
+  let task x =
+    raise_peak (Atomic.fetch_and_add inflight 1 + 1);
+    let t0 = Unix.gettimeofday () in
+    while
+      (rendezvous && Atomic.get peak < 2 && Unix.gettimeofday () -. t0 < 5.0)
+      || Unix.gettimeofday () -. t0 < 0.001
+    do
+      Domain.cpu_relax ()
+    done;
+    Atomic.decr inflight;
+    x
+  in
+  (task, peak)
+
+let spawned () = Obs.value (Obs.counter "explore.pool.domains")
+
+(* First in its group, and no earlier group runs a batch, so the shared
+   workers do not exist yet when it starts. *)
+let test_pool_reuses_workers () =
+  let tasks = Array.init 8 (fun i -> i) in
+  let f x = (x * 7) mod 13 in
+  let before = spawned () in
+  within "five batches" (fun () ->
+      for _ = 1 to 5 do
+        Alcotest.(check (array int)) "== Array.map" (Array.map f tasks)
+          (Domain_pool.map ~jobs:2 f tasks)
+      done);
+  Alcotest.(check int) "one worker domain for five batches" 1 (spawned () - before)
+
+let test_pool_bounds_inflight () =
+  let peak_of ~jobs ~n ~rendezvous =
+    let task, peak = inflight_probe ~rendezvous in
+    let tasks = Array.init n (fun i -> i) in
+    let r = within "batch" (fun () -> Domain_pool.map ~jobs task tasks) in
+    Alcotest.(check (array int)) "== Array.map" tasks r;
+    Atomic.get peak
+  in
+  List.iter
+    (fun (jobs, n) ->
+      let p = peak_of ~jobs ~n ~rendezvous:false in
+      if p > min jobs n then
+        Alcotest.failf "jobs=%d n=%d: %d tasks in flight" jobs n p)
+    [ (1, 6); (3, 2); (3, 24); (2, 24) ];
+  Alcotest.(check int) "two tasks overlap at jobs=2" 2
+    (peak_of ~jobs:2 ~n:8 ~rendezvous:true)
+
+let test_pool_worker_exception () =
+  let raise_off_caller ev =
+    match ev.Obs.Events.payload with
+    | Obs.Events.Worker_sample _ when not (Domain.is_main_domain ()) ->
+      failwith "hook"
+    | _ -> ()
+  in
+  let tasks = Array.init 8 (fun i -> i) in
+  Obs.Events.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Events.set_hook None;
+      Obs.Events.disable ();
+      Obs.Events.clear ())
+    (fun () ->
+      Obs.Events.set_hook (Some raise_off_caller);
+      (* The rendezvous makes a worker domain run a task, so its sample
+         hook raises. *)
+      let task, _ = inflight_probe ~rendezvous:true in
+      (match within "raising batch" (fun () -> Domain_pool.run ~jobs:2 task tasks) with
+      | _ -> Alcotest.fail "worker-side exception lost"
+      | exception Failure m -> Alcotest.(check string) "re-raised" "hook" m);
+      Obs.Events.set_hook None;
+      let task, peak = inflight_probe ~rendezvous:true in
+      Alcotest.(check (array int)) "next batch completes" tasks
+        (within "next batch" (fun () -> Domain_pool.map ~jobs:2 task tasks));
+      Alcotest.(check int) "two tasks overlap" 2 (Atomic.get peak))
+
+let test_pool_concurrent_callers () =
+  let tasks = Array.init 200 (fun i -> i) in
+  let f x =
+    let s = ref x in
+    for j = 1 to 2000 do
+      s := (!s * 31 + j) mod 1_000_003
+    done;
+    !s
+  in
+  let expected = Array.map f tasks in
+  let out =
+    within "two callers" (fun () ->
+        let out = Array.make 2 [||] in
+        let callers =
+          List.init 2 (fun c ->
+              Thread.create (fun () -> out.(c) <- Domain_pool.map ~jobs:2 f tasks) ())
+        in
+        List.iter Thread.join callers;
+        out)
+  in
+  Array.iter (Alcotest.(check (array int)) "== Array.map" expected) out
+
 let test_pool_matches_sequential () =
   let tasks = Array.init 100 (fun i -> i) in
   let f x = (x * 7) mod 13 in
@@ -527,6 +654,14 @@ let () =
         ] );
       ( "pool",
         [
+          Alcotest.test_case "batches share one worker domain" `Quick
+            test_pool_reuses_workers;
+          Alcotest.test_case "at most min(jobs, n) tasks in flight" `Quick
+            test_pool_bounds_inflight;
+          Alcotest.test_case "worker exception re-raised, worker survives"
+            `Quick test_pool_worker_exception;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_pool_concurrent_callers;
           Alcotest.test_case "matches sequential map" `Quick
             test_pool_matches_sequential;
           Alcotest.test_case "exceptions propagate" `Quick
