@@ -135,15 +135,15 @@ let worker p w () =
   in
   loop ()
 
-(* Spawn workers until [p] has at least [n]. *)
+(* Spawn workers until [p] has at least [n].  [Domain.spawn] raises past
+   the runtime's domain limit; the lock must not stay held when it does. *)
 let grow p n =
-  Mutex.lock p.m;
-  while p.size < n do
-    p.domains <- Domain.spawn (worker p p.size) :: p.domains;
-    p.size <- p.size + 1;
-    Obs.incr c_spawns
-  done;
-  Mutex.unlock p.m
+  Mutex.protect p.m (fun () ->
+      while p.size < n do
+        p.domains <- Domain.spawn (worker p p.size) :: p.domains;
+        p.size <- p.size + 1;
+        Obs.incr c_spawns
+      done)
 
 let submit p jobs =
   Mutex.lock p.m;
