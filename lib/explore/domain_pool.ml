@@ -94,11 +94,10 @@ type pool = {
   m : Mutex.t;
   work_cv : Condition.t;
   mutable stopping : bool;
-  mutable size : int;
   mutable domains : unit Domain.t list;
 }
 
-let pool_jobs p = p.size
+let pool_jobs p = List.length p.domains
 
 let pending p =
   Mutex.lock p.m;
@@ -112,7 +111,6 @@ let empty_pool () =
     m = Mutex.create ();
     work_cv = Condition.create ();
     stopping = false;
-    size = 0;
     domains = [];
   }
 
@@ -139,9 +137,8 @@ let worker p w () =
    the runtime's domain limit; the lock must not stay held when it does. *)
 let grow p n =
   Mutex.protect p.m (fun () ->
-      while p.size < n do
-        p.domains <- Domain.spawn (worker p p.size) :: p.domains;
-        p.size <- p.size + 1;
+      for w = List.length p.domains to n - 1 do
+        p.domains <- Domain.spawn (worker p w) :: p.domains;
         Obs.incr c_spawns
       done)
 
@@ -167,8 +164,7 @@ let shutdown p =
     p.stopping <- true;
     Condition.broadcast p.work_cv;
     Mutex.unlock p.m;
-    List.iter Domain.join p.domains;
-    p.domains <- []
+    List.iter Domain.join p.domains
   end
 
 (* Submit a batch and wait for it.  [results] writes happen in worker
