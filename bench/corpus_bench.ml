@@ -69,13 +69,13 @@ let run ~quick () =
             Array.mapi
               (fun i bucket ->
                 let path = Filename.concat dir (Printf.sprintf "shard-%d.jnl" i) in
-                let w = Journal.start ~path ~fresh:true in
+                let w = Eval_cache.start ~path ~fresh:true in
                 Fun.protect
-                  ~finally:(fun () -> Journal.close w)
+                  ~finally:(fun () -> Eval_cache.close w)
                   (fun () ->
-                    List.iter (fun key -> Journal.record w ~key summ) bucket;
+                    List.iter (fun key -> Eval_cache.record w ~key summ) bucket;
                     match bucket with
-                    | key :: _ when i = 0 -> Journal.record w ~key summ
+                    | key :: _ when i = 0 -> Eval_cache.record w ~key summ
                     | _ -> ());
                 path)
               buckets)
@@ -83,7 +83,7 @@ let run ~quick () =
       let output = Filename.concat dir "merged.jnl" in
       let t_merge, stats =
         time (fun () ->
-            match Shard.merge_journals ~inputs:(Array.to_list paths) ~output with
+            match Eval_cache.merge ~inputs:(Array.to_list paths) ~output with
             | Ok s -> s
             | Error m -> failwith m)
       in
@@ -91,9 +91,9 @@ let run ~quick () =
         "  journals: %d records fsync'd in %s   merge: %d journals -> %d \
          records (%d duplicate collapsed) in %s\n"
         (List.length keys + 1)
-        (pp_ns t_write) stats.Shard.journals stats.Shard.entries
-        stats.Shard.duplicates (pp_ns t_merge);
-      if stats.Shard.entries <> List.length keys then
+        (pp_ns t_write) stats.Eval_cache.journals stats.Eval_cache.entries
+        stats.Eval_cache.duplicates (pp_ns t_merge);
+      if stats.Eval_cache.entries <> List.length keys then
         failwith "merge lost or invented records";
-      if stats.Shard.duplicates <> 1 then
+      if stats.Eval_cache.duplicates <> 1 then
         failwith "merge missed the planted duplicate")

@@ -104,9 +104,9 @@ let journal_overhead () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let w = Journal.start ~path ~fresh:true in
+      let w = Eval_cache.start ~path ~fresh:true in
       let t_journaled, o_journaled =
-        Fun.protect ~finally:(fun () -> Journal.close w) (fun () -> time_run ~journal:w ())
+        Fun.protect ~finally:(fun () -> Eval_cache.close w) (fun () -> time_run ~journal:w ())
       in
       Printf.printf
         "  bare: %s   journaled: %s (%.1f%% overhead, %d records fsync'd)\n"

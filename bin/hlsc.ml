@@ -605,14 +605,14 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
                  path quarantined (if quarantined = 1 then "" else "s");
              Ok (Some path, false, entries))
            ~error:(fun m -> Error (Usage m))
-           (Journal.load ~path)
+           (Eval_cache.load_journal ~path)
        | None, None -> Ok (None, true, [])
      in
      let* journal =
        match journal_path with
        | None -> Ok None
        | Some path -> (
-         match Journal.start ~path ~fresh with
+         match Eval_cache.start ~path ~fresh with
          | w -> Ok (Some w)
          | exception Unix.Unix_error (e, _, _) ->
            Error (Internal (path ^ ": " ^ Unix.error_message e)))
@@ -672,7 +672,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
              Obs.Events.set_hook None;
              Sys.set_signal Sys.sigint prev_int;
              Sys.set_signal Sys.sigterm prev_term;
-             Option.iter Journal.close journal)
+             Option.iter Eval_cache.close journal)
            (fun () ->
              Explore.run ?jobs ~retries ~strict ?point_deadline ~cancel ?cache
                ?journal ~resume ~lib ~config ~name ~build grid)
@@ -1400,16 +1400,16 @@ let merge_journals_cmd inputs output obs =
      let* () =
        if inputs = [] then Error (Usage "pass at least one shard journal") else Ok ()
      in
-     match Shard.merge_journals ~inputs ~output with
+     match Eval_cache.merge ~inputs ~output with
      | Ok s ->
        Printf.printf
          "merged %d journal%s -> %s: %d entries, %d duplicate%s collapsed%s\n"
-         s.Shard.journals
-         (if s.Shard.journals = 1 then "" else "s")
-         output s.Shard.entries s.Shard.duplicates
-         (if s.Shard.duplicates = 1 then "" else "s")
-         (if s.Shard.quarantined > 0 then
-            Printf.sprintf ", %d corrupt lines quarantined" s.Shard.quarantined
+         s.Eval_cache.journals
+         (if s.Eval_cache.journals = 1 then "" else "s")
+         output s.Eval_cache.entries s.Eval_cache.duplicates
+         (if s.Eval_cache.duplicates = 1 then "" else "s")
+         (if s.Eval_cache.quarantined > 0 then
+            Printf.sprintf ", %d corrupt lines quarantined" s.Eval_cache.quarantined
           else "");
        Ok ()
      | Error m -> Error (Usage m))
@@ -1682,23 +1682,17 @@ type sweep_design = {
   job : Dispatch.job;
 }
 
-(* Journal a sweep's records, one per full key and key-sorted, into
+(* Snapshot a sweep's records, one per full key and key-sorted, into
    DIR/merged.jnl — the file merge-journals writes from the shard journals
    of the same sweep.  In-process and --workers sweeps both write here. *)
 let write_merged ~dir records =
   mkdir_p dir;
   let path = Filename.concat dir "merged.jnl" in
-  match
-    let w = Journal.start ~path ~fresh:true in
-    Fun.protect
-      ~finally:(fun () -> Journal.close w)
-      (fun () ->
-        List.iter
-          (fun (key, s) -> Journal.record w ~key s)
-          (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) records))
-  with
+  let store = Eval_cache.create () in
+  List.iter (fun (key, s) -> Eval_cache.add store key s) records;
+  match Eval_cache.save store ~path with
   | () -> Ok path
-  | exception Unix.Unix_error (e, _, p) -> Error (Internal (p ^ ": " ^ Unix.error_message e))
+  | exception Sys_error m -> Error (Internal m)
 
 (* Lease the jobs to remote daemons and journal the returned records into
    DIR/merged.jnl.  [Ok None] means no worker was reachable and the caller
@@ -1944,13 +1938,13 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
          (fun k -> Hashtbl.replace mine k ())
          (Shard.plan ~shards:n all_keys).(rank - 1);
        let* w =
-         match Journal.start ~path:jpath ~fresh:true with
+         match Eval_cache.start ~path:jpath ~fresh:true with
          | w -> Ok w
          | exception Unix.Unix_error (e, _, _) ->
            Error (Internal (jpath ^ ": " ^ Unix.error_message e))
        in
        Fun.protect
-         ~finally:(fun () -> Journal.close w)
+         ~finally:(fun () -> Eval_cache.close w)
          (fun () ->
            List.iter
              (fun d ->

@@ -157,7 +157,7 @@ let run ?jobs ?pool ?(retries = 0) ?(strict = false) ?(recheck_crashes = false)
   let journal_tbl = Hashtbl.create 64 in
   List.iter (fun (k, s) -> Hashtbl.replace journal_tbl k s) resume;
   let record_journal ck s =
-    (match journal with Some w -> Journal.record w ~key:ck s | None -> ());
+    (match journal with Some w -> Eval_cache.record w ~key:ck s | None -> ());
     (* Completion hook, fired with the full cache key at every site that
        durably records a point (cache hits, fresh results, crash
        summaries) — the dispatch lease registry feeds heartbeat salvage

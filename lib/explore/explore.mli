@@ -65,7 +65,7 @@ val run :
   ?point_deadline:float ->
   ?cancel:Cancel.t ->
   ?cache:Eval_cache.t ->
-  ?journal:Journal.writer ->
+  ?journal:Eval_cache.writer ->
   ?resume:(string * Eval_cache.summary) list ->
   ?select:(string -> bool) ->
   ?on_point:(string -> Eval_cache.summary -> unit) ->
@@ -95,10 +95,11 @@ val run :
     - [cancel] is the sweep-level token: once it fires, workers stop
       claiming points (in-flight ones finish, bounded by their own
       deadlines) and the unclaimed remainder is reported as [pending].
-    - [journal] records every completed point — fresh, crashed, or cache
-      hit — as an fsync'd {!Journal} entry keyed by the full cache key.
-    - [resume] (the entries of {!Journal.load}) answers matching points
-      without re-evaluating them; they return as origin [Resumed].
+    - [journal] appends every completed point — fresh, crashed, or cache
+      hit — as an fsync'd {!Eval_cache.record} keyed by the full cache key.
+    - [resume] (the records of {!Eval_cache.load_journal}, from a journal
+      or a cache file alike) answers matching points without
+      re-evaluating them; they return as origin [Resumed].
     - [pool]: evaluate on a shared persistent {!Domain_pool.pool} instead
       of the calling domain plus the process's own worker domains
       ({!Domain_pool.run}).  [run] is re-entrant: many

@@ -88,7 +88,7 @@ type t = {
   metrics_fd : Unix.file_descr option;
   pool : Domain_pool.pool;
   cache : Eval_cache.t;
-  journal : Journal.writer option;
+  journal : Eval_cache.writer option;
   admission : Admission.t;
   drain_tok : Cancel.t;
   interrupted : bool Atomic.t;
@@ -153,7 +153,7 @@ let start cfg =
     match cfg.journal_path with
     | None -> Ok None
     | Some path -> (
-      match Journal.start ~path ~fresh:false with
+      match Eval_cache.start ~path ~fresh:false with
       | w -> Ok (Some w)
       | exception Unix.Unix_error (e, _, _) ->
         Error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
@@ -827,7 +827,7 @@ let serve t =
        %!"
       t.cfg.drain_deadline
       (Admission.inflight t.admission);
-  Option.iter Journal.close t.journal;
+  Option.iter Eval_cache.close t.journal;
   (match t.cfg.cache_path with
   | None -> ()
   | Some path -> (

@@ -178,14 +178,14 @@ let test_inject_truncate_journal () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let w = Journal.start ~path ~fresh:true in
-      Journal.record w ~key:"k1" (s 10.0);
-      Journal.record w ~key:"k2" (s 20.0);
-      Journal.close w;
+      let w = Eval_cache.start ~path ~fresh:true in
+      Eval_cache.record w ~key:"k1" (s 10.0);
+      Eval_cache.record w ~key:"k2" (s 20.0);
+      Eval_cache.close w;
       Inject.truncate_journal ~bytes:5 path;
       let c_salvaged = Obs.counter "journal.salvaged" in
       let salvaged_before = Obs.value c_salvaged in
-      (match Journal.load ~path with
+      (match Eval_cache.load_journal ~path with
       | Error m -> Alcotest.failf "torn journal rejected wholesale: %s" m
       | Ok (entries, quarantined) ->
         Alcotest.(check int) "valid prefix kept" 1 (List.length entries);
@@ -195,10 +195,10 @@ let test_inject_truncate_journal () =
         Alcotest.(check string) "surviving key" "k1" (fst (List.hd entries)));
       (* Re-opening for append must truncate the torn tail so the next
          record cannot splice onto it. *)
-      let w2 = Journal.start ~path ~fresh:false in
-      Journal.record w2 ~key:"k3" (s 30.0);
-      Journal.close w2;
-      match Journal.load ~path with
+      let w2 = Eval_cache.start ~path ~fresh:false in
+      Eval_cache.record w2 ~key:"k3" (s 30.0);
+      Eval_cache.close w2;
+      match Eval_cache.load_journal ~path with
       | Error m -> Alcotest.failf "salvaged journal unreadable: %s" m
       | Ok (entries, quarantined) ->
         Alcotest.(check int) "append after salvage is clean" 0 quarantined;

@@ -497,11 +497,24 @@ let test_cache_corruption_handling () =
         ("slackhls-explore-cache v2\n"
         ^ Eval_cache.entry_line "good" (mk_summary 42.0)
         ^ "\ngarbage line\n");
-      match Eval_cache.load ~path with
+      (match Eval_cache.load ~path with
       | Error m -> Alcotest.failf "quarantinable file rejected wholesale: %s" m
       | Ok c ->
         Alcotest.(check int) "good record kept" 1 (Eval_cache.size c);
-        Alcotest.(check int) "bad record quarantined" 1 (Eval_cache.quarantined c))
+        Alcotest.(check int) "bad record quarantined" 1 (Eval_cache.quarantined c));
+      (* A last record cut inside its error field still parses, but without
+         its newline the error text is cut short: quarantined too. *)
+      let torn = Eval_cache.entry_line "torn" (mk_summary ~status:Eval_cache.Infeasible 0.0) in
+      write
+        ("slackhls-explore-cache v2\n"
+        ^ Eval_cache.entry_line "good" (mk_summary 42.0)
+        ^ "\n"
+        ^ String.sub torn 0 (String.length torn - 3));
+      match Eval_cache.load ~path with
+      | Error m -> Alcotest.failf "torn last record rejected wholesale: %s" m
+      | Ok c ->
+        Alcotest.(check int) "torn record dropped" 1 (Eval_cache.size c);
+        Alcotest.(check int) "torn record quarantined" 1 (Eval_cache.quarantined c))
 
 let test_entry_line_roundtrip () =
   List.iter
@@ -584,10 +597,10 @@ let resume_roundtrip ~jobs () =
           Cancel.trigger ~reason:"test interrupt" cancel;
         idct_build ()
       in
-      let w = Journal.start ~path ~fresh:true in
+      let w = Eval_cache.start ~path ~fresh:true in
       let part =
         Fun.protect
-          ~finally:(fun () -> Journal.close w)
+          ~finally:(fun () -> Eval_cache.close w)
           (fun () -> default_run ~jobs ~cancel ~journal:w ~build ())
       in
       if jobs = 1 then begin
@@ -599,7 +612,7 @@ let resume_roundtrip ~jobs () =
           (part.Explore.results <> [])
       end;
       let resume =
-        match Journal.load ~path with
+        match Eval_cache.load_journal ~path with
         | Ok (entries, quarantined) ->
           Alcotest.(check int) "clean journal" 0 quarantined;
           entries
@@ -610,10 +623,10 @@ let resume_roundtrip ~jobs () =
         (List.length resume);
       (* Resume: journaled points are not re-evaluated, and the final
          renderings are byte-identical to the uninterrupted reference. *)
-      let w2 = Journal.start ~path ~fresh:false in
+      let w2 = Eval_cache.start ~path ~fresh:false in
       let full =
         Fun.protect
-          ~finally:(fun () -> Journal.close w2)
+          ~finally:(fun () -> Eval_cache.close w2)
           (fun () -> default_run ~jobs ~journal:w2 ~resume ~build:idct_build ())
       in
       Alcotest.(check int) "resumed = journaled" (List.length resume)
@@ -626,7 +639,7 @@ let resume_roundtrip ~jobs () =
         (Explore.to_json full);
       (* The journal now covers the whole grid — a second resume would
          evaluate nothing. *)
-      match Journal.load ~path with
+      match Eval_cache.load_journal ~path with
       | Ok (entries, _) ->
         Alcotest.(check int) "journal covers the grid" full.Explore.total
           (List.length entries)

@@ -478,7 +478,7 @@ let test_drain_journals_and_resumes () =
   in
   Alcotest.(check string) "response is partial" "partial" (status_of body);
   Alcotest.(check int) "daemon exits 5" 5 code;
-  match Journal.load ~path:journal_path with
+  match Eval_cache.load_journal ~path:journal_path with
   | Error m -> Alcotest.failf "journal unreadable: %s" m
   | Ok (entries, quarantined) ->
     Alcotest.(check int) "no quarantined records" 0 quarantined;
@@ -640,12 +640,12 @@ let test_failed_start_leaves_no_socket () =
     Alcotest.(check bool) "no socket file" false (Sys.file_exists sock)
 
 (* ------------------------------------------------------------------ *)
-(* Journal.load robustness (the drain path's other half) *)
+(* Eval_cache.load_journal robustness (the drain path's other half) *)
 
 let test_journal_empty_file () =
   let path = Filename.temp_file "test_serve_journal" ".tmp" in
   (* Zero bytes: a kill between openfile and the header fsync. *)
-  (match Journal.load ~path with
+  (match Eval_cache.load_journal ~path with
   | Ok ([], 0) -> ()
   | Ok (es, q) ->
     Alcotest.failf "empty file: %d entries, %d quarantined" (List.length es) q
@@ -657,7 +657,7 @@ let test_journal_torn_header () =
   let oc = open_out path in
   output_string oc "slackhls-explore-jou";  (* torn mid-header *)
   close_out oc;
-  (match Journal.load ~path with
+  (match Eval_cache.load_journal ~path with
   | Ok ([], 1) -> ()
   | Ok (es, q) ->
     Alcotest.failf "torn header: %d entries, %d quarantined" (List.length es) q
@@ -669,7 +669,7 @@ let test_journal_foreign_header () =
   let oc = open_out path in
   output_string oc "some other file format v9\n";
   close_out oc;
-  (match Journal.load ~path with
+  (match Eval_cache.load_journal ~path with
   | Error m ->
     Alcotest.(check bool) "error names the path" true
       (String.length m >= String.length path
@@ -680,7 +680,7 @@ let test_journal_foreign_header () =
 let test_journal_unreadable_path_in_error () =
   let dir = temp_dir () in
   (* A directory opens as a file on no platform we run on: Sys_error. *)
-  match Journal.load ~path:dir with
+  match Eval_cache.load_journal ~path:dir with
   | Error m ->
     Alcotest.(check bool) "error names the path" true
       (String.length m >= String.length dir

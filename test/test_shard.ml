@@ -167,10 +167,10 @@ let full_key ?(digest = "d0") ?(config = "C") pk =
   Eval_cache.key ~digest ~lib:"L" ~config ~point_key:pk
 
 let write_journal path records =
-  let w = Journal.start ~path ~fresh:true in
+  let w = Eval_cache.start ~path ~fresh:true in
   Fun.protect
-    ~finally:(fun () -> Journal.close w)
-    (fun () -> List.iter (fun (key, s) -> Journal.record w ~key s) records)
+    ~finally:(fun () -> Eval_cache.close w)
+    (fun () -> List.iter (fun (key, s) -> Eval_cache.record w ~key s) records)
 
 let in_temp_dir f =
   let dir = Filename.temp_file "shard" ".d" in
@@ -188,14 +188,14 @@ let test_merge_disjoint () =
   in_temp_dir @@ fun p ->
   write_journal (p "a.jnl") [ (full_key "p1", summ 10.0); (full_key "p3", summ 30.0) ];
   write_journal (p "b.jnl") [ (full_key "p2", summ 20.0) ];
-  match Shard.merge_journals ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
+  match Eval_cache.merge ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
   | Error e -> Alcotest.fail e
   | Ok stats ->
-    Alcotest.(check int) "journals" 2 stats.Shard.journals;
-    Alcotest.(check int) "entries" 3 stats.Shard.entries;
-    Alcotest.(check int) "duplicates" 0 stats.Shard.duplicates;
-    Alcotest.(check int) "quarantined" 0 stats.Shard.quarantined;
-    (match Journal.load ~path:(p "m.jnl") with
+    Alcotest.(check int) "journals" 2 stats.Eval_cache.journals;
+    Alcotest.(check int) "entries" 3 stats.Eval_cache.entries;
+    Alcotest.(check int) "duplicates" 0 stats.Eval_cache.duplicates;
+    Alcotest.(check int) "quarantined" 0 stats.Eval_cache.quarantined;
+    (match Eval_cache.load_journal ~path:(p "m.jnl") with
     | Error e -> Alcotest.fail e
     | Ok (records, q) ->
       Alcotest.(check int) "merged quarantined" 0 q;
@@ -212,10 +212,10 @@ let test_merge_input_order_irrelevant () =
   write_journal (p "a.jnl") [ (full_key "p1", summ 10.0) ];
   write_journal (p "b.jnl")
     [ (full_key "p2", summ ~status:Eval_cache.Infeasible 0.0) ];
-  (match Shard.merge_journals ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m1.jnl") with
+  (match Eval_cache.merge ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m1.jnl") with
   | Error e -> Alcotest.fail e
   | Ok _ -> ());
-  (match Shard.merge_journals ~inputs:[ p "b.jnl"; p "a.jnl" ] ~output:(p "m2.jnl") with
+  (match Eval_cache.merge ~inputs:[ p "b.jnl"; p "a.jnl" ] ~output:(p "m2.jnl") with
   | Error e -> Alcotest.fail e
   | Ok _ -> ());
   Alcotest.(check string) "byte-identical merges" (read_file (p "m1.jnl"))
@@ -227,12 +227,12 @@ let test_merge_dedups_within_journal () =
   in_temp_dir @@ fun p ->
   write_journal (p "a.jnl")
     [ (full_key "p1", summ 10.0); (full_key "p1", summ 11.0) ];
-  match Shard.merge_journals ~inputs:[ p "a.jnl" ] ~output:(p "m.jnl") with
+  match Eval_cache.merge ~inputs:[ p "a.jnl" ] ~output:(p "m.jnl") with
   | Error e -> Alcotest.fail e
   | Ok stats ->
-    Alcotest.(check int) "entries" 1 stats.Shard.entries;
-    Alcotest.(check int) "duplicates" 1 stats.Shard.duplicates;
-    (match Journal.load ~path:(p "m.jnl") with
+    Alcotest.(check int) "entries" 1 stats.Eval_cache.entries;
+    Alcotest.(check int) "duplicates" 1 stats.Eval_cache.duplicates;
+    (match Eval_cache.load_journal ~path:(p "m.jnl") with
     | Error e -> Alcotest.fail e
     | Ok (records, _) -> (
       match records with
@@ -248,7 +248,7 @@ let test_merge_rejects_overlap () =
   in_temp_dir @@ fun p ->
   write_journal (p "a.jnl") [ (full_key "p1", summ 10.0) ];
   write_journal (p "b.jnl") [ (full_key "p1", summ 12.0) ];
-  match Shard.merge_journals ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
+  match Eval_cache.merge ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
   | Ok _ -> Alcotest.fail "overlapping journals merged"
   | Error e ->
     Alcotest.(check bool) "names the disjointness contract" true
@@ -258,7 +258,7 @@ let test_merge_rejects_foreign_config () =
   in_temp_dir @@ fun p ->
   write_journal (p "a.jnl") [ (full_key ~config:"C1" "p1", summ 10.0) ];
   write_journal (p "b.jnl") [ (full_key ~config:"C2" "p2", summ 20.0) ];
-  match Shard.merge_journals ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
+  match Eval_cache.merge ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
   | Ok _ -> Alcotest.fail "mixed-config journals merged"
   | Error e ->
     Alcotest.(check bool) "names both fingerprints" true
@@ -270,15 +270,15 @@ let test_merge_allows_multiple_digests () =
   in_temp_dir @@ fun p ->
   write_journal (p "a.jnl") [ (full_key ~digest:"d1" "p1", summ 10.0) ];
   write_journal (p "b.jnl") [ (full_key ~digest:"d2" "p1", summ 20.0) ];
-  match Shard.merge_journals ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
+  match Eval_cache.merge ~inputs:[ p "a.jnl"; p "b.jnl" ] ~output:(p "m.jnl") with
   | Error e -> Alcotest.fail e
-  | Ok stats -> Alcotest.(check int) "entries" 2 stats.Shard.entries
+  | Ok stats -> Alcotest.(check int) "entries" 2 stats.Eval_cache.entries
 
 let test_fingerprint_of_key () =
-  (match Shard.fingerprint_of_key (full_key "p1") with
+  (match Eval_cache.fingerprint_of_key (full_key "p1") with
   | Ok fp -> Alcotest.(check string) "lib|config" "L|C" fp
   | Error e -> Alcotest.fail e);
-  match Shard.fingerprint_of_key "not-a-cache-key" with
+  match Eval_cache.fingerprint_of_key "not-a-cache-key" with
   | Ok _ -> Alcotest.fail "malformed key accepted"
   | Error _ -> ()
 
