@@ -50,7 +50,8 @@ let new_wctx w = { w; t0 = Obs.now_ns (); busy = ref 0.0; tasks_done = ref 0 }
 
 let timed_task ctx ~retries f x =
   let s = Obs.now_ns () in
-  (* Gc counters are domain-local: the delta is this task's own churn. *)
+  (* Obs.Prof.sample reads this domain's allocation counters: the delta
+     is this task's own churn, whatever the other workers allocate. *)
   let g0 = Obs.Prof.sample () in
   let r = attempt_task ~retries f x in
   let g = Obs.Prof.delta ~before:g0 ~after:(Obs.Prof.sample ()) in

@@ -890,13 +890,16 @@ let reset () =
   st.gc_buf <- Vec.create ();
   Events.reset_unlocked ()
 
-(* GC counters are domain-local, so a delta is the measured region's own
-   churn (children included, like wall clock) even while other domains
-   allocate concurrently.  [Gc.quick_stat]'s [minor_words] only counts up
-   to the last minor collection in native code; [Gc.minor_words ()] adds
-   the live young generation, making small deltas exact — so the minor
-   count rides alongside the stat record. *)
-let gc_sample () = (Gc.minor_words (), Gc.quick_stat ())
+(* Words come from the calling domain's own counters, so a delta is the
+   measured region's own churn (children included, like wall clock) even
+   while other domains allocate: on OCaml 5 [Gc.quick_stat] sums major
+   words over every domain, so it supplies only the (process-wide)
+   collection counts.  [Gc.minor_words ()] also counts the live young
+   generation, which [Gc.quick_stat]'s minor count omits, making small
+   deltas exact. *)
+let gc_sample () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major, Gc.quick_stat ())
 
 let span ?(attrs = []) name f =
   if not st.collecting then f ()
@@ -925,9 +928,9 @@ let span ?(attrs = []) name f =
               a.s_count <- a.s_count + 1;
               a.s_total_ns <- Int64.add a.s_total_ns dur;
               match (g0, g1) with
-              | Some (bm, b), Some (em, e) ->
+              | Some (bm, bmaj, b), Some (em, emaj, e) ->
                 a.s_minor_w <- a.s_minor_w +. (em -. bm);
-                a.s_major_w <- a.s_major_w +. (e.Gc.major_words -. b.Gc.major_words);
+                a.s_major_w <- a.s_major_w +. (emaj -. bmaj);
                 a.s_minor_c <-
                   a.s_minor_c + (e.Gc.minor_collections - b.Gc.minor_collections);
                 a.s_major_c <-
@@ -946,14 +949,14 @@ let span ?(attrs = []) name f =
                      ev_attrs = attrs;
                    });
               match g1 with
-              | Some (em, e) ->
+              | Some (em, emaj, _) ->
                 ignore
                   (Vec.push st.gc_buf
                      {
                        g_ts_ns = Int64.sub t1 epoch_ns;
                        g_tid = (Domain.self () :> int);
                        g_minor_w = em;
-                       g_major_w = e.Gc.major_words;
+                       g_major_w = emaj;
                      })
               | None -> ()
             end))
@@ -1024,8 +1027,8 @@ let dists_snapshot () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Work-attribution profiling: Gc.quick_stat deltas per span, and the
-   snapshot document shared by `bench --json` and its baseline gate. *)
+(* Work-attribution profiling: GC deltas per span, and the snapshot
+   document shared by `bench --json` and its baseline gate. *)
 
 module Prof = struct
   type sample = {
@@ -1036,12 +1039,14 @@ module Prof = struct
     major_collections : int;
   }
 
+  (* Same sources as [gc_sample]. *)
   let sample () =
+    let _, promoted_words, major_words = Gc.counters () in
     let g = Gc.quick_stat () in
     {
       minor_words = Gc.minor_words ();
-      major_words = g.Gc.major_words;
-      promoted_words = g.Gc.promoted_words;
+      major_words;
+      promoted_words;
       minor_collections = g.Gc.minor_collections;
       major_collections = g.Gc.major_collections;
     }

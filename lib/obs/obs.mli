@@ -157,13 +157,15 @@ end
 (** {1 Work-attribution profiling}
 
     Per-span GC/alloc telemetry: with {!Prof.enable}, every closed span
-    additionally accumulates the [Gc.quick_stat] delta of its body —
-    minor/major words allocated and collections triggered.  The counters
-    are domain-local, so a span's delta is its own churn even while other
-    domains allocate concurrently; word counts are integers, so identical
-    runs produce identical profiles.  [Prof] also owns the snapshot
-    document written by [bench --json] and diffed by its baseline gate,
-    so allocation regressions fail CI like wall-clock ones. *)
+    additionally accumulates the GC delta of its body — minor/major words
+    allocated and collections triggered.  Words are read from the calling
+    domain's own counters ([Gc.minor_words], [Gc.counters]; not
+    [Gc.quick_stat], which sums every domain's on OCaml 5), so a span's
+    delta is its own churn even while other domains allocate; collection
+    counts are process-wide.  Word counts are integers, so identical runs
+    produce identical profiles.  [Prof] also owns the snapshot document
+    written by [bench --json] and diffed by its baseline gate, so
+    allocation regressions fail CI like wall-clock ones. *)
 
 module Prof : sig
   type sample = {
@@ -175,7 +177,8 @@ module Prof : sig
   }
 
   val sample : unit -> sample
-  (** Cumulative [Gc.quick_stat] counters of the calling domain. *)
+  (** Cumulative words allocated, promoted and major-allocated by the
+      calling domain, and process-wide collection counts. *)
 
   val delta : before:sample -> after:sample -> sample
 
