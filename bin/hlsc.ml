@@ -2399,6 +2399,14 @@ let () =
     ]
   in
   let info = Cmd.info "hlsc" ~version:"1.0.0" ~doc ~man in
+  (* A stderr that cannot be written (a full disk, a closed pipe) must not
+     change the exit code: Format's exit-time flush of err_formatter would
+     raise, and the runtime would exit 2 instead.  Registered last, this
+     runs first: it flushes, and closes stderr if that fails, so no later
+     flush has bytes left to write. *)
+  at_exit (fun () ->
+      try Format.pp_print_flush Format.err_formatter ()
+      with Sys_error _ -> close_out_noerr stderr);
   exit
     (Cmd.eval'
        (Cmd.group info
