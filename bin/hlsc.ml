@@ -1098,8 +1098,9 @@ let metrics_arg =
   Arg.(value & opt (some int) None & info [ "metrics" ] ~docv:"PORT"
          ~doc:"Expose the daemon's counters and per-op latency \
                distributions in Prometheus text format over loopback HTTP \
-               on this port.  The scrape endpoint lives and dies with the \
-               daemon; poll a whole fleet at once with $(b,hlsc top).")
+               on this port (0 picks a free one; the startup line on \
+               stderr names it).  The scrape endpoint lives and dies with \
+               the daemon; poll a whole fleet at once with $(b,hlsc top).")
 
 let serve_telemetry_arg =
   Arg.(value & flag & info [ "telemetry" ]
@@ -1216,7 +1217,7 @@ let serve_cmd socket port lib validate max_recoveries jobs high_water
           cfg.Server.jobs
           (if cfg.Server.jobs = 1 then "" else "s")
           cfg.Server.high_water;
-        (match cfg.Server.metrics_port with
+        (match Server.metrics_port t with
         | Some p ->
           Printf.eprintf "hlsc serve: metrics on http://127.0.0.1:%d/metrics\n%!" p
         | None -> ());

@@ -100,6 +100,14 @@ type t = {
 let drain ~reason t = Cancel.trigger ~reason t.drain_tok
 let draining t = Cancel.reason t.drain_tok <> None
 
+let metrics_port t =
+  Option.map
+    (fun fd ->
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> assert false (* bound as [Tcp] in [start] *))
+    t.metrics_fd
+
 (* ------------------------------------------------------------------ *)
 (* Startup *)
 

@@ -81,6 +81,10 @@ val start : config -> (t, string) result
 (** Bind and listen; load the cache; open the journal; spawn the worker
     pool.  No connection is accepted until {!serve}. *)
 
+val metrics_port : t -> int option
+(** The port the metrics endpoint is bound to — the one the kernel picked
+    when [metrics_port] was [Some 0]. *)
+
 val drain : reason:string -> t -> unit
 (** Trigger the drain token (idempotent; first reason wins).  Safe from
     signal handlers and hooks — a single atomic write. *)

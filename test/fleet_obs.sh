@@ -15,7 +15,10 @@
 #   phase 2: --metrics scrape smoke plus hlsc top against a live daemon.
 #   phase 3: the crash flight recorder writes hlsc-crash-<pid>.json on a
 #            flow-failure exit, and --no-crash-dump suppresses it.
-set -eu
+#
+# The dune rule keeps only this script's output, so a failing check names
+# itself and shows the tail of every daemon log.
+set -eEu
 
 HLSC=$1
 # The dune rule hands us a build-relative path; phase 3 cd's into the
@@ -28,6 +31,15 @@ cleanup() {
   rm -rf "$DIR"
 }
 trap cleanup EXIT
+failed() {
+  echo "fleet obs: FAILED at line $1: $2"
+  for f in "$DIR"/*.log; do
+    [ -e "$f" ] || continue
+    echo "--- tail of $(basename "$f")"
+    tail -n 20 "$f"
+  done
+}
+trap 'failed $LINENO "$BASH_COMMAND"' ERR
 
 GRID="--design fir8 --clocks 2400:2600:100 --flows conv,slack --ii none,4"
 
@@ -94,10 +106,17 @@ grep -q "identical:" "$DIR/diffev.out"
 
 # ---- phase 2: metrics scrape + top dashboard ----
 
-PORT=7913
-"$HLSC" serve --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics $PORT \
+# --metrics 0 binds a free port; the startup line names it.
+"$HLSC" serve --socket "$DIR/m.sock" --jobs 1 --telemetry --metrics 0 \
   >"$DIR/m.log" 2>&1 &
 wait_sock "$DIR/m.sock"
+PORT=
+for _ in $(seq 100); do
+  PORT=$(sed -n 's|^hlsc serve: metrics on http://127.0.0.1:\([0-9]*\)/metrics$|\1|p' "$DIR/m.log")
+  [ -n "$PORT" ] && break
+  sleep 0.1
+done
+test -n "$PORT"
 "$HLSC" request --socket "$DIR/m.sock" ping >/dev/null
 
 scrape() {
