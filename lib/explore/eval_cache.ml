@@ -181,7 +181,7 @@ let load_journal ~path =
   | Error m -> Error m
   | Ok (Missing | Empty) -> Ok ([], 0)
   | Ok Torn_header ->
-    (* The same crash race one write later: the journal never recorded a
+    (* A kill during the header write: the journal never recorded a
        point. *)
     quarantine_journal_lines 1;
     Ok ([], 1)
@@ -196,7 +196,11 @@ let load_journal ~path =
 (* Key-sorted records to a temporary file beside [path], one fsync, then a
    rename over [path]: a kill at any moment leaves the old file or the new
    one, never a truncated one. *)
-let write_sorted ~path records =
+let save t ~path =
+  let records =
+    locked t (fun () -> Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.entries [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
   try
@@ -216,29 +220,15 @@ let write_sorted ~path records =
         Sys_error (Printf.sprintf "%s: %s: %s" tmp fn (Unix.error_message err))
       | e -> e)
 
-let save t ~path =
-  locked t (fun () -> Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.entries [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> write_sorted ~path
-
 let salvage ~path =
-  if not (Sys.file_exists path) then 0
-  else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> 0
-    | s ->
-      let n = String.length s in
-      if n = 0 || s.[n - 1] = '\n' then 0
-      else begin
-        (* Unterminated tail: truncate back to the last record boundary so
-           a subsequent append cannot splice two records together. *)
-        let keep =
-          match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0
-        in
-        Unix.truncate path keep;
-        Obs.incr c_salvaged;
-        n - keep
-      end
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> ()
+  | s when s = "" || String.ends_with ~suffix:"\n" s -> ()
+  | s ->
+    (* Unterminated tail: truncate back to the last record boundary so a
+       subsequent append cannot splice two records together. *)
+    Unix.truncate path (match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0);
+    Obs.incr c_salvaged
 
 type writer = {
   oc : out_channel;
@@ -250,7 +240,7 @@ type writer = {
 let start ~path ~fresh =
   (* Appending after a crash: drop any torn final record first, or the
      next append would splice onto it and corrupt two records. *)
-  if not fresh then ignore (salvage ~path);
+  if not fresh then salvage ~path;
   let fd =
     Unix.openfile path
       (Unix.O_WRONLY :: Unix.O_CREAT :: Unix.O_APPEND
