@@ -447,7 +447,17 @@ let test_cache_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
+      (* The snapshot replaces the file through a rename (a new inode), so
+         a kill mid-write cannot leave it truncated, and leaves no
+         temporary file beside it. *)
+      let inode () = (Unix.stat path).Unix.st_ino in
+      let before = inode () in
       Eval_cache.save cache ~path;
+      Alcotest.(check bool) "replaced, not rewritten in place" true (inode () <> before);
+      Alcotest.(check bool) "no temporary file left" false
+        (Array.exists
+           (String.starts_with ~prefix:(Filename.basename path ^ "."))
+           (Sys.readdir (Filename.dirname path)));
       match Eval_cache.load ~path with
       | Error m -> Alcotest.fail m
       | Ok loaded ->
