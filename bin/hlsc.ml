@@ -1880,7 +1880,8 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
            (Explore_grid.make ~clocks:clocks_l ~flows:flows_l ~iis:iis_l
               ~recover:recover_l ())
        in
-       let digest = Dfg.digest (build ()) in
+       let dfg = build () in
+       let digest = Dfg.digest dfg in
        let job =
          {
            Dispatch.design = name;
@@ -1893,6 +1894,7 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
            key_of =
              (fun pk ->
                Eval_cache.key ~digest ~lib:lib_name ~config:fingerprint ~point_key:pk);
+           cost = float_of_int (Dfg.op_count dfg);
          }
        in
        Ok { name; klass; grid; build; job }
@@ -2229,7 +2231,9 @@ let heartbeat_arg =
          ~doc:"Health-probe period (default 1.0; 0 disables).  Probes carry \
                each lease's durably recorded lines — the salvage source when \
                a worker dies mid-lease.  Three consecutive misses declare \
-               the worker stalled.")
+               the worker stalled.  It sets only how often workers are \
+               probed: the sweep ends when the last record lands, without \
+               waiting out a probe period.")
 
 let steal_arg =
   Arg.(value & flag & info [ "steal" ]

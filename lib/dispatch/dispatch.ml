@@ -25,6 +25,7 @@ type job = {
   point_deadline : float option;
   keys : string list;
   key_of : string -> string;
+  cost : float;
 }
 
 type config = {
@@ -116,6 +117,10 @@ type st = {
   mutable n_lost : int;
   mutable abort : string option;
   mutable stop : bool;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+      (* written once, at stop, and never drained: from then on every
+         [nap] returns at once *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -123,6 +128,27 @@ let now () = Unix.gettimeofday ()
 let with_mu st f =
   Mutex.lock st.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
+
+(* Sleep up to [secs], or less if the sweep stops meanwhile. *)
+let nap st secs =
+  if secs > 0.0 && not st.stop then
+    try ignore (Unix.select [ st.wake_r ] [] [] secs)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Stop the sweep as soon as it is over: the last expected record is in,
+   it aborted, or no worker is left alive.  Called under [st.mu] at the
+   end of every state change that can end it, so the supervisor, idle
+   senders and heartbeaters all wake in the same instant. *)
+let settle_locked st =
+  if
+    (not st.stop)
+    && (Hashtbl.length st.table >= Hashtbl.length st.expected
+       || st.abort <> None
+       || not (List.exists (fun w -> w.w_alive) st.workers))
+  then begin
+    st.stop <- true;
+    ignore (Unix.write_substring st.wake_w "x" 0 1)
+  end
 
 let contain st detector response = st.responses <- (detector, response) :: st.responses
 
@@ -262,7 +288,8 @@ let fail_lease ?(log = true) ~detector ~response ~strike st w l =
           st.n_lost <- st.n_lost + 1;
           Obs.incr c_workers_lost
         end
-      end)
+      end;
+      settle_locked st)
 
 (* Requeue without blame: the worker answered [overloaded]/[draining] —
    back off briefly and let another worker take it. *)
@@ -287,7 +314,7 @@ let finish_lease st w l ?(events = []) lines =
       st.active <- List.filter (fun (al, _) -> al != l) st.active;
       Hashtbl.remove st.salvage l.l_id;
       w.w_strikes <- 0;
-      match undone st l with
+      (match undone st l with
       | [] -> ()
       | remaining when not st.stop ->
           (* an [ok] reply that somehow missed keys: requeue the gap *)
@@ -295,9 +322,13 @@ let finish_lease st w l ?(events = []) lines =
           l.l_eligible <- now ();
           l.l_last_worker <- Some w.w_name;
           st.queue <- st.queue @ [ l ]
-      | _ -> ())
+      | _ -> ());
+      settle_locked st)
 
-let set_abort st msg = with_mu st (fun () -> if st.abort = None then st.abort <- Some msg)
+let set_abort st msg =
+  with_mu st (fun () ->
+      if st.abort = None then st.abort <- Some msg;
+      settle_locked st)
 
 (* -- the per-worker sender ------------------------------------------ *)
 
@@ -470,7 +501,7 @@ let sender st w =
       in
       match next with
       | None ->
-          Thread.delay 0.03;
+          nap st 0.03;
           loop ()
       | Some l ->
           run_lease st w client l;
@@ -515,7 +546,7 @@ let heartbeater st w =
     let rec loop () =
       if st.stop || not w.w_alive then ()
       else begin
-        Thread.delay st.cfg.heartbeat;
+        nap st st.cfg.heartbeat;
         if st.stop || not w.w_alive then ()
         else begin
           (match Client.one_shot ~deadline_s:(st.cfg.heartbeat +. 0.5) w.w_addr payload with
@@ -545,9 +576,10 @@ let heartbeater st w =
                       st.n_lost <- st.n_lost + 1;
                       Obs.incr c_workers_lost;
                       contain st "missed_heartbeats" "salvage_reassign";
-                      match w.w_fd with
+                      (match w.w_fd with
                       | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-                      | None -> ()
+                      | None -> ());
+                      settle_locked st
                     end));
           loop ()
         end
@@ -593,6 +625,7 @@ let run (cfg : config) jobs =
           })
         cfg.workers
     in
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     let st =
       {
         cfg;
@@ -614,6 +647,8 @@ let run (cfg : config) jobs =
         n_lost = 0;
         abort = None;
         stop = false;
+        wake_r;
+        wake_w;
       }
     in
     List.iter
@@ -642,6 +677,10 @@ let run (cfg : config) jobs =
             (Shard.plan ~shards keys)
         end)
       jobs;
+    (* Grant the costliest designs first, so the sweep's tail is small
+       leases.  Ids were minted in plan order above and stay with their
+       leases: the stable sort moves only the grant order. *)
+    st.queue <- List.stable_sort (fun a b -> Float.compare b.l_job.cost a.l_job.cost) st.queue;
     let total = Hashtbl.length st.expected in
     let emit () =
       if Obs.Events.enabled () then
@@ -658,28 +697,23 @@ let run (cfg : config) jobs =
                    salvaged = st.n_salvaged;
                  }))
     in
+    with_mu st (fun () -> settle_locked st);
     let threads =
       List.concat_map
         (fun w -> [ Thread.create (sender st) w; Thread.create (heartbeater st) w ])
         workers
     in
-    let last_emit = ref 0.0 in
-    let finished () =
-      with_mu st (fun () ->
-          Hashtbl.length st.table >= total
-          || st.abort <> None
-          || not (List.exists (fun w -> w.w_alive) st.workers))
-    in
-    while not (finished ()) do
-      Thread.delay 0.05;
-      let t = now () in
-      if t -. !last_emit >= 0.2 then begin
-        last_emit := t;
+    let next_emit = ref (now ()) in
+    while not st.stop do
+      if now () >= !next_emit then begin
+        next_emit := now () +. 0.2;
         emit ()
-      end
+      end;
+      nap st (!next_emit -. now ())
     done;
-    st.stop <- true;
     List.iter Thread.join threads;
+    Unix.close wake_r;
+    Unix.close wake_w;
     emit ();
     let done_n = Hashtbl.length st.table in
     let abort =

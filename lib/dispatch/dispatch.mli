@@ -10,7 +10,11 @@
     - {b leases}: the sorted key list of each job is split (via
       {!Shard.plan}) into contiguous ranges of at most [lease_points]
       keys; each lease is granted to one worker as a [shard_explore]
-      request with a server-side deadline.
+      request with a server-side deadline.  Ids are minted L0, L1, … in
+      plan order (jobs in list order, ranges in key order), but leases are
+      granted costliest job first (by [cost], ties in plan order), so the
+      sweep's tail is small leases; the id, not the grant order, is what
+      every output is sorted by.
     - {b detection}: a worker is failed by the first detector that fires —
       a refused/reset connect ([connect_failed]), a response frame torn or
       cut mid-read ([torn_response]), the lease deadline expiring with no
@@ -31,6 +35,14 @@
       the straggler is not revoked, and whichever copy reports first wins
       byte-identically.
 
+    - {b stop}: the state change that ends the sweep — the last
+      expected record absorbed, an abort, or the last live worker lost —
+      sets [stop] and wakes every waiting thread at once (the supervisor,
+      idle senders, heartbeaters all nap on one pipe written at stop).  So
+      [run] returns as soon as the last record lands, whatever the
+      heartbeat period; a sender blocked on a reply sees [stop] within
+      the reader's poll tick.
+
     Every containment action is logged as a [(detector, response)] pair in
     {!outcome}[.responses]; [test/test_dispatch.ml] binds each
     {!Inject.fake_worker} fault class to exactly the pair
@@ -41,7 +53,8 @@
     [dispatch.duplicate_replies], [dispatch.workers_lost],
     [dispatch.fallback_local] (bumped by {!note_fallback_local} when the
     CLI falls back to in-process evaluation).  Progress is sampled as
-    [Obs.Events.Dispatch_sample] roughly every 200ms while running. *)
+    [Obs.Events.Dispatch_sample] every 200ms while running and once at
+    the end. *)
 
 type job = {
   design : string;  (** name the workers can resolve *)
@@ -54,6 +67,9 @@ type job = {
   key_of : string -> string;
       (** point key -> full cache key (the supervisor tracks completion
           and validates worker records by full key) *)
+  cost : float;
+      (** relative cost of one of this job's points (the CLI passes the
+          design's op count); only the grant order depends on it *)
 }
 
 type config = {

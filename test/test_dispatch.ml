@@ -80,6 +80,7 @@ let mk_job clocks =
     point_deadline = None;
     keys = List.map Explore_grid.point_key (Explore_grid.points (mk_grid clocks));
     key_of;
+    cost = 1.0;
   }
 
 let the_job = mk_job clocks_spec
@@ -251,6 +252,111 @@ let test_steal () =
     "duplicated evaluations collapse byte-identically"
     (reference_lines_for drain_clocks) (lines_of o)
 
+(* -- stop and grant order -------------------------------------------- *)
+
+(* The sweep ends when its last record lands: a heartbeater napping
+   through a 20 s probe period must not hold the supervisor's exit. *)
+let test_stop_wakes_heartbeat () =
+  let dir = temp_dir () in
+  let sock = Filename.concat dir "w.sock" in
+  let (timed, _) =
+    with_server (server_config ~sock ()) (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Dispatch.run
+            (dispatch_config ~heartbeat:20.0 [ ("w", Client.Unix_path sock) ])
+            [ the_job ]
+        in
+        (r, Unix.gettimeofday () -. t0))
+  in
+  let result, wall = timed in
+  let o = run_ok result in
+  Alcotest.(check bool) "complete" true o.Dispatch.complete;
+  Alcotest.(check (list string))
+    "records byte-identical to the single-process sweep"
+    (Lazy.force reference_lines) (lines_of o);
+  if wall >= 5.0 then
+    Alcotest.failf "a 4-point sweep took %.1f s with a 20 s heartbeat" wall
+
+(* A worker that answers each lease with the reference records of its
+   keys and logs (lease id, keys) in arrival order: with one worker that
+   is the supervisor's grant order. *)
+let recording_worker path answers =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 4;
+  let log = ref [] and stopped = Atomic.make false in
+  let rec serve conn =
+    match Protocol.read_frame ~should_stop:(fun () -> Atomic.get stopped) conn with
+    | Protocol.Frame body -> (
+      match Protocol.parse_request body with
+      | Ok { Protocol.id; req = Protocol.Shard_explore { lease; keys; _ }; _ } ->
+        log := (lease, keys) :: !log;
+        let records = List.map (fun pk -> J.String (Hashtbl.find answers (key_of pk))) keys in
+        Protocol.write_frame (Protocol.fd conn)
+          (Protocol.response ~id ~status:"ok"
+             [ ("lease", J.String lease); ("records", J.List records) ]);
+        serve conn
+      | _ -> ())
+    | _ -> ()
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stopped) do
+          match Unix.select [ fd ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ ->
+            let c, _ = Unix.accept fd in
+            serve (Protocol.make c);
+            Unix.close c
+        done)
+      ()
+  in
+  let stop () =
+    Atomic.set stopped true;
+    Thread.join th;
+    Unix.close fd
+  in
+  ((fun () -> List.rev !log), stop)
+
+(* Two jobs, the cheap one listed first: its leases keep the plan-order
+   ids L0 and L1, but the costlier job's L2 and L3 are granted first. *)
+let test_costliest_first () =
+  let cheap = mk_job clocks_spec in
+  let costly = { (mk_job "2200,2300") with Dispatch.cost = 2.0 } in
+  let answers = Hashtbl.create 16 in
+  let reference =
+    List.sort String.compare
+      (Lazy.force reference_lines @ reference_lines_for costly.Dispatch.clocks)
+  in
+  List.iter
+    (fun line ->
+      match Eval_cache.parse_line line with
+      | Some (ck, _) -> Hashtbl.replace answers ck line
+      | None -> Alcotest.failf "unparseable reference line %S" line)
+    reference;
+  let sock = Filename.concat (temp_dir ()) "rec.sock" in
+  let arrivals, stop = recording_worker sock answers in
+  let result =
+    Fun.protect ~finally:stop (fun () ->
+        Dispatch.run
+          (dispatch_config ~lease_points:2 [ ("rec", Client.Unix_path sock) ])
+          [ cheap; costly ])
+  in
+  let o = run_ok result in
+  let log = arrivals () in
+  Alcotest.(check (list string))
+    "costlier job granted first; ids in plan order" [ "L2"; "L3"; "L0"; "L1" ]
+    (List.map fst log);
+  Alcotest.(check (list string))
+    "L0 and L1 lease the first-listed job's keys"
+    (List.sort String.compare cheap.Dispatch.keys)
+    (List.sort String.compare
+       (List.concat_map (fun (id, ks) -> if id = "L0" || id = "L1" then ks else []) log));
+  Alcotest.(check bool) "complete" true o.Dispatch.complete;
+  Alcotest.(check (list string)) "records" reference (lines_of o)
+
 (* -- degraded startup ----------------------------------------------- *)
 
 let contains hay needle =
@@ -292,6 +398,13 @@ let () =
       ( "steal",
         [ Alcotest.test_case "idle worker steals a straggler tail" `Slow
             test_steal ] );
+      ( "stop",
+        [
+          Alcotest.test_case "a long heartbeat does not delay the end" `Slow
+            test_stop_wakes_heartbeat;
+          Alcotest.test_case "costliest job's leases granted first" `Quick
+            test_costliest_first;
+        ] );
       ( "fallback",
         [ Alcotest.test_case "no reachable worker is a startup error" `Quick
             test_no_worker_reachable ] );
