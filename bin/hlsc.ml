@@ -2412,11 +2412,30 @@ let () =
   at_exit (fun () ->
       try Format.pp_print_flush Format.err_formatter ()
       with Sys_error _ -> close_out_noerr stderr);
-  exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            run_t; compare_t; slack_t; emit_t; explore_t; corpus_t; sweep_t;
-            merge_journals_t; explain_t; diff_events_t; fuzz_t; dot_t; serve_t;
-            request_t; top_t;
-          ]))
+  let code =
+    Cmd.eval'
+      (Cmd.group info
+         [
+           run_t; compare_t; slack_t; emit_t; explore_t; corpus_t; sweep_t;
+           merge_journals_t; explain_t; diff_events_t; fuzz_t; dot_t; serve_t;
+           request_t; top_t;
+         ])
+  in
+  (* The same for stdout, flushed here while the exit code can still say
+     that the report was lost: an internal error (1), where a write that
+     failed inside the command would exit with cmdliner's 125 and one
+     failing in the exit-time flush with the runtime's 2.  A command that
+     already failed some other way keeps its own code. *)
+  let code =
+    match
+      Format.pp_print_flush Format.std_formatter ();
+      flush stdout
+    with
+    | () -> code
+    | exception Sys_error m ->
+      close_out_noerr stdout;
+      (try Printf.eprintf "hlsc: cannot write the report to stdout: %s\n%!" m
+       with Sys_error _ -> ());
+      if code = Cmd.Exit.ok || code = Cmd.Exit.internal_error then 1 else code
+  in
+  exit code
