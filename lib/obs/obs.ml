@@ -896,10 +896,13 @@ let reset () =
    words over every domain, so it supplies only the (process-wide)
    collection counts.  [Gc.minor_words ()] also counts the live young
    generation, which [Gc.quick_stat]'s minor count omits, making small
-   deltas exact. *)
+   deltas exact.  Major words are the direct major allocations (major
+   minus promoted): a minor collection stops every domain, so what a
+   region promotes depends on when the other domains fill their minor
+   heaps. *)
 let gc_sample () =
-  let _, _, major = Gc.counters () in
-  (Gc.minor_words (), major, Gc.quick_stat ())
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted, Gc.quick_stat ())
 
 let span ?(attrs = []) name f =
   if not st.collecting then f ()

@@ -157,12 +157,14 @@ end
 (** {1 Work-attribution profiling}
 
     Per-span GC/alloc telemetry: with {!Prof.enable}, every closed span
-    additionally accumulates the GC delta of its body — minor/major words
-    allocated and collections triggered.  Words are read from the calling
-    domain's own counters ([Gc.minor_words], [Gc.counters]; not
-    [Gc.quick_stat], which sums every domain's on OCaml 5), so a span's
-    delta is its own churn even while other domains allocate; collection
-    counts are process-wide.  Word counts are integers, so identical runs
+    additionally accumulates the GC delta of its body — minor words, words
+    allocated directly in the major heap, and collections triggered.
+    Words are read from the calling domain's own counters
+    ([Gc.minor_words], [Gc.counters]; not [Gc.quick_stat], which sums
+    every domain's on OCaml 5), so a span's delta is its own churn even
+    while other domains allocate.  Major words exclude promotions: a minor
+    collection stops every domain, so what a span promotes depends on the
+    other domains.  Collection counts are process-wide.  Word counts are integers, so identical runs
     produce identical profiles.  [Prof] also owns the snapshot document
     written by [bench --json] and diffed by its baseline gate, so
     allocation regressions fail CI like wall-clock ones. *)
@@ -195,7 +197,7 @@ module Prof : sig
     calls : int;
     total_ns : float;
     minor_words : float;
-    major_words : float;
+    major_words : float;  (** direct major allocation, promotions excluded *)
     minor_collections : int;
     major_collections : int;
   }
