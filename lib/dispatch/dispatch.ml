@@ -131,9 +131,8 @@ let with_mu st f =
 
 (* Sleep up to [secs], or less if the sweep stops meanwhile. *)
 let nap st secs =
-  if secs > 0.0 && not st.stop then
-    try ignore (Unix.select [ st.wake_r ] [] [] secs)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  try ignore (Unix.select [ st.wake_r ] [] [] secs)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* Stop the sweep as soon as it is over: the last expected record is in,
    it aborted, or no worker is left alive.  Called under [st.mu] at the
@@ -703,13 +702,9 @@ let run (cfg : config) jobs =
         (fun w -> [ Thread.create (sender st) w; Thread.create (heartbeater st) w ])
         workers
     in
-    let next_emit = ref (now ()) in
     while not st.stop do
-      if now () >= !next_emit then begin
-        next_emit := now () +. 0.2;
-        emit ()
-      end;
-      nap st (!next_emit -. now ())
+      emit ();
+      nap st 0.2
     done;
     List.iter Thread.join threads;
     Unix.close wake_r;

@@ -259,7 +259,7 @@ let test_steal () =
 let test_stop_wakes_heartbeat () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "w.sock" in
-  let (timed, _) =
+  let ((result, wall), _) =
     with_server (server_config ~sock ()) (fun _ ->
         let t0 = Unix.gettimeofday () in
         let r =
@@ -269,7 +269,6 @@ let test_stop_wakes_heartbeat () =
         in
         (r, Unix.gettimeofday () -. t0))
   in
-  let result, wall = timed in
   let o = run_ok result in
   Alcotest.(check bool) "complete" true o.Dispatch.complete;
   Alcotest.(check (list string))
