@@ -34,11 +34,10 @@
       unfinished tail off the largest straggler lease ([steal_tail]);
       the straggler is not revoked, and whichever copy reports first wins
       byte-identically.
-
     - {b stop}: the state change that ends the sweep — the last
       expected record absorbed, an abort, or the last live worker lost —
       sets [stop] and wakes every waiting thread at once (the supervisor,
-      idle senders, heartbeaters all nap on one pipe written at stop).  So
+      idle senders and heartbeaters all nap on one pipe written at stop).  So
       [run] returns as soon as the last record lands, whatever the
       heartbeat period; a sender blocked on a reply sees [stop] within
       the reader's poll tick.
