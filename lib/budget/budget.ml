@@ -54,7 +54,7 @@ let delays_at ~lambda tdfg ~ranges =
   Array.init (Dfg.op_count (Timed_dfg.dfg tdfg)) (fun i ->
       knob ~lambda (ranges (Dfg.Op_id.of_int i)))
 
-let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
+let run ?(config = default_config) ?(event_phase = "budget") ?engine tdfg ~clock ~ranges
     ~sensitivity =
   let eps = 1e-6 in
   let margin = config.margin_frac *. clock in
@@ -74,10 +74,11 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
     | Two_pass -> ()
     | Bellman_ford_baseline -> ignore (Bf_timing.analyze tdfg ~clock ~del)
   in
-  (* One engine for the whole run, holding the delays at knob [held]
-     through phase 1; a probe resets every delay. *)
-  let e = Slack.create ~aligned:config.aligned tdfg ~clock ~del:(at 0.0) in
-  let held = ref 0.0 in
+  (* One engine for the whole run, the caller's when given, holding the
+     delays at knob [held] through phase 1; a probe resets every delay. *)
+  let e = match engine with Some e -> e | None -> Slack.prepare tdfg ~clock in
+  Slack.reset ~aligned:config.aligned e (at 1.0);
+  let held = ref 1.0 in
   let hold lambda =
     if not (Float.equal !held lambda) then begin
       Slack.reset e (at lambda);
@@ -92,15 +93,18 @@ let run ?(config = default_config) ?(event_phase = "budget") tdfg ~clock ~ranges
     feasible ()
   in
   (* Phase 1 (negative slack repair): find the largest uniform knob that is
-     feasible.  Monotonicity: raising any delay can only lower slacks. *)
-  if not (probe 0.0) then begin
+     feasible.  Monotonicity: raising any delay can only lower slacks, so
+     a feasible knob 1 makes knob 0 feasible too, and it is probed only
+     when knob 1 fails. *)
+  let top = probe 1.0 in
+  if (not top) && not (probe 0.0) then begin
     Obs.incr c_infeasible;
     let r = Slack.result e in
     Infeasible { slack_at_min = r; critical = Slack.critical_ops tdfg r }
   end
   else begin
     let lambda =
-      if probe 1.0 then 1.0
+      if top then 1.0
       else begin
         let lo = ref 0.0 and hi = ref 1.0 in
         for _ = 1 to config.bisection_steps do

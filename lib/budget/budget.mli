@@ -23,9 +23,9 @@
       number of updates per operation.
 
     One incremental slack engine ({!Slack.engine}) serves the whole run:
-    phase-1 probes reset every delay, and each phase-2 increase is a
-    single-delay update, committed when it verifies and rolled back when
-    it does not.
+    phase-1 probes reset every delay (knob 1 first, knob 0 only when
+    knob 1 fails), and each phase-2 increase is a single-delay update,
+    committed when it verifies and rolled back when it does not.
 
     Both phases use {e aligned} slack by default, so chained operations
     that would straddle a clock boundary are accounted for — the effect
@@ -74,6 +74,7 @@ type outcome =
 val run :
   ?config:config ->
   ?event_phase:string ->
+  ?engine:Slack.engine ->
   Timed_dfg.t ->
   clock:float ->
   ranges:(Dfg.Op_id.t -> Interval.t) ->
@@ -89,7 +90,14 @@ val run :
     emits ({!Obs.Events.Slack_computed}, {!Obs.Events.Delay_update},
     {!Obs.Events.Budget_round}) so replay can distinguish the initial
     budgeting pass from per-edge re-budgeting (["rebudget"]) and the
-    recovery ladder (["recovery"]). *)
+    recovery ladder (["recovery"]).
+
+    [engine], when given, must be an engine over [tdfg] at [clock] (see
+    {!Slack.prepare}); the run resets it, with [config]'s alignment, and
+    leaves it holding the final delays.  A caller that budgets one timed
+    DFG many times, re-weighting it in between, passes the same engine
+    each time instead of paying for a new one; the outcome is the same
+    bits either way. *)
 
 val delays_at : lambda:float -> Timed_dfg.t -> ranges:(Dfg.Op_id.t -> Interval.t) -> float array
 (** The uniform-knob delay assignment used by the negative phase; exposed

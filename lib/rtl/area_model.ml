@@ -6,17 +6,23 @@ type breakdown = {
   total : float;
 }
 
+(* The instances that execute at least one op, in instance order, each
+   with its mux fan-in, from one pass over the placements. *)
 let used_instances sched =
-  List.filter
-    (fun i -> Schedule.ops_of_inst sched i.Alloc.id <> [])
+  let by_inst = Schedule.ops_by_inst sched in
+  List.filter_map
+    (fun i ->
+      match List.length by_inst.(Alloc.Inst_id.to_int i.Alloc.id) with
+      | 0 -> None
+      | fanin -> Some (i, fanin))
     (Alloc.instances sched.Schedule.alloc)
 
-let fu_only sched =
-  List.fold_left (fun acc i -> acc +. i.Alloc.point.Curve.area) 0.0 (used_instances sched)
+let fu_area used = List.fold_left (fun acc (i, _) -> acc +. i.Alloc.point.Curve.area) 0.0 used
+let fu_only sched = fu_area (used_instances sched)
 
 let fu_of_kind sched rk =
   List.fold_left
-    (fun acc i ->
+    (fun acc (i, _) ->
       if Resource_kind.equal i.Alloc.rk rk then acc +. i.Alloc.point.Curve.area else acc)
     0.0 (used_instances sched)
 
@@ -49,15 +55,15 @@ let of_schedule sched =
   Obs.incr c_evals;
   let lib = Alloc.library sched.Schedule.alloc in
   let dfg = sched.Schedule.dfg in
-  let fu = fu_only sched in
+  let used = used_instances sched in
+  let fu = fu_area used in
   let mux =
     List.fold_left
-      (fun acc i ->
-        let fanin = List.length (Schedule.ops_of_inst sched i.Alloc.id) in
+      (fun acc (i, fanin) ->
         if fanin >= 2 then
           acc +. (2.0 *. Library.mux_area lib ~inputs:fanin ~width:i.Alloc.width)
         else acc)
-      0.0 (used_instances sched)
+      0.0 used
   in
   let registers = ref 0.0 in
   Dfg.iter_ops dfg (fun op ->

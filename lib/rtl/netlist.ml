@@ -25,10 +25,11 @@ let d_fanin = Obs.dist "rtl.mux_fanin"
 
 let build schedule =
   let dfg = schedule.Schedule.dfg in
+  let by_inst = Schedule.ops_by_inst schedule in
   let fus =
     Alloc.instances schedule.Schedule.alloc
     |> List.filter_map (fun inst ->
-           match Schedule.ops_of_inst schedule inst.Alloc.id with
+           match by_inst.(Alloc.Inst_id.to_int inst.Alloc.id) with
            | [] -> None
            | ops -> Some { inst; ops })
   in

@@ -40,16 +40,10 @@ let run ?(max_iters = 20) sched =
   let dfg = sched.Schedule.dfg in
   let regrades = ref 0 in
   let frozen = Hashtbl.create 8 in
-  (* Each instance's ops, in op order: recovery re-grades instances but
-     never moves a placement. *)
-  let ops_of = Array.make (Alloc.count alloc) [] in
-  for i = Array.length sched.Schedule.placements - 1 downto 0 do
-    match sched.Schedule.placements.(i) with
-    | Some { Schedule.inst = Some id; _ } ->
-      let k = Alloc.Inst_id.to_int id in
-      ops_of.(k) <- Dfg.Op_id.of_int i :: ops_of.(k)
-    | Some _ | None -> ()
-  done;
+  (* Recovery re-grades instances but never moves a placement, so each
+     instance's ops, and what a regrade can re-time, are fixed. *)
+  let ops_of = Schedule.ops_by_inst sched in
+  let retimer = Schedule.retimer sched in
   let sweep_no = ref 0 in
   let rec sweep k =
     if k <= 0 then ()
@@ -83,7 +77,9 @@ let run ?(max_iters = 20) sched =
                 Alloc.set_grade alloc id ~delay:(old.Curve.delay +. headroom);
                 let now = (Alloc.instance alloc id).Alloc.point in
                 if now.Curve.delay > old.Curve.delay +. eps then begin
-                  match Schedule.retime sched with
+                  (* Only this instance's ops changed delay, and only they
+                     and the chains they feed within a step can move. *)
+                  match Schedule.retime_ops retimer ops with
                   | Ok () ->
                     incr regrades;
                     Obs.incr c_regrades;
@@ -103,13 +99,10 @@ let run ?(max_iters = 20) sched =
                         ops;
                     changed := true
                   | Error _ ->
+                    (* [retime_ops] restored every start and effective
+                       delay it had changed. *)
                     Obs.incr c_rollbacks;
                     Alloc.set_grade alloc id ~delay:old.Curve.delay;
-                    (match Schedule.retime sched with
-                    | Ok () -> ()
-                    | Error v ->
-                      invalid_arg
-                        ("Area_recovery.run: rollback failed: " ^ v.Schedule.detail));
                     Hashtbl.replace frozen id ()
                 end
                 else Alloc.set_grade alloc id ~delay:old.Curve.delay

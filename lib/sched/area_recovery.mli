@@ -4,8 +4,10 @@
     can only exploit slack {e within} a control step.  Each resource
     instance is slowed (re-graded down its area/delay curve) by the minimum
     combinational slack of the operations bound to it; every re-grade is
-    verified by a full {!Schedule.retime} and rolled back if it breaks
-    timing.  Runs to a fix point.
+    verified by re-timing what it can move ({!Schedule.retime_ops}: the
+    instance's ops and the same-step chains they feed) and rolled back if
+    it breaks timing.  Each sweep starts from a full {!Schedule.retime},
+    and one more ends the pass.  Runs to a fix point.
 
     Both the conventional flow (where it is the only area optimisation) and
     the slack-based flow (where budgeting has already spread delays across

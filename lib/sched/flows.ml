@@ -274,18 +274,20 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
     (* Delay targets. *)
     let targets = Array.make n 0.0 in
     let priorities = Array.make n 0.0 in
-    let set_priorities_slack tdfg =
-      let e =
-        Slack.create ~aligned:true tdfg ~clock:budget_clock ~del:(fun o ->
-            targets.(Dfg.Op_id.to_int o))
-      in
-      List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
-    in
     let spans0 = Dfg.compute_spans dfg in
     (* The slack flow's one timed DFG: built from [spans0] for the initial
-       budget, then re-weighted in place by the per-edge hook.  Each slack
-       engine over it is created and read between two re-weightings. *)
+       budget, then re-weighted in place by the per-edge hook.  Two slack
+       engines over it serve the whole call, one for budgeting and one for
+       the slack priorities; each is reset, after any re-weighting, before
+       it is read. *)
     let tdfg = lazy (Timed_dfg.build dfg ~spans:spans0) in
+    let engine () = Slack.prepare (Lazy.force tdfg) ~clock:budget_clock in
+    let budget_engine = lazy (engine ()) and priority_engine = lazy (engine ()) in
+    let set_priorities_slack () =
+      let e = Lazy.force priority_engine in
+      Slack.reset ~aligned:true e (fun o -> targets.(Dfg.Op_id.to_int o));
+      List.iter (fun o -> priorities.(Dfg.Op_id.to_int o) <- Slack.slack e o) ops
+    in
     (* Targets from [del]; ops ordered by mobility. *)
     let by_mobility del =
       List.iter
@@ -307,8 +309,8 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       guard ~at:Check.Boundary (Check.timed_dfg tdfg);
       match
         Obs.span "flow.budget" (fun () ->
-            Budget.run ~config:config.budget_config tdfg ~clock:budget_clock ~ranges
-              ~sensitivity)
+            Budget.run ~config:config.budget_config ~engine:(Lazy.force budget_engine) tdfg
+              ~clock:budget_clock ~ranges ~sensitivity)
       with
       | Budget.Feasible delays ->
         guard ~at:Check.Boundary (Check.budget dfg ~targets:delays ~ranges);
@@ -316,7 +318,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
           (Check.slack tdfg ~clock:budget_clock ~del:(fun o ->
                delays.(Dfg.Op_id.to_int o)));
         Array.blit delays 0 targets 0 n;
-        set_priorities_slack tdfg
+        set_priorities_slack ()
       | Budget.Infeasible _ ->
         (* Fall back to fastest targets; the schedule pass will tell the
            caller whether the design truly needs more states. *)
@@ -388,12 +390,13 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
                 in
                 Obs.incr c_rebudget_runs;
                 match
-                  Budget.run ~config:bcfg ~event_phase:"rebudget" tdfg
-                    ~clock:budget_clock ~ranges:ranges' ~sensitivity:sens'
+                  Budget.run ~config:bcfg ~event_phase:"rebudget"
+                    ~engine:(Lazy.force budget_engine) tdfg ~clock:budget_clock
+                    ~ranges:ranges' ~sensitivity:sens'
                 with
                 | Budget.Feasible delays ->
                   retarget (fun o -> delays.(Dfg.Op_id.to_int o));
-                  set_priorities_slack tdfg
+                  set_priorities_slack ()
                 | Budget.Infeasible _ ->
                   (* Sharing created violations: demand the fastest grades
                      for what remains (paper: "fixed by decreasing the

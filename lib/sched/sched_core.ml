@@ -225,13 +225,19 @@ let run plan ~alloc params =
     frontier_pos.(i) <- -1
   in
   Array.iter enter plan.frontier0;
+  (* The ops that joined the frontier since the current ready sweep
+     began: the only ones a later sweep on the same edge has to test. *)
+  let joined = ref [] in
   let on_placed i =
     leave i;
     List.iter
       (fun s ->
         let j = Dfg.Op_id.to_int s in
         waiting.(j) <- waiting.(j) - 1;
-        if waiting.(j) = 0 && plan.is_active.(j) then enter j)
+        if waiting.(j) = 0 && plan.is_active.(j) then begin
+          enter j;
+          joined := j :: !joined
+        end)
       (Dfg.succs dfg (Dfg.Op_id.of_int i))
   in
   let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
@@ -487,21 +493,37 @@ let run plan ~alloc params =
         let edge_idx = Cfg.edge_topo_index cfg e in
         let placed_here = ref 0 in
         let deferred_here = ref 0 in
+        (* Within an edge readiness only grows: spans stay fixed until the
+           respan below, a placed predecessor's step and edge never change,
+           and a loop-carried partner placed at this step always passes
+           [lc_step_ok].  So a frontier op found unready stays unready on
+           this edge, and a deferred op stays ready: the first sweep tests
+           the whole frontier, each later one only the ops that joined it,
+           merged into the deferred ops, which are still in ready order. *)
+        let deferred = ref [] in
         let progress = ref true in
+        let first = ref true in
         while !progress do
           progress := false;
           Obs.incr c_sweeps;
-          (* Only frontier ops can be ready; the ready order is total, so the
-             frontier's own order does not matter. *)
-          Obs.add c_ready_checks !frontier_size;
-          let ready = ref [] in
-          for k = 0 to !frontier_size - 1 do
-            let i = frontier.(k) in
-            if ready_on i e step then ready := i :: !ready
-          done;
-          let ready = List.sort ready_order !ready in
+          let fresh = ref [] in
+          let test i = if ready_on i e step then fresh := i :: !fresh in
+          if !first then begin
+            first := false;
+            Obs.add c_ready_checks !frontier_size;
+            for k = 0 to !frontier_size - 1 do
+              test frontier.(k)
+            done
+          end
+          else begin
+            Obs.add c_ready_checks (List.length !joined);
+            List.iter test !joined
+          end;
+          joined := [];
+          let ready = List.merge ready_order !deferred (List.sort ready_order !fresh) in
           let nready = List.length ready in
           Obs.add c_ready nready;
+          deferred := [];
           List.iter
             (fun i ->
               match try_place i e step with
@@ -509,8 +531,11 @@ let run plan ~alloc params =
                 progress := true;
                 incr placed_here;
                 if ev_on () then emit_pick i e step ~ready_set_size:nready
-              | Defer _ -> incr deferred_here)
-            ready
+              | Defer _ ->
+                incr deferred_here;
+                deferred := i :: !deferred)
+            ready;
+          deferred := List.rev !deferred
         done;
         (* Paper step (b): an op whose span ends here must be placed.  The
            check follows dependency order so that when a chain is stuck the

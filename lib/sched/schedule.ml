@@ -60,6 +60,17 @@ let ops_of_inst t inst_id =
     t.placements;
   List.rev !acc
 
+let ops_by_inst t =
+  let by = Array.make (Alloc.count t.alloc) [] in
+  for i = Array.length t.placements - 1 downto 0 do
+    match t.placements.(i) with
+    | Some { inst = Some id; _ } ->
+      let k = Alloc.Inst_id.to_int id in
+      by.(k) <- Dfg.Op_id.of_int i :: by.(k)
+    | Some _ | None -> ()
+  done;
+  by
+
 (* Within one step, two ops double-book an instance iff their edges are not
    mutually exclusive (one reaches the other, or they are the same edge):
    ops on exclusive branches may share freely.  Across steps they clash
@@ -84,11 +95,7 @@ type violation = {
   detail : string;
 }
 
-(* Recompute starts in dependency order using final fan-ins. *)
-let retime t =
-  let cfg = Dfg.cfg t.dfg in
-  let budget = step_budget t in
-  let order = Dfg.topo_order t.dfg in
+let fanins t =
   let fanin = Array.make (Alloc.count t.alloc) 0 in
   Array.iter
     (function
@@ -97,70 +104,158 @@ let retime t =
         fanin.(k) <- fanin.(k) + 1
       | Some { inst = None; _ } | None -> ())
     t.placements;
-  let result = ref (Ok ()) in
-  List.iter
-    (fun oid ->
-      match (!result, placement t oid) with
-      | Error _, _ -> ()
-      | Ok (), None -> () (* unplaced ops are the caller's concern *)
-      | Ok (), Some p ->
-        let op = Dfg.op t.dfg oid in
-        (match op.Dfg.kind with
-        | Dfg.Const _ -> ()
-        | _ ->
-          let eff =
-            match p.inst with
-            | None -> 0.0
-            | Some id ->
-              let inst = Alloc.instance t.alloc id in
-              effective_delay t ~inst ~fanin:fanin.(Alloc.Inst_id.to_int id)
-          in
-          let ready = ref 0.0 in
-          List.iter
-            (fun pid ->
-              match placement t pid with
-              | None -> () (* missing preds are reported by validate *)
-              | Some pp ->
-                if pp.step = p.step then begin
-                  if Cfg.reaches cfg pp.edge p.edge then
-                    ready := Float.max !ready (pp.start +. pp.eff_delay)
-                  else
-                    result :=
-                      Error
-                        {
-                          culprit = None;
-                          overshoot = 0.0;
-                          detail =
-                            Printf.sprintf "op %s chained from unreachable edge" op.Dfg.name;
-                        }
-                end
-                else if pp.step > p.step then
-                  result :=
-                    Error
-                      {
-                        culprit = None;
-                        overshoot = 0.0;
-                        detail =
-                          Printf.sprintf "op %s depends on later-step producer %s"
-                            op.Dfg.name (Dfg.op t.dfg pid).Dfg.name;
-                      })
-            (Dfg.preds t.dfg oid);
-          (match !result with
-          | Error _ -> ()
-          | Ok () ->
-            p.start <- !ready;
+  fanin
+
+let op_eff t ~fanin p =
+  match p.inst with
+  | None -> 0.0
+  | Some id ->
+    let inst = Alloc.instance t.alloc id in
+    effective_delay t ~inst ~fanin:fanin.(Alloc.Inst_id.to_int id)
+
+let chain_ready t oid p =
+  List.fold_left
+    (fun ready pid ->
+      match placement t pid with
+      | Some pp when pp.step = p.step -> Float.max ready (pp.start +. pp.eff_delay)
+      | Some _ | None -> ready)
+    0.0 (Dfg.preds t.dfg oid)
+
+let budget_miss t oid ~ready ~eff =
+  let budget = step_budget t in
+  if ready +. eff > budget +. eps then
+    Some
+      {
+        culprit = Some oid;
+        overshoot = ready +. eff -. budget;
+        detail =
+          Printf.sprintf "op %s misses the step budget: %.1f + %.1f > %.1f"
+            (Dfg.op t.dfg oid).Dfg.name ready eff budget;
+      }
+  else None
+
+(* Recompute starts in dependency order using final fan-ins.  A chained
+   producer on an edge that does not reach its consumer, or a producer in
+   a later step, is a structural error; when a consumer has several, the
+   last in predecessor order is reported. *)
+let retime t =
+  let cfg = Dfg.cfg t.dfg in
+  let order = Dfg.topo_order t.dfg in
+  let fanin = fanins t in
+  let structural oid p =
+    let name () = (Dfg.op t.dfg oid).Dfg.name in
+    List.fold_left
+      (fun err pid ->
+        match placement t pid with
+        | None -> err (* missing preds are reported by validate *)
+        | Some pp ->
+          if pp.step = p.step then
+            if Cfg.reaches cfg pp.edge p.edge then err
+            else Some (Printf.sprintf "op %s chained from unreachable edge" (name ()))
+          else if pp.step > p.step then
+            Some
+              (Printf.sprintf "op %s depends on later-step producer %s" (name ())
+                 (Dfg.op t.dfg pid).Dfg.name)
+          else err)
+      None (Dfg.preds t.dfg oid)
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | oid :: rest -> (
+      match placement t oid with
+      | None -> go rest (* unplaced ops are the caller's concern *)
+      | Some p -> (
+        match (Dfg.op t.dfg oid).Dfg.kind with
+        | Dfg.Const _ -> go rest
+        | _ -> (
+          match structural oid p with
+          | Some detail -> Error { culprit = None; overshoot = 0.0; detail }
+          | None -> (
+            let eff = op_eff t ~fanin p in
+            let ready = chain_ready t oid p in
+            p.start <- ready;
             p.eff_delay <- eff;
-            if !ready +. eff > budget +. eps then
-              result :=
-                Error
-                  {
-                    culprit = Some oid;
-                    overshoot = !ready +. eff -. budget;
-                    detail =
-                      Printf.sprintf "op %s misses the step budget: %.1f + %.1f > %.1f"
-                        op.Dfg.name !ready eff budget;
-                  })))
-    order;
+            match budget_miss t oid ~ready ~eff with
+            | Some v -> Error v
+            | None -> go rest))))
+  in
+  go order
+
+(* Bits, not [=]: 0.0 and -0.0 are equal but can still differ downstream. *)
+let same_bits (a : float) b = a = b && (a <> 0.0 || Float.sign_bit a = Float.sign_bit b)
+
+type retimer = {
+  sched : t;
+  fanin : int array;
+  order : int array;  (* topological position -> op *)
+  position : int array;  (* op -> topological position *)
+  chained : int list array;  (* op -> its consumers placed in its step *)
+  dirty : Bytes.t;  (* by topological position *)
+}
+
+let retimer t =
+  let n = Dfg.op_count t.dfg in
+  let step i = match t.placements.(i) with Some p -> p.step | None -> -1 in
+  let chained =
+    Array.init n (fun i ->
+        if step i < 0 then []
+        else
+          List.filter_map
+            (fun c ->
+              let j = Dfg.Op_id.to_int c in
+              if step j = step i then Some j else None)
+            (Dfg.succs t.dfg (Dfg.Op_id.of_int i)))
+  in
+  {
+    sched = t;
+    fanin = fanins t;
+    order = Dfg.topo_array t.dfg;
+    position = Dfg.topo_position t.dfg;
+    chained;
+    dirty = Bytes.make n '\000';
+  }
+
+(* The ops in [ops] and, in topological order, every same-step consumer of
+   an op whose start or effective delay moved: the values a full [retime]
+   changes when only the delays of [ops] did.  Each is computed with
+   [retime]'s own helpers, so it gets the bits [retime] would give it. *)
+let retime_ops r ops =
+  let t = r.sched in
+  let lo = ref max_int and hi = ref (-1) in
+  let mark i =
+    let k = r.position.(i) in
+    Bytes.unsafe_set r.dirty k '\001';
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  in
+  List.iter (fun o -> mark (Dfg.Op_id.to_int o)) ops;
+  let undo = ref [] in
+  let result = ref (Ok ()) in
+  let k = ref !lo in
+  while !k <= !hi && Result.is_ok !result do
+    if Bytes.unsafe_get r.dirty !k = '\001' then begin
+      let i = r.order.(!k) in
+      let oid = Dfg.Op_id.of_int i in
+      let p = Option.get t.placements.(i) in
+      let eff = op_eff t ~fanin:r.fanin p in
+      let ready = chain_ready t oid p in
+      if not (same_bits ready p.start && same_bits eff p.eff_delay) then begin
+        undo := (p, p.start, p.eff_delay) :: !undo;
+        p.start <- ready;
+        p.eff_delay <- eff;
+        List.iter mark r.chained.(i)
+      end;
+      Option.iter (fun v -> result := Error v) (budget_miss t oid ~ready ~eff)
+    end;
+    incr k
+  done;
+  if !hi >= !lo then Bytes.fill r.dirty !lo (!hi - !lo + 1) '\000';
+  if Result.is_error !result then
+    List.iter
+      (fun (p, start, eff) ->
+        p.start <- start;
+        p.eff_delay <- eff)
+      !undo;
   !result
 
 let steps_used t =
@@ -222,9 +317,10 @@ let validate t =
               | None, _ | _, None -> ())
           (Dfg.all_preds t.dfg o.Dfg.id));
     (* Resource booking: pairwise conflicts on shared instances. *)
+    let by_inst = ops_by_inst t in
     List.iter
       (fun inst ->
-        let ops = ops_of_inst t inst.Alloc.id in
+        let ops = by_inst.(Alloc.Inst_id.to_int inst.Alloc.id) in
         let rec pairs = function
           | [] -> ()
           | a :: rest ->

@@ -44,6 +44,10 @@ val step_budget : t -> float
 val ops_of_inst : t -> Alloc.Inst_id.t -> Dfg.Op_id.t list
 (** Operations currently bound to an instance (its mux fan-in). *)
 
+val ops_by_inst : t -> Dfg.Op_id.t list array
+(** {!ops_of_inst} of every instance, indexed by instance id, from one
+    pass over the placements. *)
+
 val conflict : t -> placement -> placement -> bool
 (** Whether two placements bound to one instance double-book it: they
     share a control step on edges that are not mutually exclusive (the
@@ -72,6 +76,24 @@ val retime : t -> (unit, violation) result
     dependency availability.  Updates placements in place on success.  On
     failure the first (topologically) violating op is reported so callers
     can repair by speeding up the instances on its chain. *)
+
+type retimer
+(** Incremental re-timing of a schedule whose placements no longer move
+    (area recovery re-grades instances, never ops): its fan-ins, the
+    topological order and each op's same-step consumers, derived once. *)
+
+val retimer : t -> retimer
+(** Built from the current placements; valid while none is added or
+    moved. *)
+
+val retime_ops : retimer -> Dfg.Op_id.t list -> (unit, violation) result
+(** After a change to the effective delays of [ops] alone (a regrade of
+    their instance), on a schedule that was {!retime}d before it: re-time
+    those ops and, in topological order, the same-step consumers whose
+    start moved, with {!retime}'s own expressions, so every start and
+    effective delay gets the bits a full {!retime} would give it.  On a
+    step-budget miss, every value it changed is restored and the
+    violation {!retime} would report is returned. *)
 
 val validate : t -> (unit, string list) result
 (** Full structural audit, for tests: all active ops placed, placements

@@ -37,7 +37,7 @@ let[@inline] same_bits (a : float) b =
 type engine = {
   n : int;
   clock : float;
-  aligned : bool;
+  mutable aligned : bool;
   active : int array;
   order : int array;
   position : int array;
@@ -183,41 +183,45 @@ let full_pass e =
   charge e;
   commit e
 
-let reset e del =
+(* Every value is recomputed from the delays and the latencies alone, so
+   a reset gives the bits a fresh engine would. *)
+let reset ?aligned e del =
+  Option.iter (fun a -> e.aligned <- a) aligned;
   Array.iter (fun i -> e.del.(i) <- del (Dfg.Op_id.of_int i)) e.active;
   full_pass e
 
-let create ?(aligned = false) g ~clock ~del =
+let prepare g ~clock =
   if clock <= 0.0 then invalid_arg "Slack.analyze: clock must be positive";
   let n = Dfg.op_count (Timed_dfg.dfg g) in
   let order = Timed_dfg.topo_slots g in
-  let e =
-    {
-      n;
-      clock;
-      aligned;
-      active = Timed_dfg.active_slots g;
-      order;
-      position = Timed_dfg.topo_positions g;
-      pred = Timed_dfg.pred_csr g;
-      succ = Timed_dfg.succ_csr g;
-      del = Array.make (2 * n) 0.0;
-      arr = Array.make (2 * n) nan;
-      req = Array.make (2 * n) nan;
-      slack = Array.make n nan;
-      min_slack = infinity;
-      committed_min = infinity;
-      dirty = Bytes.make (Array.length order) '\000';
-      log_key = [||];
-      log_val = [||];
-      log_len = 0;
-      logging = false;
-      touched = 0;
-      cone = 0;
-      visits = 0;
-    }
-  in
-  reset e del;
+  {
+    n;
+    clock;
+    aligned = false;
+    active = Timed_dfg.active_slots g;
+    order;
+    position = Timed_dfg.topo_positions g;
+    pred = Timed_dfg.pred_csr g;
+    succ = Timed_dfg.succ_csr g;
+    del = Array.make (2 * n) 0.0;
+    arr = Array.make (2 * n) nan;
+    req = Array.make (2 * n) nan;
+    slack = Array.make n nan;
+    min_slack = infinity;
+    committed_min = infinity;
+    dirty = Bytes.make (Array.length order) '\000';
+    log_key = [||];
+    log_val = [||];
+    log_len = 0;
+    logging = false;
+    touched = 0;
+    cone = 0;
+    visits = 0;
+  }
+
+let create ?(aligned = false) g ~clock ~del =
+  let e = prepare g ~clock in
+  reset ~aligned e del;
   e
 
 let[@inline] mark e v = Bytes.unsafe_set e.dirty e.position.(v) '\001'

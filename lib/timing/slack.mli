@@ -39,8 +39,16 @@ val create :
   ?aligned:bool -> Timed_dfg.t -> clock:float -> del:(Dfg.Op_id.t -> float) -> engine
 (** Full pass over [del] (read once per active op). *)
 
-val reset : engine -> (Dfg.Op_id.t -> float) -> unit
-(** Replace every delay and run a full pass; commits. *)
+val prepare : Timed_dfg.t -> clock:float -> engine
+(** An engine over the timed DFG that holds no analysis yet: {!reset} it
+    before reading any value.  For callers that keep one engine across
+    many delay assignments. *)
+
+val reset : ?aligned:bool -> engine -> (Dfg.Op_id.t -> float) -> unit
+(** Replace every delay (and the alignment, when given) and run a full
+    pass; commits.  The pass reads the timed DFG's current latencies, so
+    after a {!Timed_dfg.reweight} a reset engine equals, bit for bit, one
+    {!create}d from scratch. *)
 
 val set_delay : engine -> Dfg.Op_id.t -> float -> unit
 (** Change one active op's delay incrementally; undoable until the next

@@ -172,6 +172,129 @@ let prop_fuzz_area_recovery_monotone =
           let after = Alloc.fu_area r.Flows.schedule.Schedule.alloc in
           after <= before +. 1e-6))
 
+(* After area recovery a full retime accepts the schedule and moves no
+   start or effective delay by a bit: recovery's per-regrade re-timing left
+   exactly what a full retime computes. *)
+let prop_fuzz_recovery_retime_identity =
+  QCheck.Test.make ~name:"random programs: retime after recovery is a no-op" ~count:15
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match try_elaborate (gen_program seed) with
+      | None -> true
+      | Some e ->
+        let config = { Flows.default_config with Flows.recover_area = false } in
+        List.for_all
+          (fun flow ->
+            match Flows.run ~config flow e.Elaborate.dfg ~lib:Library.default ~clock:3000.0 with
+            | Error _ -> true
+            | Ok r ->
+              let sched = r.Flows.schedule in
+              let bits () =
+                Array.map
+                  (Option.map (fun p ->
+                       ( Int64.bits_of_float p.Schedule.start,
+                         Int64.bits_of_float p.Schedule.eff_delay )))
+                  sched.Schedule.placements
+              in
+              ignore (Area_recovery.run sched);
+              let after = bits () in
+              Result.is_ok (Schedule.retime sched) && bits () = after)
+          Flows.all)
+
+(* One slack engine reused across a sequence of budget runs — changing
+   ranges, alignment and configuration, feasible and not — returns what a
+   fresh run returns, bit for bit.  Call [k] pins every op whose index is
+   below [k] sixths of the ops to 30% of its range, as per-edge
+   re-budgeting pins placed ops; call 6 pins every op to its slowest
+   delay, which a tight clock cannot meet. *)
+let budget_outcome_bits = function
+  | Budget.Feasible d -> `Feasible (Array.map Int64.bits_of_float d)
+  | Budget.Infeasible { slack_at_min = r; critical } ->
+    `Infeasible
+      ( Array.map Int64.bits_of_float r.Slack.slack,
+        Int64.bits_of_float r.Slack.min_slack,
+        List.map Dfg.Op_id.to_int critical )
+
+let budget_configs =
+  [|
+    Budget.default_config;
+    { Budget.default_config with Budget.aligned = false };
+    Budget.relax Budget.default_config;
+  |]
+
+let budget_engine_reuse_agrees dfg ~clock =
+  let lib = Library.default in
+  let tdfg = Timed_dfg.build dfg ~spans:(Dfg.compute_spans dfg) in
+  let curve o =
+    let op = Dfg.op dfg o in
+    Library.op_curve lib op.Dfg.kind ~width:op.Dfg.width
+  in
+  let sensitivity o d = match curve o with Some c -> Curve.sensitivity c d | None -> 0.0 in
+  let ranges k o =
+    match curve o with
+    | None -> Interval.point 0.0
+    | Some c ->
+      let lo = Curve.min_delay c in
+      let hi = Float.max lo (Float.min (Curve.max_delay c) clock) in
+      if k = 6 then Interval.point hi
+      else if 6 * Dfg.Op_id.to_int o < k * Dfg.op_count dfg then
+        Interval.point (lo +. (0.3 *. (hi -. lo)))
+      else Interval.make lo hi
+  in
+  let engine = Slack.prepare tdfg ~clock in
+  List.for_all
+    (fun k ->
+      let config = budget_configs.(k mod 3) and ranges = ranges k in
+      budget_outcome_bits (Budget.run ~config ~engine tdfg ~clock ~ranges ~sensitivity)
+      = budget_outcome_bits (Budget.run ~config tdfg ~clock ~ranges ~sensitivity))
+    [ 0; 1; 2; 3; 4; 5; 6; 0 ]
+
+let prop_fuzz_budget_engine_reuse =
+  QCheck.Test.make ~name:"random programs: a reused budget engine equals a fresh one"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match try_elaborate (gen_program seed) with
+      | None -> true
+      | Some e ->
+        List.for_all
+          (fun clock -> budget_engine_reuse_agrees e.Elaborate.dfg ~clock)
+          [ 900.0; 3000.0 ])
+
+(* The same over the kernels, where alignment moves the budget (the
+   interpolation example's 550 ps multipliers), and the first manifest
+   designs at their clocks. *)
+let test_budget_engine_reuse_designs () =
+  let interp = (Interpolation.unrolled ()).Interpolation.dfg in
+  let budget config =
+    let tdfg = Timed_dfg.build interp ~spans:(Dfg.compute_spans interp) in
+    budget_outcome_bits
+      (Budget.run ~config tdfg ~clock:Interpolation.clock
+         ~ranges:(fun o ->
+           match
+             Library.op_curve Library.default (Dfg.op interp o).Dfg.kind
+               ~width:(Dfg.op interp o).Dfg.width
+           with
+           | Some c -> Interval.make (Curve.min_delay c) (Curve.max_delay c)
+           | None -> Interval.point 0.0)
+         ~sensitivity:(fun _ _ -> 1.0))
+  in
+  Alcotest.(check bool) "alignment changes the interpolation budget" true
+    (budget budget_configs.(0) <> budget budget_configs.(1));
+  List.iter
+    (fun (name, dfg, clock) ->
+      Alcotest.(check bool) name true (budget_engine_reuse_agrees dfg ~clock))
+    ([
+       ("interpolation", interp, Interpolation.clock);
+       ("fir8", (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg, 2500.0);
+       ("idct", (Idct.build ~latency:12 ~passes:1 ()).Idct.dfg, 2500.0);
+       ("resizer", (Resizer.full ()).Resizer.dfg, 4000.0);
+     ]
+    @ List.map
+        (fun (e : Corpus.entry) ->
+          (e.Corpus.name, (Corpus.design e).Random_design.dfg, e.Corpus.clock_ps))
+        (Corpus.plan ~count:4 ~seed:42 ()))
+
 let prop_fuzz_verilog_emits =
   QCheck.Test.make ~name:"random programs: verilog emission total" ~count:15
     QCheck.(int_range 0 1_000_000)
@@ -194,6 +317,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fuzz_budget_verifies;
     QCheck_alcotest.to_alcotest prop_fuzz_area_recovery_monotone;
     QCheck_alcotest.to_alcotest prop_fuzz_verilog_emits;
+    QCheck_alcotest.to_alcotest prop_fuzz_recovery_retime_identity;
+    QCheck_alcotest.to_alcotest prop_fuzz_budget_engine_reuse;
+    Alcotest.test_case "a reused budget engine equals a fresh one on kernels" `Quick
+      test_budget_engine_reuse_designs;
   ]
 
 let () = Alcotest.run "properties" [ ("properties", suite) ]

@@ -318,6 +318,113 @@ let test_plan_shared_across_passes () =
     (Corpus.plan ~count:8 ~seed:42 ());
   Alcotest.(check bool) "some passes failed" true (!failures > 0)
 
+(* -- incremental re-timing ------------------------------------------ *)
+
+(* Every placement's start and effective delay, as bits. *)
+let timing_bits sched =
+  Array.map
+    (Option.map (fun p ->
+         (Int64.bits_of_float p.Schedule.start, Int64.bits_of_float p.Schedule.eff_delay)))
+    sched.Schedule.placements
+
+let bits = Alcotest.(array (option (pair int64 int64)))
+
+(* The four kernels and the first manifest designs, each under every flow
+   without area recovery: schedules a recovery pass would start from. *)
+let unrecovered_schedules () =
+  let lib = Library.default in
+  let config = { Flows.default_config with Flows.recover_area = false } in
+  let designs =
+    [
+      ("interpolation", None, Interpolation.clock, (Interpolation.unrolled ()).Interpolation.dfg);
+      ("fir8", None, 2500.0, (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg);
+      ("idct", None, 2500.0, (Idct.build ~latency:12 ~passes:1 ()).Idct.dfg);
+      ("resizer", None, 4000.0, (Resizer.full ()).Resizer.dfg);
+    ]
+    @ List.map
+        (fun (e : Corpus.entry) ->
+          ( e.Corpus.name,
+            (if e.Corpus.ii > 0 then Some e.Corpus.ii else None),
+            e.Corpus.clock_ps,
+            (Corpus.design e).Random_design.dfg ))
+        (Corpus.plan ~count:4 ~seed:42 ())
+  in
+  List.concat_map
+    (fun (name, ii, clock, dfg) ->
+      List.filter_map
+        (fun flow ->
+          match Flows.run ~config ?ii flow dfg ~lib ~clock with
+          | Ok r -> Some (name ^ "/" ^ Flows.short_name flow, r.Flows.schedule)
+          | Error _ -> None)
+        Flows.all)
+    designs
+
+(* Slow each used instance half-way and all the way to its slowest grade:
+   [retime_ops] over its ops must leave the bits a full retime computes,
+   or, on a budget miss, restore the bits it started from and report the
+   culprit a full retime reports. *)
+let test_retime_ops_matches_retime () =
+  let fits = ref 0 and misses = ref 0 in
+  List.iter
+    (fun (name, sched) ->
+      let alloc = sched.Schedule.alloc in
+      let retimer = Schedule.retimer sched in
+      let by_inst = Schedule.ops_by_inst sched in
+      List.iter
+        (fun inst ->
+          let id = inst.Alloc.id in
+          let ops = by_inst.(Alloc.Inst_id.to_int id) in
+          List.iter
+            (fun frac ->
+              let label = Printf.sprintf "%s fu%d x%.1f" name (Alloc.Inst_id.to_int id) frac in
+              let old = (Alloc.instance alloc id).Alloc.point.Curve.delay in
+              let before = timing_bits sched in
+              Alloc.set_grade alloc id
+                ~delay:(old +. (frac *. (Curve.max_delay inst.Alloc.curve -. old)));
+              (match Schedule.retime_ops retimer ops with
+              | Ok () -> (
+                incr fits;
+                let incremental = timing_bits sched in
+                match Schedule.retime sched with
+                | Ok () -> Alcotest.check bits (label ^ ": full retime bits") incremental
+                             (timing_bits sched)
+                | Error v -> Alcotest.failf "%s: full retime fails: %s" label v.Schedule.detail)
+              | Error v -> (
+                incr misses;
+                Alcotest.check bits (label ^ ": restored") before (timing_bits sched);
+                match Schedule.retime sched with
+                | Ok () -> Alcotest.failf "%s: full retime accepts a miss" label
+                | Error w ->
+                  Alcotest.(check (option int))
+                    (label ^ ": same culprit")
+                    (Option.map Dfg.Op_id.to_int w.Schedule.culprit)
+                    (Option.map Dfg.Op_id.to_int v.Schedule.culprit)));
+              Alloc.set_grade alloc id ~delay:old;
+              (match Schedule.retime sched with
+              | Ok () -> ()
+              | Error v -> Alcotest.failf "%s: restored grade fails: %s" label v.Schedule.detail);
+              Alcotest.check bits (label ^ ": back") before (timing_bits sched))
+            (if ops = [] then [] else [ 0.5; 1.0 ]))
+        (Alloc.instances alloc))
+    (unrecovered_schedules ());
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes exercised (%d fits, %d misses)" !fits !misses)
+    true
+    (!fits > 0 && !misses > 0)
+
+(* After area recovery a full retime is a no-op: it accepts the schedule
+   and moves no start or effective delay by a bit. *)
+let test_recovery_leaves_retimed_schedule () =
+  List.iter
+    (fun (name, sched) ->
+      ignore (Area_recovery.run sched);
+      let after = timing_bits sched in
+      (match Schedule.retime sched with
+      | Ok () -> ()
+      | Error v -> Alcotest.failf "%s: retime after recovery fails: %s" name v.Schedule.detail);
+      Alcotest.check bits (name ^ ": retime is a no-op") after (timing_bits sched))
+    (unrecovered_schedules ())
+
 let suite =
   [
     Alcotest.test_case "table 2 reproduction" `Quick test_table2_reproduction;
@@ -333,6 +440,10 @@ let suite =
     Alcotest.test_case "a pass leaves its plan as it found it" `Quick
       test_plan_shared_across_passes;
     QCheck_alcotest.to_alcotest prop_flows_valid_across_clocks;
+    Alcotest.test_case "regrade retime equals a full retime" `Quick
+      test_retime_ops_matches_retime;
+    Alcotest.test_case "retime after recovery is a no-op" `Quick
+      test_recovery_leaves_retimed_schedule;
   ]
 
 let () = Alcotest.run "sched" [ ("sched", suite) ]
