@@ -317,6 +317,33 @@ let with_obs { stats; trace; events; force; no_crash } k =
 
 let ( let* ) = Result.bind
 
+(* The exit-code contract: the top-level EXIT CODES section and every
+   subcommand's EXIT STATUS section print this one list. *)
+let exit_codes =
+  [
+    (0, "success.");
+    ( 1,
+      "internal error (I/O, trace or event emission, an uncaught exception); \
+       for diff-events: the two event streams diverge." );
+    ( 2,
+      "usage error (bad flags, malformed source, invalid configuration — \
+       including a bad explore grid spec, a corrupt evaluation cache, or an \
+       unknown --op name passed to explain)." );
+    (3, "validation failure (a pipeline invariant was violated).");
+    ( 4,
+      "unrecoverable flow failure (scheduling failed after the full recovery \
+       ladder; for explore: every grid point failed, so the sweep produced an \
+       empty frontier)." );
+    ( 5,
+      "interrupted sweep (SIGINT/SIGTERM or --deadline fired before every \
+       point completed; the journal and partial renderings were flushed — \
+       re-run with --resume to finish).  For serve: the daemon drained \
+       with resumable work left in its journal.  For request: the daemon \
+       answered overloaded, draining or partial — retry or resume." );
+  ]
+
+let exits = List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) exit_codes
+
 let finish = function
   | Ok () -> 0
   | Error err ->
@@ -636,7 +663,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
      (if progress then begin
         let total = Explore_grid.size grid in
         let t_start = Obs.now_ns () in
-        let last_line = ref Int64.min_int in
+        let throttle = Throttle.create ~now:t_start () in
         let points_done = ref 0 in
         Obs.Events.enable ();
         Obs.Events.set_hook
@@ -648,11 +675,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
                     sweep-wide completion count. *)
                  incr points_done;
                  let now = Obs.now_ns () in
-                 if
-                   Int64.sub now !last_line >= 1_000_000_000L
-                   || !points_done >= total
-                 then begin
-                   last_line := now;
+                 if Throttle.due throttle ~now || !points_done >= total then begin
                    let elapsed = Int64.to_float (Int64.sub now t_start) /. 1e9 in
                    let rate = float_of_int !points_done /. Float.max 1e-9 elapsed in
                    let eta =
@@ -930,7 +953,10 @@ let explain_cmd file op_name obs =
    same configuration).  The first diverging event — shown with +-K context
    and a per-field payload diff — is where the runs' decisions split. *)
 let diff_events_cmd file_a file_b context obs =
-  with_obs obs @@ fun () ->
+  (* A divergence exits 1, as documented, but it is the command's answer,
+     not a fault of hlsc, so this command writes no crash flight record;
+     its inputs are only read, and an unreadable one is a usage error. *)
+  with_obs { obs with no_crash = true } @@ fun () ->
   finish
     (let module E = Obs.Events in
      let* path_a, path_b =
@@ -1704,7 +1730,7 @@ let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
   in
   (if progress then begin
      Obs.Events.enable ();
-     let last = ref Int64.min_int in
+     let throttle = Throttle.create ~now:(Obs.now_ns ()) () in
      Obs.Events.set_hook
        (Some
           (fun ev ->
@@ -1714,10 +1740,8 @@ let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
                   workers; leases; done_points; total_points; reassigned; stolen;
                   salvaged;
                 } ->
-              let now = Obs.now_ns () in
-              if Int64.sub now !last >= 1_000_000_000L || done_points >= total_points
+              if Throttle.due throttle ~now:(Obs.now_ns ()) || done_points >= total_points
               then begin
-                last := now;
                 Printf.eprintf
                   "hlsc: sweep: %d/%d points done on %d worker%s (%d lease%s active, \
                    %d reassigned, %d stolen, %d salvaged)\n%!"
@@ -2025,17 +2049,17 @@ let sweep_cmd source builtin clock lib_s validate max_recoveries clocks flows ii
        | _ -> render_corpus ~csv ~json outcomes)
 
 let run_t =
-  Cmd.v (Cmd.info "run" ~doc:"Run one scheduling flow and print the result")
+  Cmd.v (Cmd.info ~exits "run" ~doc:"Run one scheduling flow and print the result")
     Term.(const run_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
           $ validate_arg $ max_recoveries_arg $ obs_args)
 
 let compare_t =
-  Cmd.v (Cmd.info "compare" ~doc:"Conventional vs slack-based, side by side")
+  Cmd.v (Cmd.info ~exits "compare" ~doc:"Conventional vs slack-based, side by side")
     Term.(const compare_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ obs_args)
 
 let slack_t =
-  Cmd.v (Cmd.info "slack" ~doc:"Pre-schedule sequential-slack report")
+  Cmd.v (Cmd.info ~exits "slack" ~doc:"Pre-schedule sequential-slack report")
     Term.(const slack_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ obs_args)
 
@@ -2044,7 +2068,7 @@ let output_arg =
          ~doc:"Output Verilog path.")
 
 let emit_t =
-  Cmd.v (Cmd.info "emit" ~doc:"Run a flow and write the Verilog rendering")
+  Cmd.v (Cmd.info ~exits "emit" ~doc:"Run a flow and write the Verilog rendering")
     Term.(const emit_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
           $ validate_arg $ max_recoveries_arg $ output_arg $ obs_args)
 
@@ -2130,7 +2154,7 @@ let progress_arg =
 
 let explore_t =
   Cmd.v
-    (Cmd.info "explore"
+    (Cmd.info ~exits "explore"
        ~doc:"Parallel design-space exploration with an area/delay Pareto frontier")
     Term.(const explore_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg
           $ validate_arg $ max_recoveries_arg $ clocks_arg $ grid_flows_arg
@@ -2159,7 +2183,7 @@ let corpus_verify_arg =
 
 let corpus_t =
   Cmd.v
-    (Cmd.info "corpus"
+    (Cmd.info ~exits "corpus"
        ~doc:"Generate or verify the seeded 100-design validation corpus manifest")
     Term.(const corpus_cmd $ corpus_out_arg $ corpus_seed_arg $ corpus_count_arg
           $ corpus_verify_arg $ obs_args)
@@ -2174,7 +2198,7 @@ let merge_output_arg =
 
 let merge_journals_t =
   Cmd.v
-    (Cmd.info "merge-journals"
+    (Cmd.info ~exits "merge-journals"
        ~doc:"Validate and merge disjoint shard journals into one resumable journal")
     Term.(const merge_journals_cmd $ merge_inputs_arg $ merge_output_arg $ obs_args)
 
@@ -2248,7 +2272,7 @@ let sweep_progress_arg =
 
 let sweep_t =
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info ~exits "sweep"
        ~doc:"Sweep one design or a corpus: evaluate in-process or lease to \
              daemons, journal the records, fold the frontier"
        ~man:
@@ -2299,32 +2323,32 @@ let grids_fuzz_arg =
 
 let fuzz_t =
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info ~exits "fuzz"
        ~doc:"Random designs through every flow under invariant validation")
     Term.(const fuzz_cmd $ count_arg $ seed_arg $ lib_arg $ fuzz_validate_arg
           $ max_recoveries_arg $ grids_fuzz_arg $ obs_args)
 
 let dot_t =
   Cmd.v
-    (Cmd.info "dot" ~doc:"Dump Graphviz renderings (CFG, DFG+spans, timed DFG, schedule)")
+    (Cmd.info ~exits "dot" ~doc:"Dump Graphviz renderings (CFG, DFG+spans, timed DFG, schedule)")
     Term.(const dot_cmd $ source_arg $ design_arg $ clock_arg $ lib_arg $ flow_arg
           $ validate_arg $ max_recoveries_arg $ output_arg $ obs_args)
 
 let explain_t =
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info ~exits "explain"
        ~doc:"Replay a provenance event file into one operation's decision timeline")
     Term.(const explain_cmd $ explain_file_arg $ explain_op_arg $ obs_args)
 
 let diff_events_t =
   Cmd.v
-    (Cmd.info "diff-events"
+    (Cmd.info ~exits "diff-events"
        ~doc:"Localize the first divergence between two provenance event files")
     Term.(const diff_events_cmd $ diff_a_arg $ diff_b_arg $ diff_context_arg $ obs_args)
 
 let serve_t =
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:"Supervised synthesis daemon: concurrent requests over a socket, \
              with admission control, load shedding and graceful drain")
     Term.(const serve_cmd $ socket_arg $ port_arg $ lib_arg $ validate_arg
@@ -2342,7 +2366,7 @@ let req_retry_arg =
 
 let request_t =
   Cmd.v
-    (Cmd.info "request"
+    (Cmd.info ~exits "request"
        ~doc:"Send one request to a running synthesis daemon and print the \
              response")
     Term.(const request_cmd $ socket_arg $ req_host_arg $ port_arg $ req_op_arg
@@ -2364,7 +2388,7 @@ let top_iterations_arg =
 
 let top_t =
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info ~exits "top"
        ~doc:"Poll a fleet of synthesis daemons and render a once-per-interval \
              dashboard: inflight/queue depth, shed and completed requests, \
              active leases, cache hit rate, wasted-work ratio and \
@@ -2375,35 +2399,12 @@ let top_t =
 let () =
   let doc = "slack-budgeting high-level synthesis (DATE 2012 reproduction)" in
   let man =
-    [
-      `S "EXIT CODES";
-      `P "Every subcommand uses the same contract:";
-      `I ("0", "success.");
-      `I
-        ( "1",
-          "internal error (I/O, trace or event emission); for diff-events: \
-           the two event streams diverge." );
-      `I
-        ( "2",
-          "usage error (bad flags, malformed source, invalid configuration — \
-           including a bad explore grid spec, a corrupt evaluation cache, or an \
-           unknown --op name passed to explain)." );
-      `I ("3", "validation failure (a pipeline invariant was violated).");
-      `I
-        ( "4",
-          "unrecoverable flow failure (scheduling failed after the full recovery \
-           ladder; for explore: every grid point failed, so the sweep produced an \
-           empty frontier)." );
-      `I
-        ( "5",
-          "interrupted sweep (SIGINT/SIGTERM or --deadline fired before every \
-           point completed; the journal and partial renderings were flushed — \
-           re-run with --resume to finish).  For serve: the daemon drained \
-           with resumable work left in its journal.  For request: the daemon \
-           answered overloaded, draining or partial — retry or resume." );
-    ]
+    `S "EXIT CODES"
+    :: `P "Every subcommand uses the same contract:"
+    :: List.map (fun (code, text) -> `I (string_of_int code, text)) exit_codes
   in
-  let info = Cmd.info "hlsc" ~version:"1.0.0" ~doc ~man in
+  (* The contract is listed once, under EXIT CODES: no EXIT STATUS here. *)
+  let info = Cmd.info "hlsc" ~version:"1.0.0" ~doc ~man ~exits:[] in
   (* A stderr that cannot be written (a full disk, a closed pipe) must not
      change the exit code: Format's exit-time flush of err_formatter would
      raise, and the runtime would exit 2 instead.  Registered last, this
@@ -2421,11 +2422,18 @@ let () =
            request_t; top_t;
          ])
   in
+  (* cmdliner's own codes, mapped onto the contract: a malformed flag or
+     argument is a usage error, an uncaught exception an internal one. *)
+  let code =
+    if code = Cmd.Exit.cli_error then 2
+    else if code = Cmd.Exit.internal_error then 1
+    else code
+  in
   (* The same for stdout, flushed here while the exit code can still say
      that the report was lost: an internal error (1), where a write that
-     failed inside the command would exit with cmdliner's 125 and one
-     failing in the exit-time flush with the runtime's 2.  A command that
-     already failed some other way keeps its own code. *)
+     failed inside the command would have raised out of it and one failing
+     in the exit-time flush would exit with the runtime's 2.  A command
+     that already failed some other way keeps its own code. *)
   let code =
     match
       Format.pp_print_flush Format.std_formatter ();
@@ -2436,6 +2444,6 @@ let () =
       close_out_noerr stdout;
       (try Printf.eprintf "hlsc: cannot write the report to stdout: %s\n%!" m
        with Sys_error _ -> ());
-      if code = Cmd.Exit.ok || code = Cmd.Exit.internal_error then 1 else code
+      if code = Cmd.Exit.ok then 1 else code
   in
   exit code

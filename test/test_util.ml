@@ -86,6 +86,28 @@ let test_text_table () =
   | _ -> Alcotest.fail "too many cells must be rejected"
   | exception Invalid_argument _ -> ())
 
+(* Progress lines at supplied timestamps: the first is due one period
+   after the start, including a start at a large or negative clock value
+   (a throttle that began at [Int64.min_int] overflowed and never fired),
+   and each later one a period after the last. *)
+let test_throttle () =
+  let s = 1_000_000_000L in
+  let fires start offsets =
+    let t = Throttle.create ~now:start () in
+    List.filter (fun dt -> Throttle.due t ~now:(Int64.add start dt)) offsets
+  in
+  let offsets = [ 0L; 500_000_000L; 999_999_999L; s; 1_200_000_000L; 2_100_000_000L ] in
+  List.iter
+    (fun start ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "lines from start %Ld" start)
+        [ s; 2_100_000_000L ] (fires start offsets))
+    [ 0L; 123_456_789_012L; -5_000_000_000L ];
+  let t = Throttle.create ~period_ns:10L ~now:100L () in
+  Alcotest.(check bool) "custom period not yet due" false (Throttle.due t ~now:109L);
+  Alcotest.(check bool) "custom period due" true (Throttle.due t ~now:110L);
+  Alcotest.(check bool) "period restarts at the line" false (Throttle.due t ~now:119L)
+
 let prop_interval_clamp =
   QCheck.Test.make ~name:"clamp is in interval" ~count:200
     QCheck.(triple (float_range (-100.) 100.) (float_range 0. 50.) (float_range (-200.) 200.))
@@ -103,6 +125,7 @@ let suite =
     Alcotest.test_case "splitmix bounds" `Quick test_splitmix_bounds;
     Alcotest.test_case "splitmix shuffle" `Quick test_splitmix_shuffle_permutes;
     Alcotest.test_case "text table" `Quick test_text_table;
+    Alcotest.test_case "progress throttle" `Quick test_throttle;
     QCheck_alcotest.to_alcotest prop_interval_clamp;
   ]
 
