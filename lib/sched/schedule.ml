@@ -106,80 +106,86 @@ let fanins t =
     t.placements;
   fanin
 
-let op_eff t ~fanin p =
-  match p.inst with
-  | None -> 0.0
-  | Some id ->
-    let inst = Alloc.instance t.alloc id in
-    effective_delay t ~inst ~fanin:fanin.(Alloc.Inst_id.to_int id)
+(* Re-time one placed op from its producers' current values: its
+   effective delay with the final fan-ins, and its start after the latest
+   finish among its same-step producers, folded in [Dfg.preds] order from
+   0.  Whether it now misses the step budget. *)
+let settle t ~fanin ~budget i p =
+  let eff =
+    match p.inst with
+    | None -> 0.0
+    | Some id ->
+      effective_delay t ~inst:(Alloc.instance t.alloc id)
+        ~fanin:fanin.(Alloc.Inst_id.to_int id)
+  in
+  let ps = (Dfg.pred_array t.dfg).(i) in
+  let ready = ref 0.0 in
+  for j = 0 to Array.length ps - 1 do
+    match t.placements.(ps.(j)) with
+    | Some pp when pp.step = p.step -> ready := Float.max !ready (pp.start +. pp.eff_delay)
+    | Some _ | None -> ()
+  done;
+  p.start <- !ready;
+  p.eff_delay <- eff;
+  !ready +. eff > budget +. eps
 
-let chain_ready t oid p =
-  List.fold_left
-    (fun ready pid ->
-      match placement t pid with
-      | Some pp when pp.step = p.step -> Float.max ready (pp.start +. pp.eff_delay)
-      | Some _ | None -> ready)
-    0.0 (Dfg.preds t.dfg oid)
-
-let budget_miss t oid ~ready ~eff =
+let miss t i p =
   let budget = step_budget t in
-  if ready +. eff > budget +. eps then
-    Some
-      {
-        culprit = Some oid;
-        overshoot = ready +. eff -. budget;
-        detail =
-          Printf.sprintf "op %s misses the step budget: %.1f + %.1f > %.1f"
-            (Dfg.op t.dfg oid).Dfg.name ready eff budget;
-      }
-  else None
+  {
+    culprit = Some (Dfg.Op_id.of_int i);
+    overshoot = p.start +. p.eff_delay -. budget;
+    detail =
+      Printf.sprintf "op %s misses the step budget: %.1f + %.1f > %.1f"
+        (Dfg.op t.dfg (Dfg.Op_id.of_int i)).Dfg.name p.start p.eff_delay budget;
+  }
 
-(* Recompute starts in dependency order using final fan-ins.  A chained
-   producer on an edge that does not reach its consumer, or a producer in
-   a later step, is a structural error; when a consumer has several, the
-   last in predecessor order is reported. *)
+let is_const t i =
+  match (Dfg.op t.dfg (Dfg.Op_id.of_int i)).Dfg.kind with Dfg.Const _ -> true | _ -> false
+
+(* Recompute starts in dependency order using final fan-ins. *)
 let retime t =
   let cfg = Dfg.cfg t.dfg in
-  let order = Dfg.topo_order t.dfg in
-  let fanin = fanins t in
-  let structural oid p =
-    let name () = (Dfg.op t.dfg oid).Dfg.name in
-    List.fold_left
-      (fun err pid ->
-        match placement t pid with
-        | None -> err (* missing preds are reported by validate *)
-        | Some pp ->
-          if pp.step = p.step then
-            if Cfg.reaches cfg pp.edge p.edge then err
-            else Some (Printf.sprintf "op %s chained from unreachable edge" (name ()))
-          else if pp.step > p.step then
-            Some
-              (Printf.sprintf "op %s depends on later-step producer %s" (name ())
-                 (Dfg.op t.dfg pid).Dfg.name)
-          else err)
-      None (Dfg.preds t.dfg oid)
+  let order = Dfg.topo_array t.dfg and preds = Dfg.pred_array t.dfg in
+  let fanin = fanins t and budget = step_budget t in
+  (* The last predecessor, in [Dfg.preds] order, chained from an edge that
+     does not reach the op or placed in a later step; -1 if none.  Missing
+     predecessors are reported by validate. *)
+  let structural i p =
+    let ps = preds.(i) and bad = ref (-1) in
+    for j = 0 to Array.length ps - 1 do
+      match t.placements.(ps.(j)) with
+      | Some pp
+        when (pp.step = p.step && not (Cfg.reaches cfg pp.edge p.edge)) || pp.step > p.step ->
+        bad := ps.(j)
+      | Some _ | None -> ()
+    done;
+    !bad
   in
-  let rec go = function
-    | [] -> Ok ()
-    | oid :: rest -> (
-      match placement t oid with
-      | None -> go rest (* unplaced ops are the caller's concern *)
-      | Some p -> (
-        match (Dfg.op t.dfg oid).Dfg.kind with
-        | Dfg.Const _ -> go rest
-        | _ -> (
-          match structural oid p with
-          | Some detail -> Error { culprit = None; overshoot = 0.0; detail }
-          | None -> (
-            let eff = op_eff t ~fanin p in
-            let ready = chain_ready t oid p in
-            p.start <- ready;
-            p.eff_delay <- eff;
-            match budget_miss t oid ~ready ~eff with
-            | Some v -> Error v
-            | None -> go rest))))
+  let structural_error i p q =
+    let name = (Dfg.op t.dfg (Dfg.Op_id.of_int i)).Dfg.name in
+    let detail =
+      match t.placements.(q) with
+      | Some pp when pp.step = p.step ->
+        Printf.sprintf "op %s chained from unreachable edge" name
+      | Some _ | None ->
+        Printf.sprintf "op %s depends on later-step producer %s" name
+          (Dfg.op t.dfg (Dfg.Op_id.of_int q)).Dfg.name
+    in
+    { culprit = None; overshoot = 0.0; detail }
   in
-  go order
+  let rec go k =
+    if k = Array.length order then Ok ()
+    else
+      let i = order.(k) in
+      match t.placements.(i) with
+      | Some p when not (is_const t i) ->
+        let q = structural i p in
+        if q >= 0 then Error (structural_error i p q)
+        else if settle t ~fanin ~budget i p then Error (miss t i p)
+        else go (k + 1)
+      | Some _ | None -> go (k + 1) (* unplaced ops are the caller's concern *)
+  in
+  go 0
 
 (* Bits, not [=]: 0.0 and -0.0 are equal but can still differ downstream. *)
 let same_bits (a : float) b = a = b && (a <> 0.0 || Float.sign_bit a = Float.sign_bit b)
@@ -189,30 +195,16 @@ type retimer = {
   fanin : int array;
   order : int array;  (* topological position -> op *)
   position : int array;  (* op -> topological position *)
-  chained : int list array;  (* op -> its consumers placed in its step *)
   dirty : Bytes.t;  (* by topological position *)
 }
 
 let retimer t =
-  let n = Dfg.op_count t.dfg in
-  let step i = match t.placements.(i) with Some p -> p.step | None -> -1 in
-  let chained =
-    Array.init n (fun i ->
-        if step i < 0 then []
-        else
-          List.filter_map
-            (fun c ->
-              let j = Dfg.Op_id.to_int c in
-              if step j = step i then Some j else None)
-            (Dfg.succs t.dfg (Dfg.Op_id.of_int i)))
-  in
   {
     sched = t;
     fanin = fanins t;
     order = Dfg.topo_array t.dfg;
     position = Dfg.topo_position t.dfg;
-    chained;
-    dirty = Bytes.make n '\000';
+    dirty = Bytes.make (Dfg.op_count t.dfg) '\000';
   }
 
 (* The ops in [ops] and, in topological order, every same-step consumer of
@@ -229,23 +221,27 @@ let retime_ops r ops =
     if k > !hi then hi := k
   in
   List.iter (fun o -> mark (Dfg.Op_id.to_int o)) ops;
+  let budget = step_budget t in
   let undo = ref [] in
   let result = ref (Ok ()) in
   let k = ref !lo in
   while !k <= !hi && Result.is_ok !result do
     if Bytes.unsafe_get r.dirty !k = '\001' then begin
       let i = r.order.(!k) in
-      let oid = Dfg.Op_id.of_int i in
       let p = Option.get t.placements.(i) in
-      let eff = op_eff t ~fanin:r.fanin p in
-      let ready = chain_ready t oid p in
-      if not (same_bits ready p.start && same_bits eff p.eff_delay) then begin
-        undo := (p, p.start, p.eff_delay) :: !undo;
-        p.start <- ready;
-        p.eff_delay <- eff;
-        List.iter mark r.chained.(i)
+      let start = p.start and eff = p.eff_delay in
+      let missed = settle t ~fanin:r.fanin ~budget i p in
+      if not (same_bits start p.start && same_bits eff p.eff_delay) then begin
+        undo := (p, start, eff) :: !undo;
+        List.iter
+          (fun c ->
+            let j = Dfg.Op_id.to_int c in
+            match t.placements.(j) with
+            | Some pc when pc.step = p.step -> mark j
+            | Some _ | None -> ())
+          (Dfg.succs t.dfg (Dfg.Op_id.of_int i))
       end;
-      Option.iter (fun v -> result := Error v) (budget_miss t oid ~ready ~eff)
+      if missed then result := Error (miss t i p)
     end;
     incr k
   done;

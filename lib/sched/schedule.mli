@@ -79,8 +79,8 @@ val retime : t -> (unit, violation) result
 
 type retimer
 (** Incremental re-timing of a schedule whose placements no longer move
-    (area recovery re-grades instances, never ops): its fan-ins, the
-    topological order and each op's same-step consumers, derived once. *)
+    (area recovery re-grades instances, never ops): its fan-ins and the
+    topological order, derived once. *)
 
 val retimer : t -> retimer
 (** Built from the current placements; valid while none is added or
