@@ -209,8 +209,8 @@ let retimer t =
 
 (* The ops in [ops] and, in topological order, every same-step consumer of
    an op whose start or effective delay moved: the values a full [retime]
-   changes when only the delays of [ops] did.  Each is computed with
-   [retime]'s own helpers, so it gets the bits [retime] would give it. *)
+   changes when only the delays of [ops] did.  Each is re-timed by
+   [settle], as in [retime], so it gets the bits [retime] would give it. *)
 let retime_ops r ops =
   let t = r.sched in
   let lo = ref max_int and hi = ref (-1) in

@@ -319,7 +319,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fuzz_verilog_emits;
     QCheck_alcotest.to_alcotest prop_fuzz_recovery_retime_identity;
     QCheck_alcotest.to_alcotest prop_fuzz_budget_engine_reuse;
-    Alcotest.test_case "a reused budget engine equals a fresh one on kernels" `Quick
+    Alcotest.test_case "a reused budget engine equals a fresh one on designs" `Quick
       test_budget_engine_reuse_designs;
   ]
 

@@ -87,8 +87,7 @@ let test_text_table () =
   | exception Invalid_argument _ -> ())
 
 (* Progress lines at supplied timestamps: the first is due one period
-   after the start, including a start at a large or negative clock value
-   (a throttle that began at [Int64.min_int] overflowed and never fired),
+   after the start, whatever the clock's origin (zero, large, negative),
    and each later one a period after the last. *)
 let test_throttle () =
   let s = 1_000_000_000L in
