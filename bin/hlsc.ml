@@ -663,7 +663,7 @@ let explore_cmd source builtin clock lib validate max_recoveries clocks flows ii
      (if progress then begin
         let total = Explore_grid.size grid in
         let t_start = Obs.now_ns () in
-        let throttle = Throttle.create ~now:t_start () in
+        let throttle = Throttle.create ~now:t_start in
         let points_done = ref 0 in
         Obs.Events.enable ();
         Obs.Events.set_hook
@@ -1730,7 +1730,7 @@ let dispatch_sweep ~dir ~progress (dcfg : Dispatch.config) jobs =
   in
   (if progress then begin
      Obs.Events.enable ();
-     let throttle = Throttle.create ~now:(Obs.now_ns ()) () in
+     let throttle = Throttle.create ~now:(Obs.now_ns ()) in
      Obs.Events.set_hook
        (Some
           (fun ev ->

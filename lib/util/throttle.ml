@@ -1,11 +1,12 @@
-type t = { period : int64; mutable next : int64 }
+let period = 1_000_000_000L
 
-let create ?(period_ns = 1_000_000_000L) ~now () =
-  { period = period_ns; next = Int64.add now period_ns }
+type t = { mutable next : int64 }
+
+let create ~now = { next = Int64.add now period }
 
 let due t ~now =
   Int64.compare now t.next >= 0
   && begin
-    t.next <- Int64.add now t.period;
+    t.next <- Int64.add now period;
     true
   end

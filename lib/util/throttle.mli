@@ -1,4 +1,4 @@
-(** A once-per-period gate for progress lines.
+(** A once-a-second gate for progress lines.
 
     Times are caller-supplied nanosecond stamps (a monotonic clock such as
     [Obs.now_ns]), so the gate itself reads no clock and can be driven by
@@ -6,10 +6,9 @@
 
 type t
 
-val create : ?period_ns:int64 -> now:int64 -> unit -> t
-(** A gate whose first line is due [period_ns] (default one second) after
-    [now]. *)
+val create : now:int64 -> t
+(** A gate whose first line is due one second after [now]. *)
 
 val due : t -> now:int64 -> bool
-(** Whether a line is due at [now]; when it is, the next one is due a
-    period after [now]. *)
+(** Whether a line is due at [now]; when it is, the next one is due one
+    second after [now]. *)

@@ -92,20 +92,20 @@ let test_text_table () =
 let test_throttle () =
   let s = 1_000_000_000L in
   let fires start offsets =
-    let t = Throttle.create ~now:start () in
+    let t = Throttle.create ~now:start in
     List.filter (fun dt -> Throttle.due t ~now:(Int64.add start dt)) offsets
   in
-  let offsets = [ 0L; 500_000_000L; 999_999_999L; s; 1_200_000_000L; 2_100_000_000L ] in
+  (* Due at 1 s; at 2.1 s, 1.1 s after that line; not at 3 s, 0.9 s
+     after it. *)
+  let offsets =
+    [ 0L; 500_000_000L; 999_999_999L; s; 1_200_000_000L; 2_100_000_000L; 3_000_000_000L ]
+  in
   List.iter
     (fun start ->
       Alcotest.(check (list int64))
         (Printf.sprintf "lines from start %Ld" start)
         [ s; 2_100_000_000L ] (fires start offsets))
-    [ 0L; 123_456_789_012L; -5_000_000_000L ];
-  let t = Throttle.create ~period_ns:10L ~now:100L () in
-  Alcotest.(check bool) "custom period not yet due" false (Throttle.due t ~now:109L);
-  Alcotest.(check bool) "custom period due" true (Throttle.due t ~now:110L);
-  Alcotest.(check bool) "period restarts at the line" false (Throttle.due t ~now:119L)
+    [ 0L; 123_456_789_012L; -5_000_000_000L ]
 
 let prop_interval_clamp =
   QCheck.Test.make ~name:"clamp is in interval" ~count:200
