@@ -47,8 +47,8 @@ val prepare : Timed_dfg.t -> clock:float -> engine
 val reset : ?aligned:bool -> engine -> (Dfg.Op_id.t -> float) -> unit
 (** Replace every delay (and the alignment, when given) and run a full
     pass; commits.  The pass reads the timed DFG's current latencies, so
-    after a {!Timed_dfg.reweight} a reset engine equals, bit for bit, one
-    {!create}d from scratch. *)
+    after a {!Timed_dfg.reweight} a reset engine equals, bit for bit, a
+    freshly {!create}d one. *)
 
 val set_delay : engine -> Dfg.Op_id.t -> float -> unit
 (** Change one active op's delay incrementally; undoable until the next
