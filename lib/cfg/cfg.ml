@@ -19,7 +19,7 @@ type sealed = {
   edge_topo : Edge_id.t list;
   edge_topo_pos : int array; (* -1 for backward edges *)
   state_dist : int option array array; (* node x node, endpoints included *)
-  node_reach : bool array array; (* forward reachability *)
+  edge_reach : Bytes.t; (* edge x edge, row-major: the answers of [reaches] *)
   node_reach_nojoin : bool array array; (* forward, avoiding Join nodes *)
   state_index : int array; (* per forward edge: control step from start *)
   max_state : int;
@@ -159,6 +159,24 @@ let seal t =
     edges;
   (* Node-level forward reachability. *)
   let node_reach = Array.init n (fun v -> Traverse.reachable fwd v) in
+  (* Edge-level reachability, one lookup per query: an edge reaches itself;
+     otherwise a backward edge reaches, and is reached by, nothing; otherwise
+     [e2] is reached when its source is forward-reachable from [e1]'s
+     target.  One flat byte string filled by loops: a bool array per row,
+     built with closures, added about 170 words to each tiny CFG's seal,
+     which every cache hit of the serve daemon pays, since a hit rebuilds
+     its design. *)
+  let ne = Array.length edges in
+  let edge_reach = Bytes.make (ne * ne) '\000' in
+  for i = 0 to ne - 1 do
+    if not back.(i) then begin
+      let from = node_reach.(snd edges.(i)) in
+      for j = 0 to ne - 1 do
+        if (not back.(j)) && from.(fst edges.(j)) then Bytes.set edge_reach ((i * ne) + j) '\001'
+      done
+    end;
+    Bytes.set edge_reach ((i * ne) + i) '\001'
+  done;
   (* Join-free reachability: drop Join nodes entirely. *)
   let fwd_nojoin = Digraph.create ~initial_capacity:(max n 1) () in
   for _ = 1 to n do
@@ -230,7 +248,7 @@ let seal t =
         edge_topo;
         edge_topo_pos;
         state_dist;
-        node_reach;
+        edge_reach;
         node_reach_nojoin;
         state_index;
         max_state = !max_state;
@@ -251,15 +269,10 @@ let edge_topo_index t e =
   pos
 
 let reaches t e1 e2 =
-  if Edge_id.equal e1 e2 then true
-  else begin
-    let s = sealed t "reaches" in
-    if s.back.(Edge_id.to_int e1) || s.back.(Edge_id.to_int e2) then false
-    else begin
-      let _, d1 = edge_pair t e1 and s2, _ = edge_pair t e2 in
-      s.node_reach.(d1).(s2)
-    end
-  end
+  let s = sealed t "reaches" in
+  let ne = Array.length s.back and i = Edge_id.to_int e1 and j = Edge_id.to_int e2 in
+  if i < 0 || i >= ne || j < 0 || j >= ne then invalid_arg "Cfg.reaches: edge out of range";
+  Bytes.unsafe_get s.edge_reach ((i * ne) + j) <> '\000'
 
 let sink_reaches t e1 e2 =
   if Edge_id.equal e1 e2 then true

@@ -413,7 +413,7 @@ let run_once config ii flow dfg ~lib ~clock ~gamma0 ~cancel =
       {
         Sched_core.clock;
         ii;
-        priority = (fun o -> priorities.(Dfg.Op_id.to_int o));
+        priority = priorities;
         target = eff_target;
         upgrade_on_miss = policy.upgrade_on_miss;
         respan = policy.start = Budgeted;

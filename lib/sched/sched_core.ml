@@ -11,7 +11,7 @@ let pp_failure ppf f = Format.pp_print_string ppf f.message
 type params = {
   clock : float;
   ii : int option;
-  priority : Dfg.Op_id.t -> float;
+  priority : float array;
   target : Dfg.Op_id.t -> float;
   upgrade_on_miss : bool;
   respan : bool;
@@ -22,7 +22,10 @@ exception Fail of failure
 
 let eps = 1e-6
 
-type attempt = Placed | Defer of failure_reason
+(* A placement try's outcome.  A deferral carries only its kind, which is
+   all the counters and the ready loop read; [reason] builds the full
+   failure reason only where a span-end try fails the pass. *)
+type attempt = Placed | Defer_no_resource | Defer_too_slow | Defer_no_time
 
 (* What every pass of a run re-derived from the graph and the unpinned
    spans, by op index.  The pass scratch below the split is reset by each
@@ -53,7 +56,7 @@ type plan = {
   frontier : int array;
   frontier_pos : int array;
   late_idx : int array;  (* the respanned [late_idx0] *)
-  final : failure_reason option array;  (* a final deferral on the current edge *)
+  final : attempt array;  (* a final deferral on the current edge; [Placed] if none *)
   new_ends : int list array;  (* respanned ops, by their new span-end edge *)
 }
 
@@ -127,7 +130,7 @@ let plan dfg ~spans =
     frontier = Array.make n 0;
     frontier_pos = Array.make n (-1);
     late_idx = Array.make n 0;
-    final = Array.make n None;
+    final = Array.make n Placed;
     new_ends = Array.make (Array.length ends) [];
   }
 
@@ -149,10 +152,10 @@ let c_failures = Obs.counter "sched.failures"
 let c_retime_repairs = Obs.counter "sched.retime_repairs"
 
 let count_defer = function
-  | No_resource _ -> Obs.incr c_defer_res
-  | Too_slow _ -> Obs.incr c_defer_slow
-  | No_time _ -> Obs.incr c_defer_time
-  | Retime_failed _ -> ()
+  | Defer_no_resource -> Obs.incr c_defer_res
+  | Defer_too_slow -> Obs.incr c_defer_slow
+  | Defer_no_time -> Obs.incr c_defer_time
+  | Placed -> ()
 
 let run plan ~alloc params =
   Obs.incr c_runs;
@@ -166,7 +169,7 @@ let run plan ~alloc params =
   in
   Array.iter (fun i -> step_of.(i) <- -1) plan.active;
   Array.blit plan.waiting0 0 waiting 0 n;
-  Array.fill final 0 n None;
+  Array.fill final 0 n Placed;
   Array.fill new_ends 0 (Array.length new_ends) [];
   (* With [respan] the pass owns a span state and pins what it places;
      the plan's spans, which every relaxation attempt shares, stay as
@@ -196,7 +199,6 @@ let run plan ~alloc params =
   let slot_of step = match params.ii with Some k -> step mod k | None -> step in
   let bookings = Array.init n_inst (fun _ -> Array.make n_slots []) in
   let fanin = Array.make n_inst 0 in
-  let fanin_of c = fanin.(Alloc.Inst_id.to_int c.Alloc.id) in
   (* Compatible instances of each (kind, width), in instance order. *)
   let all_insts = Alloc.instances alloc in
   let compatible =
@@ -240,7 +242,12 @@ let run plan ~alloc params =
         end)
       (Dfg.succs dfg (Dfg.Op_id.of_int i))
   in
-  let mux_pen inputs = Library.mux_delay (Alloc.library alloc) ~inputs in
+  let lib = Alloc.library alloc in
+  let mux_pen inputs = Library.mux_delay lib ~inputs in
+  (* The candidate scan reads the mux penalty from the table inline, so
+     that it calls nothing and boxes no float. *)
+  let mux = Library.mux_table lib in
+  let n_mux = Array.length mux in
   (* When an operation starves (its producers finish too late for any
      window to remain), the actionable bottleneck is usually a resource
      group several chain links upstream.  Walk the latest-finishing
@@ -312,9 +319,9 @@ let run plan ~alloc params =
     done;
     !t
   in
-  let rec booked here = function
+  let rec booked e step = function
     | [] -> false
-    | p :: rest -> Schedule.conflict sched here p || booked here rest
+    | p :: rest -> Schedule.conflict_at sched ~edge:e ~step p || booked e step rest
   in
   (* By-grade order, the instance preference: cheapest (slowest) grade
      first; among equal grades the emptiest instance, so sharing — and its
@@ -323,71 +330,68 @@ let run plan ~alloc params =
      order is evaluated at every try. *)
   let before a b =
     match Float.compare b.Alloc.point.Curve.delay a.Alloc.point.Curve.delay with
-    | 0 -> fanin_of a < fanin_of b
+    | 0 -> fanin.(Alloc.Inst_id.to_int a.Alloc.id) < fanin.(Alloc.Inst_id.to_int b.Alloc.id)
     | c -> c < 0
   in
-  let eff_of c = c.Alloc.point.Curve.delay +. mux_pen (fanin_of c + 1) in
+  let do_place i e step rt c =
+    let o = Dfg.Op_id.of_int i in
+    let k = Alloc.Inst_id.to_int c.Alloc.id in
+    let eff = c.Alloc.point.Curve.delay +. mux_pen (fanin.(k) + 1) in
+    Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
+    let slot = slot_of step in
+    bookings.(k).(slot) <- Option.get (Schedule.placement sched o) :: bookings.(k).(slot);
+    fanin.(k) <- fanin.(k) + 1;
+    step_of.(i) <- step;
+    edge_of.(i) <- e;
+    finish.(i) <- rt +. eff;
+    on_placed i;
+    placed_on_edge := o :: !placed_on_edge;
+    Placed
+  in
   (* A deferral for no free instance, or for a ready time past the step
      budget, is final on its edge: bookings only grow within an edge, and
      a ready op's predecessors, hence its ready time and blame, are fixed.
-     Later tries on the edge reuse the recorded reason. *)
+     Later tries on the edge reuse the recorded kind. *)
   let finals = ref [] in
-  let defer_for_good i reason =
-    final.(i) <- Some reason;
+  let defer_for_good i d =
+    final.(i) <- d;
     finals := i :: !finals;
-    Defer reason
+    d
   in
   let try_place_raw i e step =
-    let o = Dfg.Op_id.of_int i in
-    let op = Dfg.op dfg o in
     let rt = ready_time i step in
     let window = budget -. rt in
-    if window < -.eps then defer_for_good i (No_time { op = o; blame = blame_for i step })
+    if window < -.eps then defer_for_good i Defer_no_time
     else begin
-      let here = { Schedule.edge = e; step; start = rt; eff_delay = 0.0; inst = None } in
       let slot = slot_of step in
-      let slot_bookings c = bookings.(Alloc.Inst_id.to_int c.Alloc.id).(slot) in
       let cands = compatible.(plan.key_of.(i)) in
-      let do_place c =
-        let eff = eff_of c in
-        Schedule.place sched o ~edge:e ~start:rt ~eff_delay:eff ~inst:(Some c.Alloc.id);
-        let k = Alloc.Inst_id.to_int c.Alloc.id in
-        bookings.(k).(slot) <- Option.get (Schedule.placement sched o) :: bookings.(k).(slot);
-        fanin.(k) <- fanin.(k) + 1;
-        step_of.(i) <- step;
-        edge_of.(i) <- e;
-        finish.(i) <- rt +. eff;
-        on_placed i;
-        placed_on_edge := o :: !placed_on_edge;
-        Placed
-      in
       (* Among the free instances whose effective delay fits the window,
          prefer the first in by-grade order not slower than the budgeted
          target (cheapest honouring the plan); if every fitting instance is
          slower than the target, take the last, the fastest fitting one, to
          leave room for chained consumers. *)
-      let target = params.target o in
+      let target = params.target (Dfg.Op_id.of_int i) in
       let any_free = ref false and near = ref (-1) and last = ref (-1) in
       for k = 0 to Array.length cands - 1 do
         let c = cands.(k) in
-        if not (booked here (slot_bookings c)) then begin
+        let id = Alloc.Inst_id.to_int c.Alloc.id in
+        if not (booked e step bookings.(id).(slot)) then begin
           any_free := true;
-          if eff_of c <= window +. eps then begin
-            if
-              c.Alloc.point.Curve.delay <= target +. 1.0
-              && (!near < 0 || before c cands.(!near))
-            then near := k;
+          let inputs = fanin.(id) + 1 in
+          let delay = c.Alloc.point.Curve.delay in
+          if
+            delay
+            +. (if inputs < n_mux then mux.(inputs) else Library.mux_delay lib ~inputs)
+            <= window +. eps
+          then begin
+            if delay <= target +. 1.0 && (!near < 0 || before c cands.(!near)) then near := k;
             if !last < 0 || not (before c cands.(!last)) then last := k
           end
         end
       done;
-      if !near >= 0 then do_place cands.(!near)
-      else if !last >= 0 then do_place cands.(!last)
-      else if not !any_free then begin
-        match Resource_kind.of_op_kind op.Dfg.kind with
-        | Some rk -> defer_for_good i (No_resource { op = o; rk; width = op.Dfg.width })
-        | None -> assert false (* constants never reach try_place *)
-      end
+      if !near >= 0 then do_place i e step rt cands.(!near)
+      else if !last >= 0 then do_place i e step rt cands.(!last)
+      else if not !any_free then defer_for_good i Defer_no_resource
       else begin
         (* Nothing fits: optionally upgrade the free instance whose area
            damage is smallest, ties to the earlier in by-grade order.  A
@@ -397,11 +401,12 @@ let run plan ~alloc params =
         if params.upgrade_on_miss then
           for k = 0 to Array.length cands - 1 do
             let c = cands.(k) in
+            let id = Alloc.Inst_id.to_int c.Alloc.id in
             if
-              (not (booked here (slot_bookings c)))
-              && Curve.min_delay c.Alloc.curve +. mux_pen (fanin_of c + 1) <= window +. eps
+              (not (booked e step bookings.(id).(slot)))
+              && Curve.min_delay c.Alloc.curve +. mux_pen (fanin.(id) + 1) <= window +. eps
             then begin
-              let needed = window -. mux_pen (fanin_of c + 1) in
+              let needed = window -. mux_pen (fanin.(id) + 1) in
               let cost = Curve.area_at c.Alloc.curve needed -. c.Alloc.point.Curve.area in
               if
                 !best < 0 || cost < !best_cost
@@ -414,31 +419,51 @@ let run plan ~alloc params =
           done;
         if !best >= 0 then begin
           let c = cands.(!best) in
-          let needed = window -. mux_pen (fanin_of c + 1) in
+          let needed = window -. mux_pen (fanin.(Alloc.Inst_id.to_int c.Alloc.id) + 1) in
           if Alloc.upgrade_to_fit alloc c.Alloc.id ~max_delay:needed then begin
             Obs.incr c_upgrades;
-            do_place c
+            do_place i e step rt c
           end
-          else Defer (Too_slow { op = o; window; blame = blame_for i step })
+          else Defer_too_slow
         end
-        else if window <= eps then Defer (No_time { op = o; blame = blame_for i step })
-        else Defer (Too_slow { op = o; window; blame = blame_for i step })
+        else if window <= eps then Defer_no_time
+        else Defer_too_slow
       end
     end
   in
   let try_place i e step =
     match final.(i) with
-    | Some reason ->
-      count_defer reason;
-      Defer reason
-    | None -> (
+    | Placed -> (
       match try_place_raw i e step with
       | Placed ->
         Obs.incr c_placements;
         Placed
-      | Defer reason as d ->
-        count_defer reason;
+      | d ->
+        count_defer d;
         d)
+    | d ->
+      count_defer d;
+      d
+  in
+  (* The full reason for op [i]'s deferral of kind [d] at [step], built
+     only where a span-end try fails the pass.  It equals the reason the
+     try that deferred would have built: the op was ready, so its forward
+     predecessors, and theirs, are placed, and no placed op's step, edge or
+     finish changes before the edge loop ends (retime and repair run after
+     it), so the ready time, the window and the blame walk read what that
+     try read. *)
+  let reason i step d =
+    let o = Dfg.Op_id.of_int i in
+    match d with
+    | Defer_no_resource -> (
+      let op = Dfg.op dfg o in
+      match Resource_kind.of_op_kind op.Dfg.kind with
+      | Some rk -> No_resource { op = o; rk; width = op.Dfg.width }
+      | None -> assert false (* constants never reach try_place *))
+    | Defer_too_slow ->
+      Too_slow { op = o; window = budget -. ready_time i step; blame = blame_for i step }
+    | Defer_no_time -> No_time { op = o; blame = blame_for i step }
+    | Placed -> invalid_arg "Sched_core.reason: not a deferral"
   in
   let fail i reason =
     let op_name = (Dfg.op dfg (Dfg.Op_id.of_int i)).Dfg.name in
@@ -462,11 +487,7 @@ let run plan ~alloc params =
   let ready_order a b =
     match Int.compare late_idx.(a) late_idx.(b) with
     | 0 -> (
-      match
-        Float.compare
-          (params.priority (Dfg.Op_id.of_int a))
-          (params.priority (Dfg.Op_id.of_int b))
-      with
+      match Float.compare params.priority.(a) params.priority.(b) with
       | 0 -> Int.compare a b
       | c -> c)
     | c -> c
@@ -480,7 +501,7 @@ let run plan ~alloc params =
            op = (Dfg.op dfg o).Dfg.name;
            edge = Cfg.Edge_id.to_int e;
            step;
-           priority = params.priority o;
+           priority = params.priority.(i);
            ready_set_size;
          })
   in
@@ -531,7 +552,7 @@ let run plan ~alloc params =
                 progress := true;
                 incr placed_here;
                 if ev_on () then emit_pick i e step ~ready_set_size:nready
-              | Defer _ ->
+              | Defer_no_resource | Defer_too_slow | Defer_no_time ->
                 incr deferred_here;
                 deferred := i :: !deferred)
             ready;
@@ -546,15 +567,12 @@ let run plan ~alloc params =
            that is already placed, is skipped. *)
         let span_end i =
           if late_idx.(i) = edge_idx && step_of.(i) < 0 then begin
-            match
-              if ready_on i e step then try_place i e step
-              else Defer (No_time { op = Dfg.Op_id.of_int i; blame = blame_for i step })
-            with
+            match if ready_on i e step then try_place i e step else Defer_no_time with
             | Placed ->
               incr placed_here;
               (* Span-end forced placement: the op was the only candidate. *)
               if ev_on () then emit_pick i e step ~ready_set_size:1
-            | Defer reason -> fail i reason
+            | (Defer_no_resource | Defer_too_slow | Defer_no_time) as d -> fail i (reason i step d)
           end
         in
         let bucket = plan.ends.(edge_idx) in
@@ -571,7 +589,7 @@ let run plan ~alloc params =
             end
         in
         merge 0 (List.sort by_position new_ends.(edge_idx));
-        List.iter (fun i -> final.(i) <- None) !finals;
+        List.iter (fun i -> final.(i) <- Placed) !finals;
         finals := [];
         if ev_on () then
           Obs.Events.emit

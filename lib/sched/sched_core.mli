@@ -53,8 +53,9 @@ type params = {
           pipelining adds the recurrence constraint that a loop-carried
           producer lands within [ii] steps of its consumer, and folds
           resource booking modulo [ii] *)
-  priority : Dfg.Op_id.t -> float;
-      (** lower schedules first (criticality) *)
+  priority : float array;
+      (** by op index; lower schedules first (criticality).  Read at every
+          comparison, so a [rebudget] hook may rewrite it between edges *)
   target : Dfg.Op_id.t -> float;
       (** budgeted delay: instance selection prefers the cheapest fitting
           instance not slower than needed *)

@@ -72,15 +72,16 @@ let ops_by_inst t =
   by
 
 (* Within one step, two ops double-book an instance iff their edges are not
-   mutually exclusive (one reaches the other, or they are the same edge):
-   ops on exclusive branches may share freely.  Across steps they clash
-   only under pipelining, when the steps are congruent modulo the II. *)
-let conflict t a b =
-  if a.step = b.step then
-    Cfg.Edge_id.equal a.edge b.edge
-    || Cfg.reaches (Dfg.cfg t.dfg) a.edge b.edge
-    || Cfg.reaches (Dfg.cfg t.dfg) b.edge a.edge
-  else match t.ii with Some k -> a.step mod k = b.step mod k | None -> false
+   mutually exclusive (one reaches the other; an edge reaches itself): ops
+   on exclusive branches may share freely.  Across steps they clash only
+   under pipelining, when the steps are congruent modulo the II. *)
+let conflict_at t ~edge ~step b =
+  if step = b.step then
+    let cfg = Dfg.cfg t.dfg in
+    Cfg.reaches cfg edge b.edge || Cfg.reaches cfg b.edge edge
+  else match t.ii with Some k -> step mod k = b.step mod k | None -> false
+
+let conflict t a b = conflict_at t ~edge:a.edge ~step:a.step b
 
 let lc_step_ok t ~producer_step ~consumer_step =
   match t.ii with Some k -> producer_step < consumer_step + k | None -> true

@@ -54,8 +54,11 @@ val conflict : t -> placement -> placement -> bool
     same edge, or one reaches the other), or, under pipelining, their
     distinct steps are congruent modulo the initiation interval (branch
     exclusivity only helps within one step: different iterations may take
-    different branches).  The scheduler's booking test and {!validate}
-    both use this rule. *)
+    different branches).  {!validate} uses this rule. *)
+
+val conflict_at : t -> edge:Cfg.Edge_id.t -> step:int -> placement -> bool
+(** {!conflict} between a placement on [edge] at [step] and a booked one,
+    without building the former: the scheduler's booking test. *)
 
 val lc_step_ok : t -> producer_step:int -> consumer_step:int -> bool
 (** Pipelining recurrence constraint for a loop-carried dependency: the

@@ -15,6 +15,7 @@ type t = {
   lib_name : string;
   ov : overheads;
   memo : (Resource_kind.t * int, Curve.t) Hashtbl.t Domain.DLS.key;
+  mux_table : float array;  (* [mux_formula] at 0 .. mux_table_size - 1 inputs *)
 }
 
 let table1_multiplier_8x8 =
@@ -45,16 +46,26 @@ let ideal =
     fsm_area_per_state = 0.0;
   }
 
-let default =
-  { lib_name = "virt90"; ov = realistic;
-    memo = Domain.DLS.new_key (fun () -> Hashtbl.create 32) }
-
-let idealized =
-  { lib_name = "virt90-ideal"; ov = ideal;
-    memo = Domain.DLS.new_key (fun () -> Hashtbl.create 32) }
-let name t = t.lib_name
-
 let log2 x = log x /. log 2.0
+
+let mux_formula ov ~inputs =
+  if inputs <= 1 then 0.0
+  else ov.mux_delay_base +. (ov.mux_delay_per_log_input *. log2 (float_of_int inputs))
+
+(* Fan-ins past the table are rare; [mux_delay] computes them. *)
+let mux_table_size = 64
+
+let make lib_name ov =
+  {
+    lib_name;
+    ov;
+    memo = Domain.DLS.new_key (fun () -> Hashtbl.create 32);
+    mux_table = Array.init mux_table_size (fun inputs -> mux_formula ov ~inputs);
+  }
+
+let default = make "virt90" realistic
+let idealized = make "virt90-ideal" ideal
+let name t = t.lib_name
 
 (* Blend between logarithmic-depth scaling (fast implementations) and
    linear-depth scaling (slow implementations) along the curve. *)
@@ -144,9 +155,11 @@ let curve t rk ~width =
 let op_curve t k ~width =
   Option.map (fun rk -> curve t rk ~width) (Resource_kind.of_op_kind k)
 
+let mux_table t = t.mux_table
+
 let mux_delay t ~inputs =
-  if inputs <= 1 then 0.0
-  else t.ov.mux_delay_base +. (t.ov.mux_delay_per_log_input *. log2 (float_of_int inputs))
+  if inputs >= 0 && inputs < mux_table_size then Array.unsafe_get t.mux_table inputs
+  else mux_formula t.ov ~inputs
 
 let mux_area t ~inputs ~width =
   if inputs <= 1 then 0.0

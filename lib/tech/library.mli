@@ -37,7 +37,14 @@ val op_curve : t -> Dfg.op_kind -> width:int -> Curve.t option
 (** {1 Interconnect and control overheads} *)
 
 val mux_delay : t -> inputs:int -> float
-(** Steering delay in front of a shared unit with [inputs] sources. *)
+(** Steering delay in front of a shared unit with [inputs] sources.  Read
+    from {!mux_table} where it has an entry. *)
+
+val mux_table : t -> float array
+(** [mux_delay] for 0, 1, 2, ... inputs, computed once per library by the
+    same expression, so an entry has the bits [mux_delay] returns.  Hot
+    loops read entry [k] for [k] inputs and call [mux_delay] past the
+    table's end.  Shared: callers must not mutate it. *)
 
 val mux_area : t -> inputs:int -> width:int -> float
 val register_area : t -> width:int -> float

@@ -192,11 +192,79 @@ let prop_latency_triangle =
       done;
       !ok)
 
+(* [Cfg.reaches] is one table lookup.  Oracle: its former definition over
+   node reachability recomputed here by a forward-edge walk.  An edge
+   reaches itself; otherwise a backward edge reaches, and is reached by,
+   nothing; otherwise [e2] is reached when its source is forward-reachable
+   from [e1]'s target. *)
+let old_reaches cfg =
+  let n = Cfg.node_count cfg in
+  let src e = Cfg.Node_id.to_int (Cfg.edge_src cfg e)
+  and dst e = Cfg.Node_id.to_int (Cfg.edge_dst cfg e) in
+  let node_reach =
+    Array.init n (fun v ->
+        let seen = Array.make n false in
+        let rec go u =
+          if not seen.(u) then begin
+            seen.(u) <- true;
+            List.iter
+              (fun e -> if not (Cfg.is_backward cfg e) then go (dst e))
+              (Cfg.out_edges cfg (Cfg.Node_id.of_int u))
+          end
+        in
+        go v;
+        seen)
+  in
+  fun e1 e2 ->
+    Cfg.Edge_id.equal e1 e2
+    || (not (Cfg.is_backward cfg e1))
+       && (not (Cfg.is_backward cfg e2))
+       && node_reach.(dst e1).(src e2)
+
+let test_reaches_oracle () =
+  let cfgs =
+    [
+      ("interpolation", Dfg.cfg (Interpolation.unrolled ()).Interpolation.dfg);
+      ("fir8", Dfg.cfg (Fir.build ~taps:8 ~latency:6 ()).Fir.dfg);
+      ("idct", Dfg.cfg (Idct.build ~latency:12 ~passes:1 ()).Idct.dfg);
+      ("resizer", (Resizer.full ()).Resizer.cfg);
+    ]
+    @ List.map (fun p -> (p.Idct.id, Dfg.cfg (Idct.instantiate p).Idct.dfg)) Idct.table4_points
+    @ List.map
+        (fun (e : Corpus.entry) -> (e.Corpus.name, Dfg.cfg (Corpus.design e).Random_design.dfg))
+        (Corpus.plan ~count:8 ~seed:42 ())
+  in
+  let backward = ref 0 and reached = ref 0 and pairs = ref 0 in
+  List.iter
+    (fun (name, cfg) ->
+      let old = old_reaches cfg in
+      let edges = List.init (Cfg.edge_count cfg) Cfg.Edge_id.of_int in
+      List.iter
+        (fun e1 ->
+          if Cfg.is_backward cfg e1 then incr backward;
+          List.iter
+            (fun e2 ->
+              incr pairs;
+              let want = old e1 e2 in
+              if want then incr reached;
+              if Cfg.reaches cfg e1 e2 <> want then
+                Alcotest.failf "%s: reaches e%d e%d is %b, the definition says %b" name
+                  (Cfg.Edge_id.to_int e1) (Cfg.Edge_id.to_int e2) (not want) want)
+            edges)
+        edges)
+    cfgs;
+  Alcotest.(check bool)
+    (Printf.sprintf "backward edges covered (%d), both answers (%d of %d pairs reach)"
+       !backward !reached !pairs)
+    true
+    (!backward > 0 && !reached > 0 && !reached < !pairs)
+
 let suite =
   [
     Alcotest.test_case "paper latency examples" `Quick test_paper_latencies;
     Alcotest.test_case "backward edge classification" `Quick test_backward_edges;
     Alcotest.test_case "edge reachability" `Quick test_reachability;
+    Alcotest.test_case "reaches table equals its definition" `Quick test_reaches_oracle;
     Alcotest.test_case "join-free sink reachability" `Quick test_sink_reachability;
     Alcotest.test_case "edge dominance" `Quick test_dominance;
     Alcotest.test_case "control-step indices" `Quick test_state_index;

@@ -213,23 +213,56 @@ let prop_flows_valid_across_clocks =
       | Ok r -> (
         match Schedule.validate r.Flows.schedule with Ok () -> true | Error _ -> false))
 
+(* A failed pass's whole report: the reason's constructor, op, blame and
+   window bits, and the message. *)
+let failure_line (f : Sched_core.failure) =
+  let blame = function
+    | Some (rk, width) -> Printf.sprintf "%s/%d" (Resource_kind.name rk) width
+    | None -> "-"
+  in
+  let op = Dfg.Op_id.to_int in
+  let reason =
+    match f.Sched_core.reason with
+    | Sched_core.No_resource { op = o; rk; width } ->
+      Printf.sprintf "no_resource %d %s/%d" (op o) (Resource_kind.name rk) width
+    | Sched_core.Too_slow { op = o; window; blame = b } ->
+      Printf.sprintf "too_slow %d %Lx %s" (op o) (Int64.bits_of_float window) (blame b)
+    | Sched_core.No_time { op = o; blame = b } -> Printf.sprintf "no_time %d %s" (op o) (blame b)
+    | Sched_core.Retime_failed m -> "retime_failed " ^ m
+  in
+  reason ^ " | " ^ f.Sched_core.message
+
+(* The digest of every failed pass's [failure_line] in the driver below,
+   recorded while failure reasons were still built eagerly at every
+   deferral: reasons built on demand must report the same. *)
+let failed_passes_digest = "b4a7473797c813ace7e4ad70856d9d79"
+
 (* A run's relaxation attempts share one schedule-pass plan, so a pass
    must leave it as it found it.  Each design goes through a
-   relaxation-like sequence of allocations: one fastest instance per
-   (kind, width) group, then one more in the group each failure names,
-   until a pass succeeds (or 40 passes failed).  At every allocation one
-   shared plan runs a
-   plain pass and a respan pass (with upgrades), and each outcome must
-   equal a pass over a fresh plan: the same placements, or the same
-   failure. *)
+   relaxation-like sequence of allocations: one instance per (kind, width)
+   group, then one more in the group each failure names, until a pass
+   succeeds (or 40 passes failed).  At every allocation one shared plan
+   runs a plain pass and a respan pass (with upgrades), and each outcome
+   must equal a pass over a fresh plan: the same placements, or the same
+   failure.  Instances start at the fastest grade, then, in a second
+   sequence where timing failures and upgrades abound, at the slowest.
+   Every failed pass's report is folded into a digest. *)
 let test_plan_shared_across_passes () =
   let lib = Library.default in
   let failures = ref 0 in
+  let reports = Buffer.create 4096 in
+  let kinds = Hashtbl.create 4 in
   (* Whether the sequence ended in a schedule. *)
-  let check (name, ii, clock, dfg) =
+  let check ~slowest (name, ii, clock, dfg) =
     let spans = Dfg.compute_spans dfg in
     let cfg = Dfg.cfg dfg in
     let shared = Sched_core.plan dfg ~spans in
+    let priority =
+      Array.map
+        (fun s ->
+          float_of_int (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early))
+        spans
+    in
     let kind o =
       let op = Dfg.op dfg o in
       Option.map (fun rk -> (rk, op.Dfg.width)) (Resource_kind.of_op_kind op.Dfg.kind)
@@ -243,8 +276,9 @@ let test_plan_shared_across_passes () =
       let alloc = Alloc.create lib in
       List.iter
         (fun ((rk, width) as k) ->
+          let delay = if slowest then Curve.max_delay (Library.curve lib rk ~width) else 0.0 in
           for _ = 1 to Hashtbl.find counts k do
-            ignore (Alloc.add_instance alloc ~rk ~width ~delay:0.0)
+            ignore (Alloc.add_instance alloc ~rk ~width ~delay)
           done)
         keys;
       alloc
@@ -253,10 +287,7 @@ let test_plan_shared_across_passes () =
       {
         Sched_core.clock;
         ii;
-        priority =
-          (fun o ->
-            let s = spans.(Dfg.Op_id.to_int o) in
-            float_of_int (Cfg.state_of_edge cfg s.Dfg.late - Cfg.state_of_edge cfg s.Dfg.early));
+        priority;
         target = (fun _ -> 0.0);
         upgrade_on_miss = respan;
         respan;
@@ -275,7 +306,13 @@ let test_plan_shared_across_passes () =
           if outcome r <> outcome (pass (Sched_core.plan dfg ~spans) respan) then
             Alcotest.failf "%s, attempt %d%s: the shared plan decided differently" name
               attempt
-              (if respan then ", respan" else ""))
+              (if respan then ", respan" else "");
+          match r with
+          | Ok _ -> ()
+          | Error f ->
+            let line = failure_line f in
+            Hashtbl.replace kinds (List.hd (String.split_on_char ' ' line)) ();
+            Printf.bprintf reports "%s %b %d %b: %s\n" name slowest attempt respan line)
         [ (false, result); (true, pass shared true) ];
       let widen k =
         Hashtbl.replace counts k (Hashtbl.find counts k + 1);
@@ -303,20 +340,37 @@ let test_plan_shared_across_passes () =
     "fir8 has loop-carried partners" true
     (List.exists (fun o -> List.exists snd (Dfg.all_preds fir8 o)) (Dfg.ops fir8));
   let d9 = List.find (fun p -> p.Idct.ii <> None) Idct.table4_points in
-  List.iter
-    (fun ((name, _, _, _) as d) -> Alcotest.(check bool) (name ^ " scheduled") true (check d))
+  let kernels =
     [
       ("fir8", None, 2500.0, fir8);
       ("fir8 at II 4", Some 4, 2500.0, fir8);
       ("resizer", None, 4000.0, (Resizer.full ()).Resizer.dfg);
       (d9.Idct.id, d9.Idct.ii, d9.Idct.clock, (Idct.instantiate d9).Idct.dfg);
-    ];
+    ]
+  in
+  let manifest =
+    List.map
+      (fun (e : Corpus.entry) ->
+        ( e.Corpus.name,
+          (if e.Corpus.ii > 0 then Some e.Corpus.ii else None),
+          e.Corpus.clock_ps,
+          (Corpus.design e).Random_design.dfg ))
+      (Corpus.plan ~count:8 ~seed:42 ())
+  in
   List.iter
-    (fun (e : Corpus.entry) ->
-      let ii = if e.Corpus.ii > 0 then Some e.Corpus.ii else None in
-      ignore (check (e.Corpus.name, ii, e.Corpus.clock_ps, (Corpus.design e).Random_design.dfg)))
-    (Corpus.plan ~count:8 ~seed:42 ());
-  Alcotest.(check bool) "some passes failed" true (!failures > 0)
+    (fun ((name, _, _, _) as d) ->
+      Alcotest.(check bool) (name ^ " scheduled") true (check ~slowest:false d))
+    kernels;
+  List.iter (fun d -> ignore (check ~slowest:false d)) manifest;
+  List.iter (fun d -> ignore (check ~slowest:true d)) (kernels @ manifest);
+  Alcotest.(check bool) "some passes failed" true (!failures > 0);
+  (* No pass here fails for want of time; the flows' No_time failures are
+     pinned by their relaxation decisions in test/results.golden. *)
+  Alcotest.(check (list string))
+    "failure kinds reported" [ "no_resource"; "retime_failed"; "too_slow" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) kinds []));
+  Alcotest.(check string) "every failed pass's report" failed_passes_digest
+    (Digest.to_hex (Digest.string (Buffer.contents reports)))
 
 (* -- incremental re-timing ------------------------------------------ *)
 

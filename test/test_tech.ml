@@ -115,6 +115,30 @@ let test_overheads () =
     +. Library.register_overhead Library.idealized
     +. Library.fsm_area_per_state Library.idealized)
 
+(* The mux penalty comes from a per-library table, built once, and from
+   the formula past its end.  Oracle: the formula with each library's
+   constants (25 ps + 20 ps per doubling of the inputs; 0 for the
+   idealized library), compared bit for bit, table entries included. *)
+let test_mux_table_oracle () =
+  let formula (base, per_log) inputs =
+    if inputs <= 1 then 0.0
+    else base +. (per_log *. (log (float_of_int inputs) /. log 2.0))
+  in
+  List.iter
+    (fun (name, lib, constants) ->
+      let table = Library.mux_table lib in
+      let size = Array.length table in
+      Alcotest.(check bool) (name ^ ": a table") true (size > 8);
+      for inputs = 0 to size + 8 do
+        let want = Int64.bits_of_float (formula constants inputs) in
+        let label what = Printf.sprintf "%s: %s at %d inputs" name what inputs in
+        Alcotest.(check int64) (label "mux_delay") want
+          (Int64.bits_of_float (Library.mux_delay lib ~inputs));
+        if inputs < size then
+          Alcotest.(check int64) (label "table entry") want (Int64.bits_of_float table.(inputs))
+      done)
+    [ ("default", Library.default, (25.0, 20.0)); ("idealized", Library.idealized, (0.0, 0.0)) ]
+
 let prop_area_at_monotone =
   QCheck.Test.make ~name:"interpolated area non-increasing in delay" ~count:200
     QCheck.(pair (float_range 200.0 1400.0) (float_range 0.0 300.0))
@@ -140,6 +164,7 @@ let suite =
     Alcotest.test_case "tradeoff spread" `Quick test_tradeoff_spread;
     Alcotest.test_case "resource kind mapping" `Quick test_resource_kind_mapping;
     Alcotest.test_case "interconnect overheads" `Quick test_overheads;
+    Alcotest.test_case "mux table equals the formula" `Quick test_mux_table_oracle;
     QCheck_alcotest.to_alcotest prop_area_at_monotone;
     QCheck_alcotest.to_alcotest prop_snap_brackets;
   ]
