@@ -285,7 +285,9 @@ let response ~id ~status fields =
   J.to_string
     (J.Obj (("id", J.String id) :: ("status", J.String status) :: fields))
 
-let error_response ~id msg = response ~id ~status:"error" [ ("error", J.String msg) ]
+let error_response ?lease ~id msg =
+  let lease_field = match lease with Some l -> [ ("lease", J.String l) ] | None -> [] in
+  response ~id ~status:"error" (("error", J.String msg) :: lease_field)
 
 let response_status payload =
   match J.parse payload with

@@ -157,7 +157,9 @@ val response :
     (daemon is shutting down), [partial] (drain interrupted the sweep;
     resume from the daemon's journal). *)
 
-val error_response : id:string -> string -> string
+val error_response : ?lease:string -> id:string -> string -> string
+(** An [error] reply.  A reply to a lease it cannot serve names the
+    [lease]: a supervisor drops a lease reply without it as stale. *)
 
 val response_status : string -> (string * Obs.Json.t, string) result
 (** Parse a response payload; returns its [status] and the whole object. *)

@@ -368,11 +368,11 @@ let execute_explore t ~id ~deadline_s ~design ~clocks ~flows ~iis ~recover
 let execute_shard_explore t ~id ~deadline_s ~design ~clocks ~flows ~iis
     ~recover ~point_deadline ~lease ~keys =
   match lookup_design t design with
-  | Error m -> Protocol.error_response ~id m
+  | Error m -> Protocol.error_response ~lease ~id m
   | Ok mk -> (
     let build () = fst (mk ()) in
     match Explore_grid.of_specs ~clocks ~flows ~iis ~recover () with
-    | Error m -> Protocol.error_response ~id m
+    | Error m -> Protocol.error_response ~lease ~id m
     | Ok grid ->
       let mine = Hashtbl.create (List.length keys) in
       List.iter (fun k -> Hashtbl.replace mine k ()) keys;

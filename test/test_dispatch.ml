@@ -373,6 +373,27 @@ let test_no_worker_reachable () =
     Alcotest.(check bool) "error names the pool size" true
       (contains m "1 configured")
 
+(* A daemon without the design refuses each lease with an error reply that
+   names the lease: the supervisor aborts at once with the worker's name
+   and message, instead of dropping the reply as stale and waiting out the
+   lease deadline. *)
+let test_unknown_design_aborts () =
+  let sock = Filename.concat (temp_dir ()) "bare.sock" in
+  let ((result, wall), _) =
+    with_server { (server_config ~sock ()) with Server.designs = [] } (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let r = Dispatch.run (dispatch_config [ ("bare", Client.Unix_path sock) ]) [ the_job ] in
+        (r, Unix.gettimeofday () -. t0))
+  in
+  let o = run_ok result in
+  Alcotest.(check bool) "incomplete" false o.Dispatch.complete;
+  (match o.Dispatch.abort with
+  | Some m when contains m "bare" && contains m "unknown design" -> ()
+  | Some m -> Alcotest.failf "the abort names no worker or design: %s" m
+  | None -> Alcotest.fail "the sweep did not abort");
+  if wall >= 5.0 then
+    Alcotest.failf "the abort took %.1f s with a 10 s lease deadline" wall
+
 let () =
   let fault c =
     Alcotest.test_case
@@ -407,4 +428,7 @@ let () =
       ( "fallback",
         [ Alcotest.test_case "no reachable worker is a startup error" `Quick
             test_no_worker_reachable ] );
+      ( "refusal",
+        [ Alcotest.test_case "a lease refused for an unknown design aborts" `Quick
+            test_unknown_design_aborts ] );
     ]
