@@ -2414,13 +2414,21 @@ let () =
       try Format.pp_print_flush Format.err_formatter ()
       with Sys_error _ -> close_out_noerr stderr);
   let code =
-    Cmd.eval'
-      (Cmd.group info
-         [
-           run_t; compare_t; slack_t; emit_t; explore_t; corpus_t; sweep_t;
-           merge_journals_t; explain_t; diff_events_t; fuzz_t; dot_t; serve_t;
-           request_t; top_t;
-         ])
+    match
+      Cmd.eval'
+        (Cmd.group info
+           [
+             run_t; compare_t; slack_t; emit_t; explore_t; corpus_t; sweep_t;
+             merge_journals_t; explain_t; diff_events_t; fuzz_t; dot_t; serve_t;
+             request_t; top_t;
+           ])
+    with
+    | code -> code
+    | exception Sys_error _ ->
+      (* Cmdliner reports an uncaught exception (say, a failed write to
+         stdout) on stderr; when that write fails too, its [Sys_error]
+         escapes here.  Still an internal error. *)
+      Cmd.Exit.internal_error
   in
   (* cmdliner's own codes, mapped onto the contract: a malformed flag or
      argument is a usage error, an uncaught exception an internal one. *)
