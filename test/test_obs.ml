@@ -422,6 +422,80 @@ let test_trace_json_shape () =
   Alcotest.(check bool) "span name present" true (has "\"test.trace\"");
   Alcotest.(check bool) "attr escaped" true (has "v\\\"q")
 
+(* The Chrome trace's structure, key by key: key order is part of the
+   bytes a viewer loads, and [trace_json] must render exactly the lane a
+   telemetry capture renders at pid 1 and offset 0. *)
+let test_trace_json_fields () =
+  Obs.reset ();
+  Obs.enable_trace ();
+  Obs.Prof.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Prof.disable ();
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  Obs.span "test.outer" ~attrs:[ ("a", "1"); ("b", "2") ] (fun () ->
+      Obs.span "test.inner" ~attrs:[ ("c", "3") ] ignore);
+  let t0 = Obs.now_ns () in
+  Obs.note_span ~attrs:[ ("lease", "L7") ] ~name:"test.noted" ~t0_ns:t0
+    ~t1_ns:(Int64.add t0 1_000L) ();
+  let j = Obs.trace_json () in
+  let snap = Obs.Telemetry.capture () in
+  let fields = function
+    | Obs.Json.Obj kvs -> kvs
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  let doc =
+    match Obs.Json.parse j with Ok d -> fields d | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check (list string)) "top-level keys"
+    [ "traceEvents"; "displayTimeUnit" ] (List.map fst doc);
+  let events =
+    match List.assoc "traceEvents" doc with
+    | Obs.Json.List l -> List.map fields l
+    | _ -> Alcotest.fail "traceEvents is not a list"
+  in
+  let with_ph p = List.filter (fun e -> List.assoc "ph" e = Obs.Json.String p) events in
+  let slices = with_ph "X" and heap = with_ph "C" in
+  Alcotest.(check int) "only slices and heap samples"
+    (List.length events) (List.length slices + List.length heap);
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) "slice keys"
+        [ "name"; "cat"; "ph"; "ts"; "dur"; "pid"; "tid"; "args" ]
+        (List.map fst e))
+    slices;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "pid 1" true (List.assoc "pid" e = Obs.Json.Int 1))
+    events;
+  let args name =
+    match
+      List.find_opt (fun e -> List.assoc "name" e = Obs.Json.String name) slices
+    with
+    | None -> Alcotest.failf "no slice named %s" name
+    | Some e ->
+      List.map
+        (function k, Obs.Json.String v -> (k, v) | k, _ -> (k, "<not a string>"))
+        (fields (List.assoc "args" e))
+  in
+  Alcotest.(check (list (pair string string))) "outer args: path, then attrs"
+    [ ("path", "test.outer"); ("a", "1"); ("b", "2") ]
+    (args "test.outer");
+  Alcotest.(check (list (pair string string))) "inner args: nested path"
+    [ ("path", "test.outer/test.inner"); ("c", "3") ]
+    (args "test.inner");
+  Alcotest.(check (list (pair string string))) "noted args"
+    [ ("path", "test.noted"); ("lease", "L7") ]
+    (args "test.noted");
+  Alcotest.(check int) "one heap sample per profiled span, none noted" 2
+    (List.length heap);
+  Alcotest.(check string) "traceEvents is the capture's lane at pid 1"
+    (Obs.Json.to_string
+       (Obs.Json.List (Obs.Telemetry.lane_events ~pid:1 ~offset_ns:0 snap)))
+    (Obs.Json.to_string (List.assoc "traceEvents" doc))
+
 let () =
   Alcotest.run "obs"
     [
@@ -441,6 +515,8 @@ let () =
             test_slack_pass_linearity;
           Alcotest.test_case "chrome trace JSON shape" `Quick
             test_trace_json_shape;
+          Alcotest.test_case "chrome trace keys, args and heap samples" `Quick
+            test_trace_json_fields;
           Alcotest.test_case "distribution 0- and 1-sample edge cases" `Quick
             test_dist_degenerate;
           Alcotest.test_case "event ring wraparound drops oldest" `Quick
