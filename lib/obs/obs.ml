@@ -345,24 +345,31 @@ let new_span_agg () =
     s_major_c = 0;
   }
 
-type trace_event = {
-  ev_name : string;
-  ev_path : string;
-  ev_ts_ns : int64;  (* relative to [epoch_ns] *)
-  ev_dur_ns : int64;
-  ev_tid : int;  (* the recording domain's id: one trace lane per worker *)
-  ev_attrs : (string * string) list;
-}
+(* The trace buffers' records, which [Telemetry] ships as they are.
+   Times are nanoseconds relative to [epoch_ns]. *)
+module Trace = struct
+  type trace_entry = {
+    t_name : string;
+    t_path : string;
+    t_ts_ns : int;
+    t_dur_ns : int;
+    t_tid : int;  (* the recording domain's id: one trace lane per worker *)
+    t_attrs : (string * string) list;
+  }
 
-(* One heap-pressure sample per closed span, rendered as Chrome-trace
-   counter events (ph:"C"): cumulative words allocated by the recording
-   domain, so traces show memory pressure alongside the span lanes. *)
-type gc_trace_sample = {
-  g_ts_ns : int64;  (* relative to [epoch_ns] *)
-  g_tid : int;
-  g_minor_w : float;
-  g_major_w : float;
-}
+  (* One heap-pressure sample per closed profiled span, rendered as
+     Chrome-trace counter events (ph:"C"): cumulative words allocated by
+     the recording domain, so traces show memory pressure alongside the
+     span lanes. *)
+  type heap_entry = {
+    h_ts_ns : int;
+    h_tid : int;
+    h_minor_w : float;
+    h_major_w : float;
+  }
+end
+
+open Trace
 
 type state = {
   mutable stats_on : bool;
@@ -370,8 +377,8 @@ type state = {
   mutable prof_on : bool;  (* take Gc.quick_stat deltas around spans *)
   mutable collecting : bool;  (* stats_on || trace_on, the fast-path test *)
   span_aggs : (string, span_agg) Hashtbl.t;
-  mutable trace_buf : trace_event Vec.t;
-  mutable gc_buf : gc_trace_sample Vec.t;
+  mutable trace_buf : trace_entry Vec.t;
+  mutable gc_buf : heap_entry Vec.t;
 }
 
 let st =
@@ -721,33 +728,14 @@ module Events = struct
             output_char oc '\n')
           evs)
 
-  let load_jsonl ~path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | "" -> go (lineno + 1) acc
-          | line -> (
-            match Json.parse line with
-            | Error m -> Error (Printf.sprintf "line %d: %s" lineno m)
-            | Ok j -> (
-              match of_json j with
-              | Error m -> Error (Printf.sprintf "line %d: %s" lineno m)
-              | Ok e -> go (lineno + 1) (e :: acc)))
-        in
-        go 1 [])
-
   (* ---------------------------------------------------------------- *)
   (* Tagged multi-worker streams.  A merged provenance file interleaves
      several independent seq streams, one per lease; each line carries a
-     "worker" tag naming its stream.  [of_json] tolerates the extra
-     field, so tagged files load anywhere — but the tagged loader also
-     enforces the per-stream contract: within one stream, sequence
-     numbers strictly increase.  A violation names the offending stream
-     and line instead of silently replaying a corrupted merge. *)
+     "worker" tag naming its stream, and untagged lines form one
+     anonymous stream.  The loader enforces the per-stream contract:
+     within one stream, sequence numbers strictly increase.  A violation
+     names the offending stream and line instead of silently replaying a
+     corrupted merge. *)
 
   type tagged = { stream : string option; event : t }
 
@@ -843,21 +831,9 @@ module Events = struct
         else Some { field = k; a_val = va; b_val = vb })
       keys
 
-  let diff a b =
-    let rec go index a b =
-      match (a, b) with
-      | [], [] -> None
-      | ea :: _, [] -> Some { index; a = Some ea; b = None; fields = [] }
-      | [], eb :: _ -> Some { index; a = None; b = Some eb; fields = [] }
-      | ea :: ra, eb :: rb ->
-        if ea = eb then go (index + 1) ra rb
-        else Some { index; a = Some ea; b = Some eb; fields = field_diffs ea eb }
-    in
-    go 0 a b
-
-  (* Tagged variant: two merged files diverge when either the event or
-     the stream it belongs to differs; a stream mismatch shows up as a
-     synthetic "worker" field diff. *)
+  (* Two files diverge when either the event or the stream it belongs to
+     differs; a stream mismatch shows up as a synthetic "worker" field
+     diff. *)
   let diff_tagged a b =
     let show = function Some s -> Printf.sprintf "%S" s | None -> "<untagged>" in
     let rec go index a b =
@@ -904,6 +880,56 @@ let gc_sample () =
   let _, promoted, major = Gc.counters () in
   (Gc.minor_words (), major -. promoted, Gc.quick_stat ())
 
+(* Record one closed span: its path's aggregate and its trace slice.
+   [gc] is a profiled span's (open, close) GC bracket, which adds the
+   alloc columns and a heap sample. *)
+let record ~name ~path ~attrs ~t0 ~t1 gc =
+  let dur = Int64.sub t1 t0 in
+  let tid = (Domain.self () :> int) in
+  locked (fun () ->
+      if st.stats_on then begin
+        let a =
+          match Hashtbl.find_opt st.span_aggs path with
+          | Some a -> a
+          | None ->
+            let a = new_span_agg () in
+            Hashtbl.replace st.span_aggs path a;
+            a
+        in
+        a.s_count <- a.s_count + 1;
+        a.s_total_ns <- Int64.add a.s_total_ns dur;
+        match gc with
+        | Some ((bm, bmaj, b), (em, emaj, e)) ->
+          a.s_minor_w <- a.s_minor_w +. (em -. bm);
+          a.s_major_w <- a.s_major_w +. (emaj -. bmaj);
+          a.s_minor_c <- a.s_minor_c + (e.Gc.minor_collections - b.Gc.minor_collections);
+          a.s_major_c <- a.s_major_c + (e.Gc.major_collections - b.Gc.major_collections)
+        | None -> ()
+      end;
+      if st.trace_on then begin
+        ignore
+          (Vec.push st.trace_buf
+             {
+               t_name = name;
+               t_path = path;
+               t_ts_ns = Int64.to_int (Int64.sub t0 epoch_ns);
+               t_dur_ns = Int64.to_int dur;
+               t_tid = tid;
+               t_attrs = attrs;
+             });
+        match gc with
+        | Some (_, (em, emaj, _)) ->
+          ignore
+            (Vec.push st.gc_buf
+               {
+                 h_ts_ns = Int64.to_int (Int64.sub t1 epoch_ns);
+                 h_tid = tid;
+                 h_minor_w = em;
+                 h_major_w = emaj;
+               })
+        | None -> ()
+      end)
+
 let span ?(attrs = []) name f =
   if not st.collecting then f ()
   else begin
@@ -915,54 +941,9 @@ let span ?(attrs = []) name f =
     Fun.protect
       ~finally:(fun () ->
         let t1 = now_ns () in
-        let dur = Int64.sub t1 t0 in
-        let g1 = match g0 with Some _ -> Some (gc_sample ()) | None -> None in
+        let gc = Option.map (fun g0 -> (g0, gc_sample ())) g0 in
         Domain.DLS.set path_key outer;
-        locked (fun () ->
-            if st.stats_on then begin
-              let a =
-                match Hashtbl.find_opt st.span_aggs path with
-                | Some a -> a
-                | None ->
-                  let a = new_span_agg () in
-                  Hashtbl.replace st.span_aggs path a;
-                  a
-              in
-              a.s_count <- a.s_count + 1;
-              a.s_total_ns <- Int64.add a.s_total_ns dur;
-              match (g0, g1) with
-              | Some (bm, bmaj, b), Some (em, emaj, e) ->
-                a.s_minor_w <- a.s_minor_w +. (em -. bm);
-                a.s_major_w <- a.s_major_w +. (emaj -. bmaj);
-                a.s_minor_c <-
-                  a.s_minor_c + (e.Gc.minor_collections - b.Gc.minor_collections);
-                a.s_major_c <-
-                  a.s_major_c + (e.Gc.major_collections - b.Gc.major_collections)
-              | _ -> ()
-            end;
-            if st.trace_on then begin
-              ignore
-                (Vec.push st.trace_buf
-                   {
-                     ev_name = name;
-                     ev_path = path;
-                     ev_ts_ns = Int64.sub t0 epoch_ns;
-                     ev_dur_ns = dur;
-                     ev_tid = (Domain.self () :> int);
-                     ev_attrs = attrs;
-                   });
-              match g1 with
-              | Some (em, emaj, _) ->
-                ignore
-                  (Vec.push st.gc_buf
-                     {
-                       g_ts_ns = Int64.sub t1 epoch_ns;
-                       g_tid = (Domain.self () :> int);
-                       g_minor_w = em;
-                       g_major_w = emaj;
-                     })
-              | None -> ()
-            end))
+        record ~name ~path ~attrs ~t0 ~t1 gc)
       f
   end
 
@@ -974,33 +955,10 @@ let span ?(attrs = []) name f =
    trace context, which is how a worker's request slice ends up under the
    supervisor's trace id in a merged Chrome trace. *)
 let note_span ?(attrs = []) ~name ~t0_ns ~t1_ns () =
-  if not st.collecting then ()
-  else
-    let dur = Int64.sub t1_ns t0_ns in
-    locked (fun () ->
-        if st.stats_on then begin
-          let a =
-            match Hashtbl.find_opt st.span_aggs name with
-            | Some a -> a
-            | None ->
-              let a = new_span_agg () in
-              Hashtbl.replace st.span_aggs name a;
-              a
-          in
-          a.s_count <- a.s_count + 1;
-          a.s_total_ns <- Int64.add a.s_total_ns dur
-        end;
-        if st.trace_on then
-          ignore
-            (Vec.push st.trace_buf
-               {
-                 ev_name = name;
-                 ev_path = name;
-                 ev_ts_ns = Int64.sub t0_ns epoch_ns;
-                 ev_dur_ns = dur;
-                 ev_tid = (Domain.self () :> int);
-                 ev_attrs = attrs;
-               }))
+  if st.collecting then record ~name ~path:name ~attrs ~t0:t0_ns ~t1:t1_ns None
+
+(* Both trace buffers, copied under the ledger lock. *)
+let trace_buffers () = locked (fun () -> (Vec.to_list st.trace_buf, Vec.to_list st.gc_buf))
 
 (* The calling domain's currently open span stack, outermost first — the
    flight recorder dumps it so a crash names the phase it died in. *)
@@ -1013,13 +971,6 @@ let counters_snapshot () =
   locked (fun () ->
       Hashtbl.fold (fun _ c acc -> (c.c_name, Atomic.get c.c_value) :: acc) counters [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let span_stats () =
-  locked (fun () ->
-      Hashtbl.fold
-        (fun path a acc -> (path, a.s_count, Int64.to_float a.s_total_ns) :: acc)
-        st.span_aggs [])
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let dists_snapshot () =
   (* Collect handles under the lock, compute stats outside it —
@@ -1190,21 +1141,7 @@ end
    estimates the clock offset from the request round-trip). *)
 
 module Telemetry = struct
-  type trace_entry = {
-    t_name : string;
-    t_path : string;
-    t_ts_ns : int;  (* relative to the captured process's epoch *)
-    t_dur_ns : int;
-    t_tid : int;
-    t_attrs : (string * string) list;
-  }
-
-  type heap_entry = {
-    h_ts_ns : int;
-    h_tid : int;
-    h_minor_w : float;
-    h_major_w : float;
-  }
+  include Trace
 
   type snapshot = {
     pid : int;
@@ -1225,35 +1162,7 @@ module Telemetry = struct
 
   let capture ?(events_limit = 4096) ?(include_trace = true) () =
     incr c_captures;
-    let trace, heap =
-      if not include_trace then ([], [])
-      else
-        locked (fun () ->
-            ( Vec.fold_left
-                (fun acc (ev : trace_event) ->
-                  {
-                    t_name = ev.ev_name;
-                    t_path = ev.ev_path;
-                    t_ts_ns = Int64.to_int ev.ev_ts_ns;
-                    t_dur_ns = Int64.to_int ev.ev_dur_ns;
-                    t_tid = ev.ev_tid;
-                    t_attrs = ev.ev_attrs;
-                  }
-                  :: acc)
-                [] st.trace_buf
-              |> List.rev,
-              Vec.fold_left
-                (fun acc (g : gc_trace_sample) ->
-                  {
-                    h_ts_ns = Int64.to_int g.g_ts_ns;
-                    h_tid = g.g_tid;
-                    h_minor_w = g.g_minor_w;
-                    h_major_w = g.g_major_w;
-                  }
-                  :: acc)
-                [] st.gc_buf
-              |> List.rev ))
-    in
+    let trace, heap = if include_trace then trace_buffers () else ([], []) in
     let evs = Events.events () in
     let evs = drop (List.length evs - max 0 events_limit) evs in
     {
@@ -1438,68 +1347,66 @@ module Telemetry = struct
     | s -> Ok s
     | exception Parse_error m -> Error m
 
-  (* One worker's lane of a merged Chrome trace: its span slices and heap
-     samples shifted by the supervisor-estimated clock offset and tagged
-     with a per-worker pid, plus a process_name metadata record so the
-     trace viewer labels the lane. *)
-  let lane_events ~pid ~offset_ns ?process_name s =
+  (* Chrome-trace records of span slices ("X") and heap samples ("C"),
+     shifted by [offset_ns] and tagged with lane id [pid].  Perfetto
+     renders the heap samples as a stacked area chart. *)
+  let chrome_events ~pid ~offset_ns trace heap =
     let open Json in
     let ts ns = Float (float_of_int (ns + offset_ns) /. 1e3) in
+    let slice t =
+      Obj
+        [
+          ("name", String t.t_name);
+          ("cat", String "hls");
+          ("ph", String "X");
+          ("ts", ts t.t_ts_ns);
+          ("dur", Float (float_of_int t.t_dur_ns /. 1e3));
+          ("pid", Int pid);
+          ("tid", Int t.t_tid);
+          ( "args",
+            Obj
+              (("path", String t.t_path)
+              :: List.map (fun (k, v) -> (k, String v)) t.t_attrs) );
+        ]
+    in
+    let sample h =
+      Obj
+        [
+          ("name", String "heap words");
+          ("cat", String "hls");
+          ("ph", String "C");
+          ("ts", ts h.h_ts_ns);
+          ("pid", Int pid);
+          ("tid", Int h.h_tid);
+          ( "args",
+            Obj
+              [ ("minor_words", Float h.h_minor_w); ("major_words", Float h.h_major_w) ]
+          );
+        ]
+    in
+    List.map slice trace @ List.map sample heap
+
+  (* One worker's lane of a merged Chrome trace, shifted by the
+     supervisor-estimated clock offset, plus a process_name metadata
+     record so the trace viewer labels the lane. *)
+  let lane_events ~pid ~offset_ns ?process_name s =
     let meta =
       match process_name with
       | None -> []
       | Some label ->
-        [
-          Obj
-            [
-              ("name", String "process_name");
-              ("ph", String "M");
-              ("pid", Int pid);
-              ("tid", Int 0);
-              ("args", Obj [ ("name", String label) ]);
-            ];
-        ]
+        Json.
+          [
+            Obj
+              [
+                ("name", String "process_name");
+                ("ph", String "M");
+                ("pid", Int pid);
+                ("tid", Int 0);
+                ("args", Obj [ ("name", String label) ]);
+              ];
+          ]
     in
-    let slices =
-      List.map
-        (fun t ->
-          Obj
-            [
-              ("name", String t.t_name);
-              ("cat", String "hls");
-              ("ph", String "X");
-              ("ts", ts t.t_ts_ns);
-              ("dur", Float (float_of_int t.t_dur_ns /. 1e3));
-              ("pid", Int pid);
-              ("tid", Int t.t_tid);
-              ( "args",
-                Obj
-                  (("path", String t.t_path)
-                  :: List.map (fun (k, v) -> (k, String v)) t.t_attrs) );
-            ])
-        s.trace
-    in
-    let heap =
-      List.map
-        (fun h ->
-          Obj
-            [
-              ("name", String "heap words");
-              ("cat", String "hls");
-              ("ph", String "C");
-              ("ts", ts h.h_ts_ns);
-              ("pid", Int pid);
-              ("tid", Int h.h_tid);
-              ( "args",
-                Obj
-                  [
-                    ("minor_words", Float h.h_minor_w);
-                    ("major_words", Float h.h_major_w);
-                  ] );
-            ])
-        s.heap
-    in
-    meta @ slices @ heap
+    meta @ chrome_events ~pid ~offset_ns s.trace s.heap
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1649,11 +1556,7 @@ let report () =
           rows)
       groups
   end;
-  let dist_rows =
-    locked (fun () -> Hashtbl.fold (fun _ d acc -> (d.d_name, d) :: acc) dists [])
-    |> List.filter_map (fun (name, d) -> Option.map (fun s -> (name, s)) (dist_stats d))
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let dist_rows = dists_snapshot () in
   if dist_rows <> [] then begin
     Buffer.add_string buf "== distributions ==\n";
     let t =
@@ -1680,57 +1583,11 @@ let report () =
 (* JSON *)
 
 let trace_json () =
-  let events =
-    Vec.fold_left
-      (fun acc ev ->
-        let args =
-          Json.Obj
-            (("path", Json.String ev.ev_path)
-            :: List.map (fun (k, v) -> (k, Json.String v)) ev.ev_attrs)
-        in
-        Json.Obj
-          [
-            ("name", Json.String ev.ev_name);
-            ("cat", Json.String "hls");
-            ("ph", Json.String "X");
-            ("ts", Json.Float (Int64.to_float ev.ev_ts_ns /. 1e3));
-            ("dur", Json.Float (Int64.to_float ev.ev_dur_ns /. 1e3));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int ev.ev_tid);
-            ("args", args);
-          ]
-        :: acc)
-      [] st.trace_buf
-    |> List.rev
-  in
-  (* Heap-pressure counter lane (ph:"C"): one sample per closed span while
-     profiling was on; Perfetto renders these as a stacked area chart. *)
-  let heap =
-    Vec.fold_left
-      (fun acc g ->
-        Json.Obj
-          [
-            ("name", Json.String "heap words");
-            ("cat", Json.String "hls");
-            ("ph", Json.String "C");
-            ("ts", Json.Float (Int64.to_float g.g_ts_ns /. 1e3));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int g.g_tid);
-            ( "args",
-              Json.Obj
-                [
-                  ("minor_words", Json.Float g.g_minor_w);
-                  ("major_words", Json.Float g.g_major_w);
-                ] );
-          ]
-        :: acc)
-      [] st.gc_buf
-    |> List.rev
-  in
+  let trace, heap = trace_buffers () in
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.List (events @ heap));
+         ("traceEvents", Json.List (Telemetry.chrome_events ~pid:1 ~offset_ns:0 trace heap));
          ("displayTimeUnit", Json.String "ms");
        ])
 

@@ -118,9 +118,6 @@ val counters_snapshot : unit -> (string * int) list
 (** Every interned counter with its value, sorted by name.  Deterministic
     across identical runs. *)
 
-val span_stats : unit -> (string * int * float) list
-(** Aggregated spans as [(path, count, total_ns)], sorted by path. *)
-
 val report : unit -> string
 (** Human-readable text report: per-phase wall-clock (if stats were
     enabled), counters, distributions. *)
@@ -331,16 +328,13 @@ module Events : sig
   val write_jsonl : path:string -> unit
   (** Write every buffered event as one JSON object per line. *)
 
-  val load_jsonl : path:string -> (t list, string) result
-
   (** {2 Tagged multi-worker streams}
 
       A merged provenance file interleaves independent seq streams, one
       per lease, each line tagged with a ["worker"] field naming its
-      stream.  {!of_json} tolerates the tag, so tagged files load
-      anywhere; the tagged loader additionally enforces that sequence
-      numbers strictly increase {e within each stream} and names the
-      offending stream and line on a violation. *)
+      stream.  {!of_json} tolerates the tag; the loader enforces that
+      sequence numbers strictly increase {e within each stream} and names
+      the offending stream and line on a violation. *)
 
   type tagged = { stream : string option; event : t }
 
@@ -370,12 +364,9 @@ module Events : sig
             rendered as JSON fragments *)
   }
 
-  val diff : t list -> t list -> divergence option
-  (** [None] when the streams are identical (same length, equal events in
-      order). *)
-
   val diff_tagged : tagged list -> tagged list -> divergence option
-  (** {!diff} over tagged streams: a stream-tag mismatch diverges too,
+  (** [None] when the streams are identical (same length, equal events
+      and stream tags in order).  A stream-tag mismatch diverges too,
       reported as a synthetic ["worker"] field diff. *)
 end
 

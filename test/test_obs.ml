@@ -62,11 +62,12 @@ let test_span_nesting () =
         a + b + Obs.span "test.other" (fun () -> 21))
   in
   Alcotest.(check int) "span returns the body's value" 42 v;
-  let stats = Obs.span_stats () in
+  let rows = Obs.Prof.rows () in
   let count path =
     List.fold_left
-      (fun acc (p, n, _) -> if String.equal p path then acc + n else acc)
-      0 stats
+      (fun acc r ->
+        if String.equal r.Obs.Prof.path path then acc + r.Obs.Prof.calls else acc)
+      0 rows
   in
   Alcotest.(check int) "outer span recorded" 1 (count "test.outer");
   Alcotest.(check int) "inner spans aggregate under their parent path" 2
@@ -262,13 +263,16 @@ let test_events_concurrent_jsonl () =
      done
    with End_of_file -> close_in ic);
   Alcotest.(check int) "all events written" (4 * per_domain) !lines;
-  (* ...and the typed loader agrees, with unique ordered seqs. *)
-  match Obs.Events.load_jsonl ~path with
+  (* ...and the typed loader agrees: one untagged stream, with unique
+     ordered seqs. *)
+  match Obs.Events.load_tagged ~path with
   | Error m -> Alcotest.fail m
-  | Ok evs ->
+  | Ok tevs ->
     Alcotest.(check int) "loader sees every line" (4 * per_domain)
-      (List.length evs);
-    let seqs = List.map (fun e -> e.Obs.Events.seq) evs in
+      (List.length tevs);
+    Alcotest.(check bool) "every line untagged" true
+      (List.for_all (fun te -> te.Obs.Events.stream = None) tevs);
+    let seqs = List.map (fun te -> te.Obs.Events.event.seq) tevs in
     Alcotest.(check bool) "seqs strictly increasing" true
       (List.for_all2 (fun a b -> a < b)
          (List.filteri (fun i _ -> i < List.length seqs - 1) seqs)

@@ -201,8 +201,11 @@ let test_attrib_exact () =
 (* ------------------------------------------------------------------ *)
 (* Event-stream divergence localization. *)
 
+(* Untagged streams, as a single-process run writes them. *)
 let mk_events payloads =
-  List.mapi (fun i p -> { Obs.Events.seq = i; payload = p }) payloads
+  List.mapi
+    (fun i p -> { Obs.Events.stream = None; event = { seq = i; payload = p } })
+    payloads
 
 let sample_payloads =
   [
@@ -216,14 +219,14 @@ let sample_payloads =
 let test_diff_identical () =
   let a = mk_events sample_payloads in
   let b = mk_events sample_payloads in
-  match Obs.Events.diff a b with
+  match Obs.Events.diff_tagged a b with
   | None -> ()
   | Some d -> Alcotest.failf "identical streams diverge at index %d" d.Obs.Events.index
 
 let test_diff_truncated () =
   let a = mk_events sample_payloads in
   let b = List.filteri (fun i _ -> i < 2) a in
-  match Obs.Events.diff a b with
+  match Obs.Events.diff_tagged a b with
   | None -> Alcotest.fail "truncation not detected"
   | Some d ->
     Alcotest.(check int) "divergence at the cut" 2 d.Obs.Events.index;
@@ -243,7 +246,7 @@ let test_diff_field_perturbation () =
            | p -> p)
          sample_payloads)
   in
-  match Obs.Events.diff a b with
+  match Obs.Events.diff_tagged a b with
   | None -> Alcotest.fail "field perturbation not detected"
   | Some d ->
     Alcotest.(check int) "localized to the perturbed event" 2 d.Obs.Events.index;
@@ -256,7 +259,7 @@ let test_diff_field_perturbation () =
 
 let test_diff_both_empty () =
   Alcotest.(check bool) "two empty streams are identical" true
-    (Obs.Events.diff [] [] = None)
+    (Obs.Events.diff_tagged [] [] = None)
 
 let () =
   Alcotest.run "prof"
