@@ -41,7 +41,6 @@ let value c = Atomic.get c.c_value
 
 type dist = {
   d_name : string;
-  mutable d_count : int;
   mutable d_sum : float;
   mutable d_min : float;
   mutable d_max : float;
@@ -58,7 +57,6 @@ let dist name =
     let d =
       {
         d_name = name;
-        d_count = 0;
         d_sum = 0.0;
         d_min = infinity;
         d_max = neg_infinity;
@@ -70,7 +68,6 @@ let dist name =
 
 let observe d v =
   locked @@ fun () ->
-  d.d_count <- d.d_count + 1;
   d.d_sum <- d.d_sum +. v;
   if v < d.d_min then d.d_min <- v;
   if v > d.d_max then d.d_max <- v;
@@ -90,17 +87,22 @@ let percentile sorted p =
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
   sorted.(max 0 (min (n - 1) rank))
 
+(* One locked read, so that a concurrent [observe] cannot make [n], the
+   mean and the percentiles describe different sample sets. *)
 let dist_stats d =
-  if d.d_count = 0 then None
+  let sorted, sum, dmin, dmax =
+    locked (fun () -> (Vec.to_array d.d_values, d.d_sum, d.d_min, d.d_max))
+  in
+  let n = Array.length sorted in
+  if n = 0 then None
   else begin
-    let sorted = locked (fun () -> Vec.to_array d.d_values) in
     Array.sort Float.compare sorted;
     Some
       {
-        n = d.d_count;
-        dmin = d.d_min;
-        dmax = d.d_max;
-        mean = d.d_sum /. float_of_int d.d_count;
+        n;
+        dmin;
+        dmax;
+        mean = sum /. float_of_int n;
         p50 = percentile sorted 50.0;
         p95 = percentile sorted 95.0;
       }
