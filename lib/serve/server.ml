@@ -705,17 +705,25 @@ let handle_conn t fd =
           | Protocol.Health | Protocol.Telemetry ->
             send (control t env)
           | Protocol.Run _ | Protocol.Explore _ | Protocol.Shard_explore _ -> (
+            (* A busy reply to a lease names it: a supervisor drops a
+               lease reply without it as stale. *)
+            let lease =
+              match env.Protocol.req with
+              | Protocol.Shard_explore { lease; _ } -> [ ("lease", J.String lease) ]
+              | _ -> []
+            in
             match Admission.try_admit t.admission with
             | Admission.Shed ->
               send
                 (Protocol.response ~id:env.Protocol.id ~status:"overloaded"
-                   [
-                     ("retry_after_s", J.Float t.cfg.backoff);
-                     ("inflight", J.Int (Admission.inflight t.admission));
-                   ])
+                   ([
+                      ("retry_after_s", J.Float t.cfg.backoff);
+                      ("inflight", J.Int (Admission.inflight t.admission));
+                    ]
+                   @ lease))
             | Admission.Draining ->
               send
-                (Protocol.response ~id:env.Protocol.id ~status:"draining" [])
+                (Protocol.response ~id:env.Protocol.id ~status:"draining" lease)
             | Admission.Admitted ->
               (* finish only after the response bytes are out: the drain
                  sequence waits on inflight reaching zero, so responses to

@@ -394,6 +394,81 @@ let test_unknown_design_aborts () =
   if wall >= 5.0 then
     Alcotest.failf "the abort took %.1f s with a 10 s lease deadline" wall
 
+(* A worker at its high-water mark sheds each lease with an [overloaded]
+   reply that names the lease: the supervisor requeues it on the other
+   worker at once, instead of dropping the reply as stale and waiting out
+   a 20 s lease deadline.  Another client's request holds the busy
+   worker's one admission slot: its design's builder blocks until the
+   sweep is over. *)
+let test_busy_worker_requeues () =
+  let dir = temp_dir () in
+  let busy = Filename.concat dir "busy.sock" and spare = Filename.concat dir "spare.sock" in
+  let release = Atomic.make false in
+  let stalled () =
+    while not (Atomic.get release) do Thread.delay 0.01 done;
+    fir_build ()
+  in
+  let busy_cfg =
+    {
+      (server_config ~jobs:1 ~sock:busy ()) with
+      Server.high_water = 1;
+      designs = ("stalled", stalled) :: designs;
+    }
+  in
+  let inflight () =
+    match Client.one_shot (Client.Unix_path busy) {|{"op":"stats","id":"s"}|} with
+    | Ok body -> (
+      match J.parse body with
+      | Ok (J.Obj fields) -> List.assoc_opt "inflight" fields
+      | _ -> None)
+    | Error _ -> None
+  in
+  let ((result, wall), _) =
+    with_server (server_config ~sock:spare ()) (fun _ ->
+        let (r, _) =
+          with_server busy_cfg (fun _ ->
+              let holder =
+                Thread.create
+                  (fun () ->
+                    ignore
+                      (Client.one_shot (Client.Unix_path busy)
+                         {|{"op":"run","id":"hold","design":"stalled"}|}))
+                  ()
+              in
+              Fun.protect
+                ~finally:(fun () ->
+                  Atomic.set release true;
+                  Thread.join holder)
+                (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  while inflight () <> Some (J.Int 1) do
+                    if Unix.gettimeofday () -. t0 > 10.0 then
+                      Alcotest.fail "the holding request was never admitted";
+                    Thread.delay 0.01
+                  done;
+                  let t0 = Unix.gettimeofday () in
+                  let r =
+                    Dispatch.run
+                      (dispatch_config ~lease_deadline:20.0
+                         [ ("busy", Client.Unix_path busy); ("spare", Client.Unix_path spare) ])
+                      [ the_job ]
+                  in
+                  (r, Unix.gettimeofday () -. t0)))
+        in
+        r)
+  in
+  let o = run_ok result in
+  Alcotest.(check bool) "complete" true o.Dispatch.complete;
+  Alcotest.(check bool) "busy replies requeued" true
+    (List.mem ("worker_busy", "requeue") o.Dispatch.responses);
+  Alcotest.(check bool) "no busy reply dropped as stale" false
+    (List.mem ("duplicate_reply", "drop") o.Dispatch.responses);
+  Alcotest.(check (list string))
+    "records byte-identical to the single-process sweep"
+    (Lazy.force reference_lines) (lines_of o);
+  if wall >= 5.0 then
+    Alcotest.failf "the sweep took %.1f s with a 20 s lease deadline" wall
+
 let () =
   let fault c =
     Alcotest.test_case
@@ -429,6 +504,10 @@ let () =
         [ Alcotest.test_case "no reachable worker is a startup error" `Quick
             test_no_worker_reachable ] );
       ( "refusal",
-        [ Alcotest.test_case "a lease refused for an unknown design aborts" `Quick
-            test_unknown_design_aborts ] );
+        [
+          Alcotest.test_case "a lease refused for an unknown design aborts" `Quick
+            test_unknown_design_aborts;
+          Alcotest.test_case "a busy worker's lease is requeued at once" `Quick
+            test_busy_worker_requeues;
+        ] );
     ]
