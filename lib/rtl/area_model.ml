@@ -26,26 +26,6 @@ let fu_of_kind sched rk =
       if Resource_kind.equal i.Alloc.rk rk then acc +. i.Alloc.point.Curve.area else acc)
     0.0 (used_instances sched)
 
-(* A value needs a register when it outlives its control step: some
-   consumer executes in a later step, the value feeds a loop-carried
-   dependency, or it is an I/O-visible result held at a boundary. *)
-let needs_register sched op =
-  let dfg = sched.Schedule.dfg in
-  match Schedule.placement sched op.Dfg.id with
-  | None -> false
-  | Some p ->
-    (match op.Dfg.kind with
-    | Dfg.Const _ -> false
-    | _ ->
-      List.exists
-        (fun (c, loop_carried) ->
-          loop_carried
-          ||
-          match Schedule.placement sched c with
-          | Some pc -> pc.Schedule.step > p.Schedule.step
-          | None -> false)
-        (Dfg.all_succs dfg op.Dfg.id))
-
 let c_evals = Obs.counter "area.evaluations"
 let d_total = Obs.dist "area.total"
 let d_fu = Obs.dist "area.fu"
@@ -67,7 +47,7 @@ let of_schedule sched =
   in
   let registers = ref 0.0 in
   Dfg.iter_ops dfg (fun op ->
-      if needs_register sched op then
+      if Netlist.needs_register sched op then
         registers := !registers +. Library.register_area lib ~width:op.Dfg.width);
   let fsm =
     float_of_int (Schedule.steps_used sched) *. Library.fsm_area_per_state lib

@@ -23,6 +23,22 @@ let c_regs = Obs.counter "rtl.registers"
 let c_mux_inputs = Obs.counter "rtl.mux_inputs"
 let d_fanin = Obs.dist "rtl.mux_fanin"
 
+(* A value needs a register when it outlives its control step: some
+   consumer executes in a later step, or the value feeds a loop-carried
+   dependency.  Constants and unplaced ops need none. *)
+let needs_register schedule op =
+  match (op.Dfg.kind, Schedule.placement schedule op.Dfg.id) with
+  | Dfg.Const _, _ | _, None -> false
+  | _, Some p ->
+    List.exists
+      (fun (c, loop_carried) ->
+        loop_carried
+        ||
+        match Schedule.placement schedule c with
+        | Some pc -> pc.Schedule.step > p.Schedule.step
+        | None -> false)
+      (Dfg.all_succs schedule.Schedule.dfg op.Dfg.id)
+
 let build schedule =
   let dfg = schedule.Schedule.dfg in
   let by_inst = Schedule.ops_by_inst schedule in
@@ -35,28 +51,17 @@ let build schedule =
   in
   let registers = ref [] in
   Dfg.iter_ops dfg (fun op ->
-      match (op.Dfg.kind, Schedule.placement schedule op.Dfg.id) with
-      | Dfg.Const _, _ | _, None -> ()
-      | _, Some p ->
-        let crosses =
-          List.exists
-            (fun (c, loop_carried) ->
-              loop_carried
-              ||
-              match Schedule.placement schedule c with
-              | Some pc -> pc.Schedule.step > p.Schedule.step
-              | None -> false)
-            (Dfg.all_succs dfg op.Dfg.id)
-        in
-        if crosses then
-          registers :=
-            {
-              reg_name = "r_" ^ op.Dfg.name;
-              reg_width = op.Dfg.width;
-              source = op.Dfg.id;
-              written_in_step = p.Schedule.step;
-            }
-            :: !registers);
+      match Schedule.placement schedule op.Dfg.id with
+      | Some p when needs_register schedule op ->
+        registers :=
+          {
+            reg_name = "r_" ^ op.Dfg.name;
+            reg_width = op.Dfg.width;
+            source = op.Dfg.id;
+            written_in_step = p.Schedule.step;
+          }
+          :: !registers
+      | _ -> ());
   let ports = ref [] in
   let seen = Hashtbl.create 8 in
   Dfg.iter_ops dfg (fun op ->

@@ -24,6 +24,11 @@ type t = {
   n_states : int;
 }
 
+val needs_register : Schedule.t -> Dfg.op -> bool
+(** Whether [op]'s value outlives its control step: a consumer executes
+    in a later step, or the dependency is loop-carried.  {!build} makes a
+    register for each such value and [Area_model] prices one. *)
+
 val build : Schedule.t -> t
 
 type stats = {

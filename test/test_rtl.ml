@@ -118,8 +118,32 @@ let test_verilog_write_file () =
   Sys.remove path;
   Alcotest.(check bool) "non-empty file" true (len > 200)
 
+(* The 4 kernels and the first 4 manifest designs, each at its clock. *)
+let designs () =
+  [
+    ((Interpolation.unrolled ()).Interpolation.dfg, 1400.0);
+    ((Fir.build ~taps:8 ~latency:6 ()).Fir.dfg, 2500.0);
+    ((Idct.build ~latency:12 ~passes:1 ()).Idct.dfg, 2500.0);
+    ((Resizer.full ()).Resizer.dfg, 4000.0);
+  ]
+  @ List.map
+      (fun (e : Corpus.entry) -> ((Corpus.design e).Random_design.dfg, e.Corpus.clock_ps))
+      (Corpus.plan ~count:4 ~seed:42 ())
+
+(* Every schedule that [designs] yield under every flow. *)
+let iter_schedules f =
+  List.iter
+    (fun (dfg, clock) ->
+      List.iter
+        (fun flow ->
+          match Flows.run flow dfg ~lib:Library.default ~clock with
+          | Error _ -> ()
+          | Ok r -> f r.Flows.schedule)
+        Flows.all)
+    (designs ())
+
 let test_area_model_register_count_matches_netlist () =
-  let sched = schedule_of Flows.Slack_based in
+  iter_schedules @@ fun sched ->
   let nl = Netlist.build sched in
   let b = Area_model.of_schedule sched in
   let lib = Alloc.library sched.Schedule.alloc in
@@ -136,72 +160,52 @@ let test_area_model_register_count_matches_netlist () =
    instances in instance order, each with its ops in op order, priced with
    a mux of its fan-in when shared. *)
 let test_one_pass_buckets_match_ops_of_inst () =
-  let designs =
-    [
-      ((Interpolation.unrolled ()).Interpolation.dfg, 1400.0);
-      ((Fir.build ~taps:8 ~latency:6 ()).Fir.dfg, 2500.0);
-      ((Idct.build ~latency:12 ~passes:1 ()).Idct.dfg, 2500.0);
-      ((Resizer.full ()).Resizer.dfg, 4000.0);
-    ]
-    @ List.map
-        (fun (e : Corpus.entry) -> ((Corpus.design e).Random_design.dfg, e.Corpus.clock_ps))
-        (Corpus.plan ~count:4 ~seed:42 ())
-  in
   let lib = Library.default in
+  iter_schedules @@ fun sched ->
+  let used =
+    List.filter_map
+      (fun i ->
+        match Schedule.ops_of_inst sched i.Alloc.id with
+        | [] -> None
+        | ops -> Some (i, ops))
+      (Alloc.instances sched.Schedule.alloc)
+  in
+  let fu = List.fold_left (fun acc (i, _) -> acc +. i.Alloc.point.Curve.area) 0.0 used in
+  let mux =
+    List.fold_left
+      (fun acc (i, ops) ->
+        let fanin = List.length ops in
+        if fanin >= 2 then
+          acc +. (2.0 *. Library.mux_area lib ~inputs:fanin ~width:i.Alloc.width)
+        else acc)
+      0.0 used
+  in
+  let b = Area_model.of_schedule sched in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "fu area" (bits fu) (bits b.Area_model.fu);
+  Alcotest.(check int64) "fu_only" (bits fu) (bits (Area_model.fu_only sched));
+  Alcotest.(check int64) "mux area" (bits mux) (bits b.Area_model.mux);
   List.iter
-    (fun (dfg, clock) ->
-      List.iter
-        (fun flow ->
-          match Flows.run flow dfg ~lib ~clock with
-          | Error _ -> ()
-          | Ok r ->
-            let sched = r.Flows.schedule in
-            let used =
-              List.filter_map
-                (fun i ->
-                  match Schedule.ops_of_inst sched i.Alloc.id with
-                  | [] -> None
-                  | ops -> Some (i, ops))
-                (Alloc.instances sched.Schedule.alloc)
-            in
-            let fu = List.fold_left (fun acc (i, _) -> acc +. i.Alloc.point.Curve.area) 0.0 used in
-            let mux =
-              List.fold_left
-                (fun acc (i, ops) ->
-                  let fanin = List.length ops in
-                  if fanin >= 2 then
-                    acc +. (2.0 *. Library.mux_area lib ~inputs:fanin ~width:i.Alloc.width)
-                  else acc)
-                0.0 used
-            in
-            let b = Area_model.of_schedule sched in
-            let bits = Int64.bits_of_float in
-            Alcotest.(check int64) "fu area" (bits fu) (bits b.Area_model.fu);
-            Alcotest.(check int64) "fu_only" (bits fu) (bits (Area_model.fu_only sched));
-            Alcotest.(check int64) "mux area" (bits mux) (bits b.Area_model.mux);
-            List.iter
-              (fun rk ->
-                let of_kind =
-                  List.fold_left
-                    (fun acc (i, _) ->
-                      if Resource_kind.equal i.Alloc.rk rk then acc +. i.Alloc.point.Curve.area
-                      else acc)
-                    0.0 used
-                in
-                Alcotest.(check int64)
-                  ("fu_of_kind " ^ Resource_kind.name rk)
-                  (bits of_kind)
-                  (bits (Area_model.fu_of_kind sched rk)))
-              Resource_kind.all;
-            let ids l = List.map Dfg.Op_id.to_int l in
-            Alcotest.(check (list (pair int (list int))))
-              "netlist FUs"
-              (List.map (fun (i, ops) -> (Alloc.Inst_id.to_int i.Alloc.id, ids ops)) used)
-              (List.map
-                 (fun f -> (Alloc.Inst_id.to_int f.Netlist.inst.Alloc.id, ids f.Netlist.ops))
-                 (Netlist.build sched).Netlist.fus))
-        Flows.all)
-    designs
+    (fun rk ->
+      let of_kind =
+        List.fold_left
+          (fun acc (i, _) ->
+            if Resource_kind.equal i.Alloc.rk rk then acc +. i.Alloc.point.Curve.area
+            else acc)
+          0.0 used
+      in
+      Alcotest.(check int64)
+        ("fu_of_kind " ^ Resource_kind.name rk)
+        (bits of_kind)
+        (bits (Area_model.fu_of_kind sched rk)))
+    Resource_kind.all;
+  let ids l = List.map Dfg.Op_id.to_int l in
+  Alcotest.(check (list (pair int (list int))))
+    "netlist FUs"
+    (List.map (fun (i, ops) -> (Alloc.Inst_id.to_int i.Alloc.id, ids ops)) used)
+    (List.map
+       (fun f -> (Alloc.Inst_id.to_int f.Netlist.inst.Alloc.id, ids f.Netlist.ops))
+       (Netlist.build sched).Netlist.fus)
 
 let suite =
   [
