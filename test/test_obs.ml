@@ -519,8 +519,6 @@ let () =
             test_slack_pass_linearity;
           Alcotest.test_case "chrome trace JSON shape" `Quick
             test_trace_json_shape;
-          Alcotest.test_case "chrome trace keys, args and heap samples" `Quick
-            test_trace_json_fields;
           Alcotest.test_case "distribution 0- and 1-sample edge cases" `Quick
             test_dist_degenerate;
           Alcotest.test_case "event ring wraparound drops oldest" `Quick
@@ -537,5 +535,7 @@ let () =
             `Quick test_telemetry_roundtrip;
           Alcotest.test_case "prometheus exposition format" `Quick
             test_expo_render;
+          Alcotest.test_case "chrome trace keys, args and heap samples" `Quick
+            test_trace_json_fields;
         ] );
     ]
