@@ -398,7 +398,7 @@ let test_unknown_design_aborts () =
    reply that names the lease: the supervisor requeues it on the other
    worker at once, instead of dropping the reply as stale and waiting out
    a 20 s lease deadline.  Another client's request holds the busy
-   worker's one admission slot: its design's builder blocks until the
+   worker's one admission slot: building its design blocks until the
    sweep is over. *)
 let test_busy_worker_requeues () =
   let dir = temp_dir () in
